@@ -53,10 +53,9 @@ def fig5_bench_document(comparisons, run_meta: dict | None = None) -> dict:
     Carries the full per-cell results (round-trippable), both normalized
     figure tables, the headline scalars, and whatever orchestration
     metadata (wall time, cache accounting, fingerprint) the caller adds.
-    This is also the result body a ``repro serve`` evaluate job returns,
-    so everything except ``run`` must be a pure function of the matrix —
-    byte-identical whether computed by the CLI, the daemon, or a warm
-    cache replay.
+    Everything except ``run`` must be a pure function of the matrix —
+    byte-identical whether computed serially, by ``--jobs N`` workers,
+    or by a warm cache replay.
     """
     from repro.analysis.report import headline_numbers, ipc_table, write_traffic_table
 
@@ -92,7 +91,7 @@ def fig5_bench_from_json(text: str) -> dict:
     Rebuilds every per-cell :class:`SimulationResult` (schema check) and
     recomputes the figure tables and headline from them, verifying the
     document's derived sections match its raw cells — the round trip the
-    serve wire path and CI rely on.  Returns ``workload -> scheme ->
+    committed artifact and CI rely on.  Returns ``workload -> scheme ->
     SimulationResult``.
     """
     from repro.analysis.report import headline_numbers, ipc_table, write_traffic_table

@@ -715,25 +715,9 @@ def cmd_traffic_ace(args: argparse.Namespace) -> int:
 
 
 def _traffic_bench(args: argparse.Namespace, descriptors: list) -> int:
-    """Shared --run/--specs-out/--json tail of ingest and interleave."""
-    import json
+    """Shared --run/--json tail of ingest and interleave."""
+    from repro.analysis.traffic import traffic_document, traffic_document_to_json
 
-    from repro.analysis.traffic import (
-        traffic_document,
-        traffic_document_to_json,
-        traffic_specs,
-    )
-
-    if args.specs_out:
-        _, specs = traffic_specs(
-            descriptors, schemes=tuple(args.schemes), length=args.length,
-            seed=args.seed,
-        )
-        with open(args.specs_out, "w") as f:
-            json.dump([s.to_dict() for s in specs], f, indent=2,
-                      sort_keys=True)
-        print(f"wrote {len(specs)} RunSpec(s) to {args.specs_out} "
-              f"(submit with `repro client submit --specs {args.specs_out}`)")
     if not args.run:
         return 0
     document, report = traffic_document(
@@ -885,273 +869,11 @@ def cmd_runs_gc(args: argparse.Namespace) -> int:
     from repro.runs import ResultCache
 
     cache = ResultCache(args.root)
-    swept = cache.gc(
-        everything=args.all,
-        max_generations=args.max_generations,
-        max_bytes=args.max_bytes,
-    )
-    if args.all:
-        scope = "all generations"
-    elif args.max_generations is not None or args.max_bytes is not None:
-        knobs = []
-        if args.max_generations is not None:
-            knobs.append(f"max {args.max_generations} generation(s)")
-        if args.max_bytes is not None:
-            knobs.append(f"max {args.max_bytes} bytes")
-        scope = ", ".join(knobs)
-    else:
-        scope = "stale generations"
+    swept = cache.gc(everything=args.all)
+    scope = "all generations" if args.all else "stale generations"
     print(f"gc ({scope}): removed {swept['removed']} entr(y/ies), "
           f"kept {swept['kept']}, reclaimed {swept['reclaimed_bytes']} bytes")
     return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import DaemonConfig, run_daemon
-
-    config = DaemonConfig(
-        host=args.host,
-        port=None if args.no_tcp else args.port,
-        unix_socket=args.unix_socket,
-        cache_root=args.cache_root,
-        shards=args.shards,
-        quota=args.quota,
-        max_depth=args.max_depth,
-        jobs=args.jobs,
-        max_generations=args.max_generations,
-        max_bytes=args.max_bytes,
-        port_file=args.port_file,
-        log_file=args.log_file,
-        quiet=args.quiet,
-        timeout=args.timeout,
-        retries=args.retries,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
-    )
-    return run_daemon(config)
-
-
-def _serve_client(args: argparse.Namespace):
-    from repro.serve import ServeClient
-
-    return ServeClient(args.server)
-
-
-def _print_serve_event(event: dict) -> None:
-    kind = event["event"]
-    data = event["data"]
-    if kind == "progress":
-        print(f"  [{data['done']:>3}/{data['total']}] {data['label']:<42} "
-              f"{data['duration']:6.2f}s  {data['source']}")
-    elif kind == "done":
-        print(f"  {data['summary']}")
-    elif kind == "failed":
-        print(f"  FAILED: {data['job'].get('error', 'unknown error')}")
-    elif kind == "deadline":
-        print(f"  DEADLINE: {data['job'].get('error', 'deadline exceeded')}")
-    elif kind == "chaos":
-        fires = ", ".join(
-            f"{f['site']}@{f['hit']}" for f in data.get("fires", [])
-        )
-        print(f"  [chaos] injected fault(s) fired: {fires}")
-    else:
-        print(f"  [{kind}] job {data['job']['job_id']} "
-              f"(shard {data['job']['shard']})")
-
-
-def cmd_client_submit(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.serve import ServeError
-
-    client = _serve_client(args)
-    if args.specs:
-        with open(args.specs) as f:
-            specs = json.load(f)
-        kind, params = "specs", {}
-    else:
-        specs = None
-        kind = "evaluate"
-        params = {"length": args.length, "seed": args.seed}
-        if args.workloads:
-            params["workloads"] = args.workloads
-    try:
-        descriptor = client.submit(
-            kind, client=args.client, priority=args.priority,
-            specs=specs, params=params,
-        )
-    except ServeError as exc:
-        print(f"submit rejected: {exc}", file=sys.stderr)
-        return 1
-    coalesced = descriptor["coalesced"] > 0
-    print(f"job {descriptor['job_id']} {descriptor['state']} "
-          f"(kind={descriptor['kind']}, {descriptor['total']} spec(s), "
-          f"shard {descriptor['shard']}"
-          f"{', coalesced onto a running job' if coalesced else ''})")
-    if args.no_wait:
-        return 0
-    on_event = None if args.quiet else _print_serve_event
-    terminal = None
-    for event in client.watch(descriptor["job_id"]):
-        if on_event is not None:
-            on_event(event)
-        terminal = event
-    if terminal is None:
-        print("event stream ended without a terminal event", file=sys.stderr)
-        return 1
-    job = terminal["data"]["job"]
-    if terminal["event"] in ("failed", "deadline"):
-        print(f"job {terminal['event']}: {job.get('error', 'unknown error')}",
-              file=sys.stderr)
-        return 1
-    retried = (f", {job['retried']} retried"
-               if job.get("retried") else "")
-    print(f"result: {job['executed']} executed, {job['cache_hits']} from cache, "
-          f"{job['journal_hits']} from journal, {job['coalesced']} coalesced "
-          f"rider(s){retried}")
-    if args.json:
-        envelope = client.result(descriptor["job_id"])
-        document = envelope["result"]
-        if kind == "evaluate":
-            from repro.analysis.export import fig5_bench_from_json
-
-            text = json.dumps(document, indent=2, sort_keys=True)
-            fig5_bench_from_json(text)  # round-trip check before writing
-        else:
-            text = json.dumps(document, indent=2, sort_keys=True)
-        with open(args.json, "w") as f:
-            f.write(text)
-        print(f"wrote result document to {args.json}")
-    return 0
-
-
-def cmd_client_watch(args: argparse.Namespace) -> int:
-    from repro.serve import ServeError
-
-    client = _serve_client(args)
-    try:
-        terminal = None
-        for event in client.watch(args.job_id):
-            _print_serve_event(event)
-            terminal = event
-    except ServeError as exc:
-        print(f"watch failed: {exc}", file=sys.stderr)
-        return 1
-    if terminal is None or terminal["event"] != "done":
-        return 1
-    return 0
-
-
-def cmd_client_status(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.serve import ServeError
-
-    client = _serve_client(args)
-    try:
-        status = client.status()
-    except (ServeError, OSError) as exc:
-        print(f"status failed: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    queue = status["queue"]
-    cache = status["cache"]
-    totals = status["totals"]
-    print(f"serve at {args.server}: up {status['timing']['uptime_seconds']}s")
-    print(f"  queue: {queue['in_flight']} in flight over {queue['shards']} "
-          f"shard(s) {queue['depths']}, quota {queue['quota']}/client, "
-          f"depth bound {queue['max_depth']}")
-    if queue["clients"]:
-        held = ", ".join(f"{c}={n}" for c, n in queue["clients"].items())
-        print(f"  clients: {held}")
-    print(f"  jobs: {totals['submitted']} submitted, {totals['coalesced']} "
-          f"coalesced, {totals['completed']} completed, {totals['failed']} "
-          f"failed")
-    stats = cache["stats"]
-    print(f"  cache {cache['root']} (fingerprint {cache['fingerprint']}): "
-          f"{stats['hits']} hits, {stats['misses']} misses, "
-          f"{stats['stores']} stores, {stats['gc_reclaimed_bytes']} bytes "
-          f"reclaimed over {stats['gc_runs']} gc run(s)")
-    return 0
-
-
-def cmd_chaos_sites(args: argparse.Namespace) -> int:
-    from repro.chaos.plan import SITES
-
-    print(f"{len(SITES)} chaos site(s):")
-    for site in SITES:
-        retry = "retryable" if site.retryable else "terminal"
-        print(f"  {site.name:<24} [{site.component}] ({retry})")
-        print(f"      {site.description}")
-    return 0
-
-
-def cmd_chaos_plan(args: argparse.Namespace) -> int:
-    from repro.chaos.plan import ALL_SITE_NAMES, CHAOS_PLAN_ENV, ChaosPlan
-
-    schedule = {}
-    for spec in args.site or []:
-        name, _, hits_text = spec.partition(":")
-        if not hits_text:
-            print(f"--site needs name:hit1[,hit2...], got {spec!r}",
-                  file=sys.stderr)
-            return 2
-        try:
-            hits = [int(h) for h in hits_text.split(",")]
-        except ValueError:
-            print(f"bad hit list in {spec!r}", file=sys.stderr)
-            return 2
-        schedule[name] = {"hits": hits, "params": {}}
-    try:
-        if schedule:
-            plan = ChaosPlan(seed=args.seed, schedule=schedule)
-        else:
-            plan = ChaosPlan.generate(args.seed, ALL_SITE_NAMES, fires=args.fires)
-    except ValueError as exc:
-        print(f"bad plan: {exc}", file=sys.stderr)
-        return 2
-    print(plan.to_json())
-    print(f"# export {CHAOS_PLAN_ENV}='{plan.to_json()}'", file=sys.stderr)
-    return 0
-
-
-def cmd_chaos_run(args: argparse.Namespace) -> int:
-    import json
-    import tempfile
-
-    from repro.chaos.campaign import ChaosCampaignConfig, run_campaign
-
-    log = (lambda line: None) if args.quiet else (
-        lambda line: print(f"[chaos] {line}", file=sys.stderr, flush=True)
-    )
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
-    config = ChaosCampaignConfig(
-        workdir=workdir,
-        seed=args.seed,
-        length=args.length,
-        sites=tuple(args.sites) if args.sites else None,
-        scenarios=tuple(args.scenarios),
-        retries=args.retries,
-        event_timeout=args.event_timeout,
-        log=log,
-    )
-    try:
-        result = run_campaign(config)
-    except (RuntimeError, ValueError) as exc:
-        print(f"chaos campaign aborted: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(result.to_dict(), f, indent=2, sort_keys=True)
-        log(f"wrote campaign report to {args.json}")
-    for check in result.checks:
-        mark = "ok " if check["ok"] else "FAIL"
-        print(f"  [{mark}] {check['scenario']}/{check['name']}: "
-              f"{check['detail']}")
-    print(f"chaos campaign: {result.summary()}")
-    return 0 if result.ok else 1
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -1448,156 +1170,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "$CCNVM_CACHE_DIR)")
     rgc.add_argument("--all", action="store_true",
                      help="drop everything, journals and stats included")
-    rgc.add_argument("--max-generations", type=int, default=None, metavar="N",
-                     help="retain the current generation plus the N-1 newest "
-                          "stale ones instead of dropping every stale one")
-    rgc.add_argument("--max-bytes", type=int, default=None, metavar="B",
-                     help="evict oldest entries (stale generations first) "
-                          "until the store fits in B bytes")
     rgc.set_defaults(func=cmd_runs_gc)
-
-    serve = sub.add_parser(
-        "serve", help="run the long-lived simulation service daemon"
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8377,
-                       help="TCP port (0 picks an ephemeral one; see "
-                            "--port-file)")
-    serve.add_argument("--no-tcp", action="store_true",
-                       help="serve only the unix socket")
-    serve.add_argument("--unix-socket", default=None, metavar="PATH",
-                       help="also (or only, with --no-tcp) listen on a unix "
-                            "domain socket")
-    serve.add_argument("--cache-root", default=None, metavar="DIR",
-                       help="shared result cache (default .repro-cache or "
-                            "$CCNVM_CACHE_DIR); one daemon per cache root")
-    serve.add_argument("--shards", type=int, default=2,
-                       help="work-queue shards = concurrently executing jobs")
-    serve.add_argument("--quota", type=int, default=4,
-                       help="max queued+running jobs per client (429 beyond)")
-    serve.add_argument("--max-depth", type=int, default=64,
-                       help="global admission bound on jobs in flight (503 "
-                            "beyond)")
-    serve.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes per executing job")
-    serve.add_argument("--max-generations", type=int, default=None, metavar="N",
-                       help="evict the cache down to N generations after "
-                            "each job")
-    serve.add_argument("--max-bytes", type=int, default=None, metavar="B",
-                       help="evict the cache down to B bytes after each job")
-    serve.add_argument("--port-file", default=None, metavar="FILE",
-                       help="write the bound TCP port here once listening")
-    serve.add_argument("--log-file", default=None, metavar="FILE",
-                       help="append the daemon log here")
-    serve.add_argument("--quiet", action="store_true",
-                       help="suppress the stderr log")
-    serve.add_argument("--timeout", type=float, default=None, metavar="S",
-                       help="per-spec execution timeout in seconds")
-    serve.add_argument("--retries", type=int, default=2, metavar="N",
-                       help="supervision retries for retryable failures "
-                            "(worker death/hang/torn IPC)")
-    serve.add_argument("--breaker-threshold", type=int, default=5, metavar="K",
-                       help="consecutive job failures before degrading to "
-                            "cache-only mode")
-    serve.add_argument("--breaker-cooldown", type=float, default=30.0,
-                       metavar="S",
-                       help="seconds before the degraded service probes "
-                            "the execution path again")
-    serve.set_defaults(func=cmd_serve)
-
-    client = sub.add_parser(
-        "client", help="thin clients for a running `repro serve` daemon"
-    )
-    clsub = client.add_subparsers(dest="client_command", required=True)
-
-    def add_client_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--server", default="http://127.0.0.1:8377",
-                       metavar="URL",
-                       help="http://host:port or unix:///path "
-                            "(default http://127.0.0.1:8377)")
-
-    csubmit = clsub.add_parser(
-        "submit", help="submit a job (Figure 5 evaluate, or a spec file)"
-    )
-    add_client_options(csubmit)
-    csubmit.add_argument("--length", type=int, default=4000)
-    csubmit.add_argument("--seed", type=int, default=1)
-    csubmit.add_argument("--workloads", nargs="+", metavar="WL",
-                         choices=SPEC_ORDER, default=None,
-                         help="restrict the evaluate matrix (default: all)")
-    csubmit.add_argument("--specs", metavar="FILE", default=None,
-                         help="submit raw RunSpec dicts from a JSON list "
-                              "instead of the evaluate matrix")
-    csubmit.add_argument("--client", default="cli", metavar="NAME",
-                         help="client identity for quota accounting")
-    csubmit.add_argument("--priority", type=int, default=0,
-                         help="lower runs earlier within a shard")
-    csubmit.add_argument("--no-wait", action="store_true",
-                         help="return after admission; do not stream progress")
-    csubmit.add_argument("--quiet", action="store_true",
-                         help="suppress per-event progress lines")
-    csubmit.add_argument("--json", metavar="FILE", default=None,
-                         help="write the result document (for evaluate: the "
-                              "BENCH_fig5-shaped document) to FILE")
-    csubmit.set_defaults(func=cmd_client_submit)
-
-    cwatch = clsub.add_parser("watch", help="stream a job's progress events")
-    add_client_options(cwatch)
-    cwatch.add_argument("job_id")
-    cwatch.set_defaults(func=cmd_client_watch)
-
-    cstatus = clsub.add_parser("status", help="daemon queue/cache inventory")
-    add_client_options(cstatus)
-    cstatus.add_argument("--json", action="store_true",
-                         help="emit the machine-readable status document")
-    cstatus.set_defaults(func=cmd_client_status)
-
-    chaos = sub.add_parser(
-        "chaos", help="deterministic infrastructure-fault injection"
-    )
-    chsub = chaos.add_subparsers(dest="chaos_command", required=True)
-    chsites = chsub.add_parser(
-        "sites", help="list the registered chaos injection sites"
-    )
-    chsites.set_defaults(func=cmd_chaos_sites)
-    chplan = chsub.add_parser(
-        "plan", help="emit a seeded chaos plan as canonical JSON "
-                     "(export it via CCNVM_CHAOS_PLAN)"
-    )
-    chplan.add_argument("--seed", type=int, default=7)
-    chplan.add_argument("--site", action="append", metavar="NAME:HIT[,HIT]",
-                        help="schedule one site at the given 1-based visit "
-                             "number(s); repeatable (default: a generated "
-                             "plan over every site)")
-    chplan.add_argument("--fires", type=int, default=1,
-                        help="fires per site for generated plans")
-    chplan.set_defaults(func=cmd_chaos_plan)
-    chrun = chsub.add_parser(
-        "run", help="chaos campaign: sweep fault sites against the real "
-                    "service and assert the robustness invariants"
-    )
-    chrun.add_argument("--seed", type=int, default=7)
-    chrun.add_argument("--length", type=int, default=120,
-                       help="trace length per simulation cell")
-    chrun.add_argument("--sites", nargs="+", metavar="NAME", default=None,
-                       help="restrict the sweep to these sites")
-    chrun.add_argument("--scenarios", nargs="+",
-                       choices=("sweep", "resume", "breaker"),
-                       default=["sweep", "resume", "breaker"])
-    chrun.add_argument("--retries", type=int, default=2,
-                       help="supervision retries in the service under test")
-    chrun.add_argument("--event-timeout", type=float, default=60.0,
-                       metavar="S",
-                       help="per-event watch timeout; exceeding it is "
-                            "recorded as a hang")
-    chrun.add_argument("--workdir", default=None, metavar="DIR",
-                       help="campaign scratch directory (default: a fresh "
-                            "temp dir)")
-    chrun.add_argument("--json", metavar="FILE", default=None,
-                       help="write the machine-readable campaign report")
-    chrun.add_argument("--quiet", action="store_true",
-                       help="suppress progress logging")
-    chrun.set_defaults(func=cmd_chaos_run)
 
     traffic = sub.add_parser(
         "traffic",
@@ -1620,9 +1193,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--json", metavar="FILE", default=None,
                        help="write the traffic bench document to FILE")
-        p.add_argument("--specs-out", metavar="FILE", default=None,
-                       help="write the RunSpec list for `repro client "
-                            "submit --specs` (daemon submission)")
         add_run_options(p)
 
     tace = tsub.add_parser(

@@ -73,9 +73,6 @@ DEFAULT_DETERMINISTIC_ENTRIES = (
     "runs/pool.py::_execute_",
     "crashsim/enumerate.py::CrashState.image_hash",
     "crashsim/enumerate.py::canonical_value",
-    # The serve wire path: every body crossing the client/server boundary
-    # must serialize byte-stably (coalesced clients cmp their payloads).
-    "serve/protocol.py::",
     # The workload frontier: descriptors are folded into spec hashes and
     # traces are content-addressed, so every generator path must be
     # seeded-Random-only and serialize with sorted keys.

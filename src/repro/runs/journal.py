@@ -16,13 +16,11 @@ figures — so the file is restarted from scratch.
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import time
 from pathlib import Path
 
-from repro.chaos.inject import chaos_fire
 from repro.common.persistence import persistence
 from repro.runs.spec import RunSpec
 
@@ -115,27 +113,9 @@ class RunJournal:
 
     def _append_line(self, obj: dict) -> None:
         data = (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
-        action = chaos_fire("journal.append_torn")
-        if action is not None:
-            # The writer "dies" mid-record: half the bytes land, then
-            # the failure surfaces.  _repair() truncates the torn tail
-            # back to the last good boundary before re-raising.
-            self._handle.write(data[: max(1, len(data) // 2)])
-            self._repair()
-            raise OSError(
-                errno.EIO,
-                f"chaos: torn append to {self.path.name} (tail truncated back)",
-            )
         try:
             self._handle.write(data)
             self._handle.flush()
-            action = chaos_fire("journal.fsync_fail")
-            if action is not None:
-                raise OSError(
-                    errno.EIO,
-                    f"chaos: fsync failed on {self.path.name} "
-                    "(record durability unknown, discarded)",
-                )
             os.fsync(self._handle.fileno())
         except OSError:
             self._repair()

@@ -28,6 +28,11 @@ from repro.runs.journal import RunJournal
 from repro.runs.pool import RunOutcome, WorkerPool
 from repro.runs.spec import RunSpec, canonical_json
 
+#: Backoff between a cache put's attempts: *base* doubling per attempt,
+#: capped at *cap* seconds, scaled by jitter.
+_PUT_BACKOFF_BASE = 0.05
+_PUT_BACKOFF_CAP = 2.0
+
 
 @dataclass
 class RunReport:
@@ -39,8 +44,8 @@ class RunReport:
     cache_hits: int = 0
     journal_hits: int = 0
     failed: int = 0
-    #: Specs re-run by the supervisor (chunk-timeout re-dispatch inside
-    #: the pool plus retry rounds at this level).
+    #: Specs re-dispatched by the pool after a chunk was lost to a hung
+    #: or dead worker.
     retried: int = 0
     #: Cache puts that still failed after their own retry budget; the
     #: result stays durable in the journal, so these are non-fatal.
@@ -109,22 +114,11 @@ def run_specs(
     timeout: float | None = None,
     chunk: int | None = None,
     progress=None,
-    retries: int = 0,
-    backoff_base: float = 0.05,
-    backoff_cap: float = 2.0,
 ) -> RunReport:
     """Resolve every spec through cache, journal, then the worker pool.
 
     *progress*, when given, is called as ``progress(outcome, done, total)``
     for every resolved spec (cache and journal hits included).
-
-    *retries* is the supervision budget for **retryable** outcomes
-    (worker death, hang, torn IPC — never an error raised inside the
-    spec itself): each retry round re-runs the survivors at ``chunk=1``
-    in a fresh pool with pristine worker processes, after an
-    exponential backoff with jitter (*backoff_base* doubling per round,
-    capped at *backoff_cap* seconds).  A spec's outcome is journaled,
-    cached and reported exactly once — its final one.
 
     Transient IO failures on the durable stores are tolerated and
     counted rather than fatal: a failed cache put leaves the result in
@@ -164,7 +158,7 @@ def run_specs(
                     report.cache_put_errors += 1
                 else:
                     time.sleep(
-                        min(backoff_cap, backoff_base * (2 ** attempt))
+                        min(_PUT_BACKOFF_CAP, _PUT_BACKOFF_BASE * (2 ** attempt))
                         * rng.random()
                     )
 
@@ -217,34 +211,9 @@ def run_specs(
             put_tolerant(outcome.spec, outcome.payload)
         emit(outcome)
 
-    to_run = pending
-    attempt = 0
-    while to_run:
-        final_round = attempt >= max(0, retries)
-        deferred: list[RunSpec] = []
-
-        def on_result(outcome, _final=final_round, _deferred=deferred):
-            if outcome.ok or not outcome.retryable or _final:
-                finalize(outcome)
-            else:
-                _deferred.append(outcome.spec)
-
-        pool = WorkerPool(
-            jobs=jobs,
-            timeout=timeout,
-            # Retry rounds isolate at chunk=1 in pristine processes.
-            chunk=chunk if attempt == 0 else 1,
-            max_tasks_per_child=None if attempt == 0 else 1,
-        )
-        pool.run(to_run, on_result=on_result)
-        report.retried += pool.redispatched
-        if not deferred:
-            break
-        attempt += 1
-        report.retried += len(deferred)
-        delay = min(backoff_cap, backoff_base * (2 ** (attempt - 1)))
-        time.sleep(delay * (0.5 + rng.random()))
-        to_run = deferred
+    pool = WorkerPool(jobs=jobs, timeout=timeout, chunk=chunk)
+    pool.run(pending, on_result=finalize)
+    report.retried = pool.redispatched
 
     if cache is not None:
         cache.flush_stats()
@@ -261,7 +230,6 @@ def orchestrate(
     timeout: float | None = None,
     chunk: int | None = None,
     progress=None,
-    retries: int = 0,
 ) -> RunReport:
     """The common CLI/driver wrapper around :func:`run_specs`.
 
@@ -273,12 +241,7 @@ def orchestrate(
     """
     if not use_cache:
         return run_specs(
-            specs,
-            jobs=jobs,
-            timeout=timeout,
-            chunk=chunk,
-            progress=progress,
-            retries=retries,
+            specs, jobs=jobs, timeout=timeout, chunk=chunk, progress=progress
         )
     cache = ResultCache(cache_root, fingerprint=code_fingerprint())
     with RunJournal(sweep_journal_path(cache, name, specs), cache.fingerprint) as journal:
@@ -290,5 +253,4 @@ def orchestrate(
             timeout=timeout,
             chunk=chunk,
             progress=progress,
-            retries=retries,
         )

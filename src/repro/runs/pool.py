@@ -12,22 +12,26 @@ Failure isolation is layered:
 
 * an exception inside a spec is caught *in the worker* and comes back as
   a ``failed`` outcome carrying the traceback — the sweep continues;
-* a worker process dying outright (or hanging) is bounded by the
-  per-chunk deadline derived from ``timeout``; the affected specs come
-  back as ``timeout`` outcomes and the pool is torn down afterwards
-  rather than joined.
+* a worker process that dies outright (OOM kill, segfault, ``os._exit``)
+  is noticed within a poll interval, with or without ``timeout``: every
+  chunk announces which worker runs it, and a chunk whose worker is
+  gone comes back as retryable ``failed`` outcomes;
+* a worker that hangs is bounded by the per-chunk deadline derived from
+  ``timeout``; the affected specs come back as ``timeout`` outcomes.
+
+Either way the pool is torn down afterwards rather than joined.
 
 Dispatch is chunked (several specs per task) to amortize process startup
 and IPC; ``chunk=1`` gives the finest isolation, larger chunks less
 overhead.  With ``jobs <= 1`` everything runs inline in the parent —
 same code path through :func:`execute_spec`, no processes at all.
 
-When a chunk of several specs times out, only one of them is typically
-at fault; by default the pool re-dispatches the whole chunk once at
-``chunk=1`` in a fresh pool (one process per spec), so the innocent
-chunk-mates complete and only the genuinely hung/crashed spec comes
-back as ``timeout``.  Results additionally carry an integrity digest
-taken in the worker before IPC; a payload that does not match its
+When a chunk of several specs is lost to a hung or dead worker, only one
+of them is typically at fault; by default the pool re-dispatches the
+whole chunk once at ``chunk=1`` in a fresh pool, so the innocent
+chunk-mates complete and only the genuinely hung/crashing spec comes
+back as ``timeout``/``failed``.  Results additionally carry an integrity
+digest taken in the worker before IPC; a payload that does not match its
 digest in the parent is demoted to a retryable ``corrupt`` outcome
 rather than silently trusted.
 """
@@ -42,11 +46,13 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
-from repro.chaos.inject import chaos_fire
 from repro.runs.spec import RunSpec
 
 #: Grace seconds added on top of a chunk's nominal deadline.
 _TIMEOUT_GRACE = 5.0
+
+#: Seconds between worker liveness checks while waiting on a chunk.
+_POLL_SECONDS = 0.5
 
 
 def payload_digest(payload) -> str:
@@ -161,40 +167,18 @@ def execute_spec(spec_dict: dict):
     return _EXECUTORS[spec.kind](spec)
 
 
-def _corrupt_payload(payload, params: dict):
-    """Deterministically damage a payload (chaos ``pool.result_corrupt``)."""
-    if params.get("mode") == "garbage" or not isinstance(payload, dict):
-        return {"__chaos__": "corrupted payload"}
-    keys = sorted(payload)
-    return {k: payload[k] for k in keys[: len(keys) // 2]}
-
-
 def _run_chunk(spec_dicts: list[dict]) -> list[dict]:
     """Worker task: run a chunk of specs, isolating per-spec failures."""
-    # Process-death sites only make sense in an actual worker process;
-    # inline (jobs<=1) execution runs this in the parent, which must
-    # never be exited or stalled by its own chaos plan.
-    in_worker = multiprocessing.parent_process() is not None
     out = []
     for spec_dict in spec_dicts:
-        action = chaos_fire("pool.worker_crash")
-        if action is not None and in_worker:
-            os._exit(int(action.get("exit_code", 70)))
-        action = chaos_fire("pool.worker_hang")
-        if action is not None and in_worker:
-            time.sleep(float(action.get("hang_seconds", 3600.0)))
         started = time.perf_counter()
         try:
             payload = execute_spec(spec_dict)
-            digest = payload_digest(payload)
-            action = chaos_fire("pool.result_corrupt")
-            if action is not None:
-                payload = _corrupt_payload(payload, action)
             out.append(
                 {
                     "status": "done",
                     "payload": payload,
-                    "digest": digest,
+                    "digest": payload_digest(payload),
                     "duration": time.perf_counter() - started,
                 }
             )
@@ -208,6 +192,89 @@ def _run_chunk(spec_dicts: list[dict]) -> list[dict]:
                 }
             )
     return out
+
+
+#: Worker side of the queue on which each pooled chunk announces
+#: ``(chunk index, worker pid)`` as it starts (set by :func:`_init_worker`).
+_announce = None
+
+
+def _init_worker(announce) -> None:
+    global _announce
+    _announce = announce
+
+
+def _run_announced_chunk(index: int, spec_dicts: list[dict]) -> list[dict]:
+    """Pool task: say which worker runs chunk *index*, then run it."""
+    _announce.put((index, os.getpid()))
+    return _run_chunk(spec_dicts)
+
+
+def _lost_raws(count: int, status: str, error: str, duration: float = 0.0):
+    """Retryable raw results for a chunk that returned no results."""
+    raw = {
+        "status": status,
+        "payload": None,
+        "duration": duration,
+        "error": error,
+        "retryable": True,
+    }
+    return [raw] * count
+
+
+class _ChunkOwners:
+    """Which worker process started which chunk (parent side)."""
+
+    def __init__(self, announce) -> None:
+        self.announce = announce
+        #: chunk index -> pid of the worker that started it.
+        self.owner: dict[int, int] = {}
+        #: worker pid -> highest chunk index it started.
+        self.latest: dict[int, int] = {}
+
+    def drain(self) -> None:
+        while not self.announce.empty():
+            index, pid = self.announce.get()
+            self.owner[index] = pid
+            self.latest[pid] = max(index, self.latest.get(pid, index))
+
+    def died_holding(self, index: int) -> bool:
+        """Whether chunk *index*'s worker exited before finishing it.
+
+        Workers take chunks in submission order, so a worker that went
+        on to start a later chunk has already sent this one's result.
+        """
+        self.drain()
+        pid = self.owner.get(index)
+        if pid is None or self.latest[pid] != index:
+            return False
+        return pid not in {p.pid for p in multiprocessing.active_children()}
+
+
+def _await_chunk(handle, index: int, deadline, owners: _ChunkOwners):
+    """Chunk *index*'s raw results, or ``None`` if its worker died.
+
+    Waits in short polls so a dead worker is noticed with no deadline
+    at all (``multiprocessing.Pool`` never completes a task whose worker
+    died); raises :class:`multiprocessing.TimeoutError` once *deadline*
+    seconds (None = unbounded) pass without a result.
+    """
+    give_up = None if deadline is None else time.monotonic() + deadline
+    while True:
+        wait = _POLL_SECONDS
+        if give_up is not None:
+            wait = max(0.0, min(wait, give_up - time.monotonic()))
+        try:
+            return handle.get(wait)
+        except multiprocessing.TimeoutError:
+            if give_up is not None and time.monotonic() >= give_up:
+                raise
+        if owners.died_holding(index):
+            # A result sent just before the exit may still be in flight.
+            try:
+                return handle.get(_POLL_SECONDS)
+            except multiprocessing.TimeoutError:
+                return None
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +293,9 @@ class RunOutcome:
     duration: float = 0.0
     #: Where the payload came from: 'run' | 'cache' | 'journal'.
     source: str = "run"
-    #: Whether a supervisor should re-run this spec: True for
-    #: infrastructure failures (worker death, hang, torn IPC), False
-    #: for errors raised inside the spec itself (deterministic).
+    #: Whether re-running this spec may succeed: True for infrastructure
+    #: failures (worker death, hang, torn IPC), False for errors raised
+    #: inside the spec itself (deterministic).
     retryable: bool = False
 
     @property
@@ -278,15 +345,12 @@ class WorkerPool:
     start_method: str = "spawn"
     #: Grace seconds on top of each chunk's nominal deadline.
     grace: float = _TIMEOUT_GRACE
-    #: Re-dispatch a timed-out multi-spec chunk once at chunk=1 so one
-    #: hung spec does not condemn its chunk-mates.
+    #: Re-dispatch a multi-spec chunk lost to a hung or dead worker once
+    #: at chunk=1, so one bad spec does not condemn its chunk-mates.
     redispatch: bool = True
-    #: Worker recycling (``maxtasksperchild``); 1 gives every chunk a
-    #: pristine process.
-    max_tasks_per_child: int | None = None
     #: Outcomes of the last :meth:`run`, in submission order.
     last_outcomes: list[RunOutcome] = field(default_factory=list)
-    #: Specs re-dispatched at chunk=1 after a chunk timeout (cumulative).
+    #: Specs re-dispatched at chunk=1 after a lost chunk (cumulative).
     redispatched: int = 0
 
     def run(self, specs: list[RunSpec], on_result=None) -> list[RunOutcome]:
@@ -322,76 +386,77 @@ class WorkerPool:
         context = multiprocessing.get_context(self.start_method)
         #: (submission index, outcome); sorted back before returning.
         indexed: list[tuple[int, RunOutcome]] = []
-        #: (submission index, spec) of timed-out multi-spec chunk members
+        #: (submission index, spec) of members of a lost multi-spec chunk,
         #: held back for the chunk=1 re-dispatch (not yet reported).
         suspects: list[tuple[int, RunSpec]] = []
-        timed_out = False
+        any_lost = False
+        owners = _ChunkOwners(context.SimpleQueue())
         pool = context.Pool(
             processes=min(self.jobs, len(chunks)),
-            maxtasksperchild=self.max_tasks_per_child,
+            initializer=_init_worker,
+            initargs=(owners.announce,),
         )
         try:
             pending = [
-                pool.apply_async(_run_chunk, ([s.to_dict() for s in chunk],))
-                for chunk in chunks
+                pool.apply_async(
+                    _run_announced_chunk, (index, [s.to_dict() for s in chunk])
+                )
+                for index, chunk in enumerate(chunks)
             ]
             base = 0
-            for chunk, handle in zip(chunks, pending):
+            for index, (chunk, handle) in enumerate(zip(chunks, pending)):
                 deadline = (
                     None
                     if self.timeout is None
                     else self.timeout * len(chunk) + self.grace
                 )
+                lost = False
                 try:
-                    raws = handle.get(deadline)
+                    raws = _await_chunk(handle, index, deadline, owners)
                 except multiprocessing.TimeoutError:
-                    timed_out = True
-                    raws = [
-                        {
-                            "status": "timeout",
-                            "payload": None,
-                            "duration": deadline or 0.0,
-                            "error": f"no result within {deadline:.0f}s "
-                            "(worker hung or died)",
-                            "retryable": True,
-                        }
-                    ] * len(chunk)
+                    lost = True
+                    raws = _lost_raws(
+                        len(chunk),
+                        "timeout",
+                        f"no result within {deadline:.0f}s (worker hung)",
+                        deadline,
+                    )
                 except Exception:
-                    # The worker process died before returning (e.g. a
-                    # hard crash the in-worker try/except cannot catch).
-                    raws = [
-                        {
-                            "status": "failed",
-                            "payload": None,
-                            "duration": 0.0,
-                            "error": traceback.format_exc(),
-                            "retryable": True,
-                        }
-                    ] * len(chunk)
+                    # The chunk failed outside the per-spec guard (e.g.
+                    # its result could not be pickled back).
+                    raws = _lost_raws(len(chunk), "failed", traceback.format_exc())
+                if raws is None:
+                    lost = True
+                    raws = _lost_raws(
+                        len(chunk),
+                        "failed",
+                        "worker process died while running this chunk",
+                    )
+                owners.drain()
+                any_lost = any_lost or lost
+                if lost and self.redispatch and len(chunk) > 1:
+                    suspects.extend(
+                        (base + offset, spec) for offset, spec in enumerate(chunk)
+                    )
+                    base += len(chunk)
+                    continue
                 for offset, (spec, raw) in enumerate(zip(chunk, raws)):
-                    if (
-                        raw["status"] == "timeout"
-                        and self.redispatch
-                        and len(chunk) > 1
-                    ):
-                        suspects.append((base + offset, spec))
-                        continue
                     outcome = _raw_outcome(spec, raw)
                     indexed.append((base + offset, outcome))
                     if on_result is not None:
                         on_result(outcome)
                 base += len(chunk)
         finally:
-            # A hung worker would block join() forever; terminate instead.
-            if timed_out:
+            # A lost chunk stays pending forever, so close() + join()
+            # would block on it; terminate instead.
+            if any_lost:
                 pool.terminate()
             else:
                 pool.close()
             pool.join()
+            owners.announce.close()
         if suspects:
-            # Isolate the offender: one fresh process per surviving spec
-            # (maxtasksperchild=1 also resets any per-process chaos
-            # counters, so a scheduled crash does not re-fire here).
+            # Isolate the offender: one spec per task, so only it fails.
             self.redispatched += len(suspects)
             retry_pool = WorkerPool(
                 jobs=min(self.jobs, len(suspects)),
@@ -400,7 +465,6 @@ class WorkerPool:
                 start_method=self.start_method,
                 grace=self.grace,
                 redispatch=False,
-                max_tasks_per_child=1,
             )
             retried = retry_pool.run([spec for _, spec in suspects])
             for (index, _spec), outcome in zip(suspects, retried):

@@ -3,7 +3,7 @@
 Three frontends, one contract: every workload the system can run is
 described by a small, deterministic, JSON-able **descriptor** that is
 folded into the :class:`~repro.runs.spec.RunSpec` hash — so generated
-workloads cache, journal, shard and serve exactly like the built-in
+workloads cache, journal and shard exactly like the built-in
 Figure-5 profiles do.
 
 * :mod:`repro.trafficgen.ace` — ACE-style bounded enumeration: every

@@ -7,13 +7,9 @@ The acceptance surface:
   canonical-form dedup over the brute-force space;
 * an ingested external trace and a 3-tenant interleave produce a
   traffic headline document that is **byte-identical** across serial,
-  pooled (``--jobs 2``) and warm-cache runs;
-* descriptor-bearing specs submit successfully through the serve
-  daemon (kind ``specs``) and come back with per-spec payloads.
+  pooled (``--jobs 2``) and warm-cache runs.
 """
 
-import asyncio
-import threading
 from pathlib import Path
 
 import pytest
@@ -22,13 +18,8 @@ from repro.analysis.traffic import (
     traffic_document,
     traffic_document_from_json,
     traffic_document_to_json,
-    traffic_specs,
 )
 from repro.crashsim.explore import run_campaign
-from repro.serve.client import ServeClient
-from repro.serve.http import HttpServer
-from repro.serve.protocol import is_terminal_event
-from repro.serve.service import SimulationService
 from repro.trafficgen.ace import ace_campaign_config, dedup_ratio
 from repro.trafficgen.descriptor import interleave_descriptor
 from repro.trafficgen.ingest import STORE_ENV, TraceStore
@@ -154,85 +145,3 @@ class TestAceCampaign:
         assert totals["sampling_fallbacks"] == 0
         assert dedup_ratio(3) >= 5
 
-
-class Harness:
-    """Service + HTTP listener on a private loop thread.
-
-    Same shape as the serve integration harness: the real
-    SimulationService + HttpServer on an ephemeral port, talked to with
-    the real ServeClient — ``repro serve`` minus the process boundary.
-    """
-
-    def __init__(self, cache_root):
-        self.cache_root = cache_root
-        self.service = None
-        self.port = None
-        self.loop = None
-        self._ready = threading.Event()
-        self._stop = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        asyncio.run(self._main())
-
-    async def _main(self):
-        self.loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        self.service = SimulationService(cache_root=self.cache_root)
-        self.service.start()
-        server = HttpServer(self.service)
-        self.port = await server.listen_tcp("127.0.0.1", 0)
-        self._ready.set()
-        await self._stop.wait()
-        await server.close()
-        await self.service.stop()
-
-    def __enter__(self):
-        self._thread.start()
-        assert self._ready.wait(10), "service failed to come up"
-        return self
-
-    def __exit__(self, *exc):
-        self.loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(10)
-
-    def client(self, timeout=120.0):
-        return ServeClient(f"http://127.0.0.1:{self.port}", timeout=timeout)
-
-
-class TestServeSubmission:
-    def test_descriptor_specs_run_through_the_daemon(
-        self, tmp_path, workload_set
-    ):
-        """Descriptor-bearing RunSpecs are ordinary ``specs`` jobs: the
-        daemon executes them (resolving the trace store from the
-        environment) and returns one payload per spec hash."""
-        _, specs = traffic_specs(
-            workload_set, schemes=("ccnvm",), length=800, seed=2
-        )
-        with Harness(tmp_path / "serve-cache") as h:
-            client = h.client()
-            descriptor = client.submit(
-                "specs",
-                client="trafficgen-test",
-                specs=[s.to_dict() for s in specs],
-            )
-            job_id = descriptor["job_id"]
-            events = list(client.watch(job_id, timeout=120.0))
-            assert events and is_terminal_event(events[-1])
-            result = client.result(job_id)
-        payload = result["result"]
-        assert payload["kind"] == "specs"
-        assert "errors" not in payload
-        assert sorted(payload["results"]) == sorted(
-            s.spec_hash() for s in specs
-        )
-        # The payloads are real simulation results, carrying the
-        # materialized trace's human name (the spec label stays the
-        # descriptor's content label).
-        names = {
-            payload["results"][s.spec_hash()]["workload"] for s in specs
-        }
-        assert names == {"llc_10k", "interleave:alice+bob+carol"}
-        for spec in specs:
-            assert payload["results"][spec.spec_hash()]["nvm_writes"] > 0

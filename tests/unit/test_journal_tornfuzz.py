@@ -7,24 +7,16 @@ garbage after a crash, and recovery must land on exactly the prefix of
 fully-written records — never fewer, never a partial one.
 """
 
+import errno
 import json
 
 import pytest
 
-from repro.chaos.inject import install, reset
-from repro.chaos.plan import CHAOS_PLAN_ENV, ChaosPlan
+import repro.runs.journal as journal_mod
 from repro.runs.journal import RunJournal
 from repro.runs.spec import simulation_spec
 
 FINGERPRINT = "test-fingerprint"
-
-
-@pytest.fixture(autouse=True)
-def clean_injector(monkeypatch):
-    monkeypatch.delenv(CHAOS_PLAN_ENV, raising=False)
-    reset()
-    yield
-    reset()
 
 
 def build_journal(path, n=3):
@@ -85,37 +77,59 @@ class TestTornTailFuzz:
         assert header["fingerprint"] == "other-fingerprint"
 
 
+class HalfWriteHandle:
+    """A journal file handle whose next write lands half its bytes and
+    then fails, as a write cut short by a full disk or an IO error."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self.armed = True
+
+    def write(self, data):
+        if self.armed:
+            self.armed = False
+            self._handle.write(data[: len(data) // 2])
+            raise OSError(errno.EIO, "write cut short")
+        return self._handle.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
 class TestChaosRepair:
     def test_append_torn_truncates_back_and_raises(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         specs, full, _ = build_journal(path)
         extra = simulation_spec("ccnvm", "lbm", 40, 99)
-        # Resuming skips the header append, so visit 1 of the site is
-        # the first record append below.
-        install(ChaosPlan(0, {"journal.append_torn": {"hits": [1]}}))
         with RunJournal(path, FINGERPRINT) as journal:
-            with pytest.raises(OSError, match="torn append"):
+            journal._handle = HalfWriteHandle(journal._handle)
+            with pytest.raises(OSError, match="write cut short"):
                 journal.record(extra, "done", {})
-            # Disk-first: neither disk nor memory holds the record.
+            # Disk-first: neither disk nor memory holds the record, and
+            # the torn half was truncated back inside the failed append.
             assert extra.spec_hash() not in journal.records
-            # The torn tail was truncated back inside the failed append;
-            # a clean retry in the same session then lands whole.
+            assert path.read_bytes() == full
+            # A clean retry in the same session then lands whole.
             journal.record(extra, "done", {"ok": True})
         data = path.read_bytes()
         assert data.startswith(full)
         assert json.loads(data.splitlines()[-1])["spec_hash"] == extra.spec_hash()
 
-    def test_fsync_fail_discards_the_record(self, tmp_path):
+    def test_fsync_fail_discards_the_record(self, tmp_path, monkeypatch):
         path = tmp_path / "sweep.jsonl"
         specs, full, _ = build_journal(path)
         extra = simulation_spec("ccnvm", "lbm", 40, 99)
-        install(ChaosPlan(0, {"journal.fsync_fail": {"hits": [1]}}))
+
+        def fsync_fails(fd):
+            raise OSError(errno.EIO, "fsync failed")
+
         with RunJournal(path, FINGERPRINT) as journal:
-            with pytest.raises(OSError, match="fsync"):
-                journal.record(extra, "done", {})
+            with monkeypatch.context() as patched:
+                patched.setattr(journal_mod.os, "fsync", fsync_fails)
+                with pytest.raises(OSError, match="fsync"):
+                    journal.record(extra, "done", {})
             assert extra.spec_hash() not in journal.records
         assert path.read_bytes() == full
         # A fresh session resumes exactly the pre-failure records.
-        reset()
         with RunJournal(path, FINGERPRINT) as journal:
             assert journal.resumed == len(specs)

@@ -92,38 +92,6 @@ class TestGc:
         assert cache.get(SPEC) is None
         assert cache._read_stats()["stores"] == 0
 
-    def test_gc_max_generations_retains_newest_stale(self, tmp_path):
-        import os
-        import time
-
-        for i, fp in enumerate(("a" * 16, "b" * 16, "c" * 16)):
-            gen = make_cache(tmp_path, fingerprint=fp)
-            gen.put(SPEC, {"x": i})
-            # Distinct directory mtimes so retention order is observable.
-            stamp = time.time() - (3 - i) * 100
-            os.utime(gen.path_for(SPEC).parent, (stamp, stamp))
-        current = make_cache(tmp_path, fingerprint="d" * 16)
-        current.put(SPEC, {"x": 3})
-        swept = current.gc(max_generations=3)
-        # current + the two newest stale generations survive.
-        assert swept["removed"] == 1
-        assert swept["kept"] == 3
-        assert not (current.results_dir / ("a" * 16)).exists()
-        assert (current.results_dir / ("c" * 16)).exists()
-
-    def test_gc_max_bytes_evicts_stale_before_current(self, tmp_path):
-        stale = make_cache(tmp_path, fingerprint="a" * 16)
-        stale.put(SPEC, {"x": "stale"})
-        current = make_cache(tmp_path, fingerprint="b" * 16)
-        path = current.put(SPEC, {"x": "current"})
-        keep = path.stat().st_size
-        swept = current.gc(max_generations=2, max_bytes=keep)
-        assert swept["removed"] == 1
-        assert current.get(SPEC) == {"x": "current"}
-        assert not (current.results_dir / ("a" * 16)).exists() or not list(
-            (current.results_dir / ("a" * 16)).glob("*.json")
-        )
-
     def test_gc_reclaimed_bytes_accumulate_in_stats(self, tmp_path):
         cache = make_cache(tmp_path, fingerprint="a" * 16)
         cache.put(SPEC, {"x": 1})
@@ -140,7 +108,7 @@ class TestGc:
         path = cache.put(SPEC, {"x": 1})
         orphan = path.parent / f"{path.name}abc123.tmp"
         orphan.write_text("torn writer residue")
-        swept = cache.gc(max_generations=1)
+        swept = cache.gc()
         assert not orphan.exists()
         assert swept["reclaimed_bytes"] > 0
         assert cache.get(SPEC) == {"x": 1}
