@@ -386,18 +386,26 @@ class SecureNVMScheme(ABC):
         """Graceful shutdown for the conventional designs.
 
         Writes every dirty metadata line bottom-up, propagating HMACs so
-        the final NVM image is consistent with the TCB root.
+        the final NVM image is consistent with the TCB root.  Each victim
+        is the first dirty line of the lowest dirty tree level, in cache
+        iteration order.  Writing a victim dirties only ancestors, and a
+        nested eviction propagates into ancestors too, so the lowest dirty
+        level never falls and no line of it turns dirty behind the scan:
+        one resumable scan per level, bottom-up, finds the same victims as
+        re-sorting the dirty lines after every write.
         """
-        while True:
-            dirty = sorted(
-                (line for line in self.meta.cache.dirty_lines()),
-                key=lambda l: self.layout.node_of_addr(l.addr).level,
-            )
-            if not dirty:
-                return
-            victim = dirty[0]
-            self._lazy_propagate_and_write(victim)
-            self.meta.cache.clean(victim.addr)
+        cache = self.meta.cache
+        level_of = self.layout.level_of_addr
+        for level in range(self.layout.num_levels):
+
+            def at_level(line: CacheLine) -> bool:
+                return level_of(line.addr) == level
+
+            start = 0
+            while (found := cache.first_dirty(at_level, start)) is not None:
+                start, victim = found
+                self._lazy_propagate_and_write(victim)
+                cache.clean(victim.addr)
 
     # ------------------------------------------------------------------
     # crash modeling

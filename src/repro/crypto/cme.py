@@ -42,16 +42,32 @@ def make_seed(address: int, major: int, minor: int) -> bytes:
     )
 
 
+#: Pads remembered per key (``SecretKey.pad_memo``); the memo is emptied
+#: when full.  A first-touch read derives the pad of ``(addr, 0, 0)`` up to
+#: three times (genesis data line, genesis HMAC line, decrypt), all within
+#: a few accesses, so a small memo catches the repeats.
+PAD_MEMO_ENTRIES = 256
+
+
 def generate_otp(key: SecretKey, address: int, major: int, minor: int) -> bytes:
     """Generate the 64 B one-time pad for a block (models the AES engine)."""
-    return prf(key, make_seed(address, major, minor), out_len=CACHE_LINE_SIZE)
+    memo = key.pad_memo
+    pad = memo.get((address, major, minor))
+    if pad is None:
+        pad = prf(key, make_seed(address, major, minor), out_len=CACHE_LINE_SIZE)
+        if len(memo) >= PAD_MEMO_ENTRIES:
+            memo.clear()
+        memo[address, major, minor] = pad
+    return pad
 
 
 def xor_bytes(data: bytes, pad: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(data) != len(pad):
         raise ValueError(f"length mismatch: {len(data)} vs {len(pad)}")
-    return bytes(a ^ b for a, b in zip(data, pad))
+    return (int.from_bytes(data, "little") ^ int.from_bytes(pad, "little")).to_bytes(
+        len(data), "little"
+    )
 
 
 class CounterModeCipher:

@@ -16,7 +16,7 @@ designs differ on.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.common.address import is_line_aligned
 from repro.common.config import CacheConfig
@@ -162,6 +162,20 @@ class Cache:
         for line in self.lines():
             if line.dirty:
                 yield line
+
+    def first_dirty(
+        self, predicate: Callable[[CacheLine], bool], start_set: int = 0
+    ) -> tuple[int, CacheLine] | None:
+        """First dirty line matching *predicate*, in :meth:`lines` order.
+
+        The scan starts at set *start_set*; the result carries the set
+        index of the line found, so a caller can resume a scan there.
+        """
+        for index in range(start_set, len(self._sets)):
+            for line in self._sets[index].values():
+                if line.dirty and predicate(line):
+                    return index, line
+        return None
 
     @property
     def occupancy(self) -> int:

@@ -28,6 +28,12 @@ from repro.crypto.prf import SecretKey
 from repro.metadata.counters import zero_counter_line
 from repro.metadata.layout import MemoryLayout
 
+#: Pristine lines remembered per image; the memo is emptied when full.
+#: Never-written lines are not stored in the device, so every read of one
+#: asks the image again — above all the data-HMAC line, which is read once
+#: per first-touch block and covers four neighbours.
+LINE_MEMO_ENTRIES = 256
+
 
 class GenesisImage:
     """Lazily computes the pristine contents of any NVM line."""
@@ -45,6 +51,7 @@ class GenesisImage:
         self._engine = HmacEngine(hmac_key)
         self._level_nodes: dict[int, bytes] = {}
         self._level_hmacs: dict[int, bytes] = {}
+        self._lines: dict[int, bytes] = {}
 
     # -- per-region values --------------------------------------------------------
 
@@ -102,11 +109,19 @@ class GenesisImage:
 
     def line(self, addr: int) -> bytes:
         """Pristine contents of any line — the NVM device's initializer."""
+        cached = self._lines.get(addr)
+        if cached is not None:
+            return cached
         region = self.layout.region_of(addr)
         if region == "data":
-            return self.data_line(addr)
-        if region == "counter":
+            value = self.data_line(addr)
+        elif region == "counter":
             return zero_counter_line()
-        if region == "data_hmac":
-            return self.hmac_line(addr)
-        return self.node(self.layout.node_of_addr(addr).level)
+        elif region == "data_hmac":
+            value = self.hmac_line(addr)
+        else:
+            return self.node(self.layout.node_of_addr(addr).level)
+        if len(self._lines) >= LINE_MEMO_ENTRIES:
+            self._lines.clear()
+        self._lines[addr] = value
+        return value

@@ -29,6 +29,7 @@ All mappings are pure arithmetic; nothing is materialized, so a full
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.common.address import block_in_page, line_align, page_index
@@ -85,6 +86,8 @@ class MemoryLayout:
             offsets[level] = cursor
             cursor += self.level_counts[level] * CACHE_LINE_SIZE
         self._level_offsets = offsets
+        # First address of each NVM-resident tree level, level 0 first.
+        self._level_starts = (self.counter_base, *offsets.values())
         self.total_capacity = cursor
 
     # -- tree geometry -----------------------------------------------------
@@ -194,14 +197,22 @@ class MemoryLayout:
 
     def node_of_addr(self, addr: int) -> MerkleNodeId:
         """Inverse of :meth:`merkle_node_addr` for counter/Merkle addresses."""
-        if self.counter_base <= addr < self.hmac_base:
-            return MerkleNodeId(0, (addr - self.counter_base) // CACHE_LINE_SIZE)
-        for level in range(1, self.root_level):
-            base = self._level_offsets[level]
-            size = self.level_counts[level] * CACHE_LINE_SIZE
-            if base <= addr < base + size:
-                return MerkleNodeId(level, (addr - base) // CACHE_LINE_SIZE)
+        level = self.level_of_addr(addr)
+        if level >= 0:
+            index = (addr - self._level_starts[level]) // CACHE_LINE_SIZE
+            if index < self.level_counts[level]:
+                return MerkleNodeId(level, index)
         raise ValueError(f"address {addr:#x} is not a tree-node address")
+
+    def level_of_addr(self, addr: int) -> int:
+        """``node_of_addr(addr).level`` for a counter or Merkle-node address.
+
+        A bisection over the level bounds, without validating *addr*
+        (``-1`` below the counter region; a data-HMAC address reads as
+        level 0): for hot loops over addresses already known to be tree
+        nodes, such as meta-cache contents.
+        """
+        return bisect_right(self._level_starts, addr) - 1
 
     def region_of(self, addr: int) -> str:
         """Region name ('data' | 'counter' | 'data_hmac' | 'merkle') of *addr*."""

@@ -1,12 +1,24 @@
 """Property-based tests for the crypto substrate."""
 
-from hypothesis import given, settings
+import hashlib
+import hmac
+
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.common.constants import CACHE_LINE_SIZE
-from repro.crypto.cme import CounterModeCipher, make_seed
+from repro.common.constants import CACHE_LINE_SIZE, HMAC_SIZE
+from repro.crypto.cme import (
+    PAD_MEMO_ENTRIES,
+    CounterModeCipher,
+    generate_otp,
+    make_seed,
+    xor_bytes,
+)
 from repro.crypto.hmac_engine import HmacEngine
 from repro.crypto.prf import SecretKey, keyed_hash, prf
+from repro.metadata.genesis import LINE_MEMO_ENTRIES, GenesisImage
+from repro.metadata.layout import MemoryLayout
 
 
 KEY = SecretKey.from_seed("prop-key")
@@ -101,3 +113,83 @@ def test_data_hmac_address_binding(data, addr_a, addr_b, major, minor):
 def test_keyed_hash_collision_freedom_on_distinct_messages(a, b):
     if a != b:
         assert keyed_hash(KEY, a) != keyed_hash(KEY, b)
+
+
+# -- the precomputed-state fast path against the stdlib reference ---------------
+
+# 16..200 bytes crosses the 64-byte block both digests use, where RFC 2104
+# hashes the key first.
+materials = st.binary(min_size=16, max_size=200)
+part_lists = st.lists(st.binary(max_size=80), max_size=4)
+
+
+def encoded(parts):
+    return b"".join(len(p).to_bytes(4, "little") + p for p in parts)
+
+
+@given(materials, part_lists, st.sampled_from([7, 64, 100]))
+def test_prf_equals_stdlib_hmac_sha256_expansion(material, parts, out_len):
+    # 64 and 100 take 2 and 4 HMACs from the same keyed states: each
+    # call must start from an unmodified copy.
+    message = encoded(parts)
+    reference = b"".join(
+        hmac.new(material, i.to_bytes(4, "little") + message, hashlib.sha256).digest()
+        for i in range(4)
+    )[:out_len]
+    assert prf(SecretKey(material), *parts, out_len=out_len) == reference
+
+
+@given(materials, part_lists)
+def test_keyed_hash_equals_stdlib_hmac_sha1(material, parts):
+    reference = hmac.new(material, encoded(parts), hashlib.sha1).digest()[:HMAC_SIZE]
+    assert keyed_hash(SecretKey(material), *parts) == reference
+
+
+@st.composite
+def equal_length_pairs(draw):
+    a = draw(st.binary(max_size=128))
+    return a, draw(st.binary(min_size=len(a), max_size=len(a)))
+
+
+@given(equal_length_pairs())
+@example((b"", b""))
+def test_xor_bytes_equals_bytewise_reference(pair):
+    a, b = pair
+    assert xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
+
+
+@given(st.binary(max_size=64), st.binary(max_size=64))
+@example(b"", b"\x00")
+def test_xor_bytes_rejects_length_mismatch(a, b):
+    if len(a) != len(b):
+        with pytest.raises(ValueError):
+            xor_bytes(a, b)
+
+
+# -- bounded memos -----------------------------------------------------------------
+
+
+def test_pad_memo_stays_bounded_and_recomputes_identically():
+    key = SecretKey.from_seed("pad-memo")
+    seeds = [(i * CACHE_LINE_SIZE, 0, i % 3) for i in range(2 * PAD_MEMO_ENTRIES + 1)]
+    pads = {}
+    for seed in seeds:
+        pads[seed] = generate_otp(key, *seed)
+        assert len(key.pad_memo) <= PAD_MEMO_ENTRIES
+    assert seeds[0] not in key.pad_memo  # evicted by the time the loop ended
+    for seed in seeds:
+        assert generate_otp(key, *seed) == pads[seed] == prf(key, make_seed(*seed))
+
+
+def test_genesis_line_memo_stays_bounded_and_recomputes_identically():
+    layout = MemoryLayout(1 << 20)
+    image = GenesisImage(layout, KEY, SecretKey.from_seed("memo-mac"))
+    addrs = [i * CACHE_LINE_SIZE for i in range(LINE_MEMO_ENTRIES + 1)]
+    addrs += [layout.hmac_base + i * CACHE_LINE_SIZE for i in range(LINE_MEMO_ENTRIES)]
+    lines = {}
+    for addr in addrs:
+        lines[addr] = image.line(addr)
+        assert len(image._lines) <= LINE_MEMO_ENTRIES
+    fresh = GenesisImage(layout, SecretKey.from_seed("prop-key"), SecretKey.from_seed("memo-mac"))
+    for addr in addrs:
+        assert image.line(addr) == lines[addr] == fresh.line(addr)

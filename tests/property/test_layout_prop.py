@@ -76,7 +76,9 @@ def test_node_addr_roundtrip_along_path(args):
     for node in [MerkleNodeId(0, leaf)] + layout.ancestors_of_leaf(leaf):
         if node.level == layout.root_level:
             continue
-        assert layout.node_of_addr(layout.merkle_node_addr(node)) == node
+        node_addr = layout.merkle_node_addr(node)
+        assert layout.node_of_addr(node_addr) == node
+        assert layout.level_of_addr(node_addr) == node.level
 
 
 @given(layout_and_addr())

@@ -43,7 +43,7 @@ def workloads(draw):
 
 
 @given(workloads(), st.sampled_from(["ccnvm", "ccnvm_no_ds", "sc", "osiris_plus"]))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_memory_behaves_like_a_dict_with_crash_semantics(steps, scheme):
     mem = SecureMemory(scheme, small_config(update_limit=8), CAPACITY, seed=1)
     shadow = bytearray(CAPACITY)  # what memory should hold
@@ -98,7 +98,7 @@ def test_memory_behaves_like_a_dict_with_crash_semantics(steps, scheme):
         max_size=40,
     )
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_tree_invariant_and_recovery_after_arbitrary_writeback_streams(writes):
     """Direct scheme-level variant: any write-back stream, then crash."""
     from repro.core.schemes import create_scheme
