@@ -90,7 +90,7 @@ class SecureNVMScheme(ABC):
 
         encryption_key = SecretKey.from_seed(("enc", seed))
         hmac_key = SecretKey.from_seed(("mac", seed))
-        self.genesis = GenesisImage(self.layout, encryption_key, hmac_key)
+        self.genesis = GenesisImage.for_keys(self.layout, encryption_key, hmac_key)
         self.nvm = NVMDevice(
             self.layout, self.stats.group("nvm"), initializer=self.genesis.line
         )

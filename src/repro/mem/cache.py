@@ -18,9 +18,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Iterator
 
-from repro.common.address import is_line_aligned
 from repro.common.config import CacheConfig
+from repro.common.constants import CACHE_LINE_BITS, CACHE_LINE_SIZE
 from repro.common.stats import StatGroup
+
+_LINE_OFFSET_MASK = CACHE_LINE_SIZE - 1
 
 
 class CacheLine:
@@ -54,6 +56,11 @@ class Cache:
         self._sets: list[OrderedDict[int, CacheLine]] = [
             OrderedDict() for _ in range(config.num_sets)
         ]
+        # Geometry read on every access, fixed at construction (the set
+        # count is a power of two, so masking equals the modulo).
+        self._set_mask = config.num_sets - 1
+        self._hashed_sets = config.hashed_sets
+        self._ways = config.associativity
         self._stats = stats if stats is not None else StatGroup(config.name)
         self._hits = self._stats.counter("hits")
         self._misses = self._stats.counter("misses")
@@ -69,12 +76,12 @@ class Cache:
         return self._stats
 
     def _set_of(self, addr: int) -> OrderedDict[int, CacheLine]:
-        if not is_line_aligned(addr):
+        if addr & _LINE_OFFSET_MASK:
             raise ValueError(f"cache access not line-aligned: {addr:#x}")
-        index = addr >> 6
-        if self.config.hashed_sets:
+        index = addr >> CACHE_LINE_BITS
+        if self._hashed_sets:
             index ^= (index >> 8) ^ (index >> 16) ^ (index >> 24)
-        return self._sets[index % self.config.num_sets]
+        return self._sets[index & self._set_mask]
 
     # -- lookups ---------------------------------------------------------------
 
@@ -110,7 +117,7 @@ class Cache:
             cache_set.move_to_end(addr)
             return None
         victim = None
-        if len(cache_set) >= self.config.associativity:
+        if len(cache_set) >= self._ways:
             _, victim = cache_set.popitem(last=False)
             self._evictions.inc()
             if victim.dirty:
@@ -130,7 +137,7 @@ class Cache:
         eviction happens (cc-NVM drains the epoch first — trigger 2).
         """
         cache_set = self._set_of(addr)
-        if addr in cache_set or len(cache_set) < self.config.associativity:
+        if addr in cache_set or len(cache_set) < self._ways:
             return None
         return next(iter(cache_set.values()))
 

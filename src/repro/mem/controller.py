@@ -53,6 +53,9 @@ class MemoryController:
         self._read_interval = max(1, self._read_cycles // banks)
         self._write_interval = max(1, self._write_cycles // banks)
         self._wq_entries = config.controller.write_queue_entries
+        self._retry_limit = config.controller.read_retry_limit
+        self._retry_backoff = config.controller.read_retry_backoff_cycles
+        self._retry_backoff_cap = config.controller.read_retry_backoff_cap_cycles
         #: Cycle at which the read path becomes free again.
         self._read_free_at = 0
         #: Completion times of writes still occupying write-queue slots.
@@ -101,9 +104,9 @@ class MemoryController:
         located address and region — graceful degradation is the caller's
         job, but the failure is never silent.
         """
-        limit = self.config.controller.read_retry_limit
-        backoff = self.config.controller.read_retry_backoff_cycles
-        cap = self.config.controller.read_retry_backoff_cap_cycles
+        limit = self._retry_limit
+        backoff = self._retry_backoff
+        cap = self._retry_backoff_cap
         attempt = 0
         while True:
             try:

@@ -15,13 +15,13 @@ attacks NVM lifetime, the motivation of Section 5.2).
 
 from __future__ import annotations
 
-from repro.common.address import is_line_aligned
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.persistence import persistence
 from repro.common.stats import StatGroup
 from repro.metadata.layout import MemoryLayout
 
 _ZERO_LINE = bytes(CACHE_LINE_SIZE)
+_LINE_OFFSET_MASK = CACHE_LINE_SIZE - 1
 
 
 class TransientReadFault(Exception):
@@ -75,6 +75,7 @@ class NVMDevice:
         initializer=None,
     ) -> None:
         self.layout = layout
+        self._capacity = layout.total_capacity
         self._lines: dict[int, bytes] = {}
         self._write_counts: dict[int, int] = {}
         #: Optional ``addr -> bytes`` callable providing the contents of
@@ -97,9 +98,9 @@ class NVMDevice:
         return self._stats
 
     def _check(self, addr: int) -> None:
-        if not is_line_aligned(addr):
+        if addr & _LINE_OFFSET_MASK:
             raise ValueError(f"NVM access not line-aligned: {addr:#x}")
-        if not 0 <= addr < self.layout.total_capacity:
+        if not 0 <= addr < self._capacity:
             raise ValueError(f"NVM address out of range: {addr:#x}")
 
     # -- the memory-controller interface -------------------------------------

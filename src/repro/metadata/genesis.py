@@ -13,9 +13,16 @@ HMAC lines are pure functions of their address.  :class:`GenesisImage`
 computes any line of the pristine image on demand; plugged into the NVM
 device as its line initializer, it makes the lazy sparse image
 indistinguishable from a fully initialized DIMM.
+
+The image is a pure function of the two keys and the data capacity, so
+:meth:`GenesisImage.for_keys` hands every scheme built with the same keys
+and capacity the same image, and the lines it computes are remembered
+once per process instead of once per scheme.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from repro.common.constants import (
     CACHE_LINE_SIZE,
@@ -28,11 +35,42 @@ from repro.crypto.prf import SecretKey
 from repro.metadata.counters import zero_counter_line
 from repro.metadata.layout import MemoryLayout
 
-#: Pristine lines remembered per image; the memo is emptied when full.
-#: Never-written lines are not stored in the device, so every read of one
-#: asks the image again — above all the data-HMAC line, which is read once
-#: per first-touch block and covers four neighbours.
-LINE_MEMO_ENTRIES = 256
+#: Pristine data and data-HMAC lines remembered per process, over every
+#: image; all memos are emptied when they hold this many.  Never-written
+#: lines are not stored in the device, so every read of one asks the image
+#: again — above all the data-HMAC line, which is read once per
+#: first-touch block and covers four neighbours — and every scheme built
+#: with the same keys reads the same lines.  32 Ki lines hold one
+#: Figure-5 workload's footprint at 12,000 references (at most about 5.6 MB).
+LINE_MEMO_ENTRIES = 32768
+
+#: Images :meth:`GenesisImage.for_keys` keeps, oldest dropped first.
+SHARED_IMAGES = 4
+
+
+class _LineMemo:
+    """Bounds the line memos of every live image together."""
+
+    def __init__(self) -> None:
+        self.images: weakref.WeakSet[GenesisImage] = weakref.WeakSet()
+        #: Lines stored since the last emptying, dead images' included.
+        self.size = 0
+
+    def store(self, lines: dict[int, bytes], addr: int, value: bytes) -> None:
+        if self.size >= LINE_MEMO_ENTRIES:
+            self.clear()
+        lines[addr] = value
+        self.size += 1
+
+    def clear(self) -> None:
+        for image in self.images:
+            image._lines.clear()
+        self.size = 0
+
+
+_memo = _LineMemo()
+#: ``(encryption key, HMAC key, data capacity) -> image``.
+_images: dict[tuple[SecretKey, SecretKey, int], "GenesisImage"] = {}
 
 
 class GenesisImage:
@@ -52,6 +90,27 @@ class GenesisImage:
         self._level_nodes: dict[int, bytes] = {}
         self._level_hmacs: dict[int, bytes] = {}
         self._lines: dict[int, bytes] = {}
+        _memo.images.add(self)
+
+    @classmethod
+    def for_keys(
+        cls,
+        layout: MemoryLayout,
+        encryption_key: SecretKey,
+        hmac_key: SecretKey,
+    ) -> "GenesisImage":
+        """The process's image for these keys and *layout*'s capacity.
+
+        Keys compare by key material, so schemes derived from the same
+        seed share one image and its memoized lines.
+        """
+        key = (encryption_key, hmac_key, layout.data_capacity)
+        image = _images.get(key)
+        if image is None:
+            if len(_images) >= SHARED_IMAGES:
+                del _images[next(iter(_images))]
+            image = _images[key] = cls(layout, encryption_key, hmac_key)
+        return image
 
     # -- per-region values --------------------------------------------------------
 
@@ -121,7 +180,5 @@ class GenesisImage:
             value = self.hmac_line(addr)
         else:
             return self.node(self.layout.node_of_addr(addr).level)
-        if len(self._lines) >= LINE_MEMO_ENTRIES:
-            self._lines.clear()
-        self._lines[addr] = value
+        _memo.store(self._lines, addr, value)
         return value

@@ -77,6 +77,10 @@ class MemoryLayout:
         while counts[-1] > 1:
             counts.append((counts[-1] + MERKLE_ARITY - 1) // MERKLE_ARITY)
         self.level_counts: tuple[int, ...] = tuple(counts)
+        #: Total tree levels including the counter leaves and the root.
+        self.num_levels = len(counts)
+        #: Level number of the root node (``num_levels - 1``).
+        self.root_level = len(counts) - 1
 
         # NVM offsets for internal levels 1 .. root_level-1 (leaves live in
         # the counter region; the root lives in the TCB).
@@ -91,16 +95,6 @@ class MemoryLayout:
         self.total_capacity = cursor
 
     # -- tree geometry -----------------------------------------------------
-
-    @property
-    def num_levels(self) -> int:
-        """Total tree levels including the counter leaves and the root."""
-        return len(self.level_counts)
-
-    @property
-    def root_level(self) -> int:
-        """Level number of the root node (``num_levels - 1``)."""
-        return len(self.level_counts) - 1
 
     @property
     def root(self) -> MerkleNodeId:

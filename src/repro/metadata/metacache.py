@@ -31,8 +31,7 @@ as raw 64 B values; :meth:`MetadataStore.encoded` renders either for NVM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Generic, TypeVar
+from typing import Callable, NamedTuple
 
 from repro.common.config import SystemConfig
 from repro.common.persistence import persistence
@@ -46,8 +45,6 @@ from repro.metadata.genesis import GenesisImage
 from repro.metadata.layout import MemoryLayout, MerkleNodeId
 from repro.metadata.merkle import read_slot
 
-T = TypeVar("T")
-
 
 class IntegrityError(Exception):
     """An integrity check failed — an attack was detected at runtime."""
@@ -58,11 +55,10 @@ class IntegrityError(Exception):
         self.node = node
 
 
-@dataclass(frozen=True)
-class AccessResult(Generic[T]):
+class AccessResult(NamedTuple):
     """Outcome of one metadata load: the value, its cost, hit/miss."""
 
-    value: T
+    value: object
     cycles: int
     hit: bool
 

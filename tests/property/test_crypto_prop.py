@@ -17,6 +17,7 @@ from repro.crypto.cme import (
 )
 from repro.crypto.hmac_engine import HmacEngine
 from repro.crypto.prf import SecretKey, keyed_hash, prf
+from repro.metadata import genesis
 from repro.metadata.genesis import LINE_MEMO_ENTRIES, GenesisImage
 from repro.metadata.layout import MemoryLayout
 
@@ -182,14 +183,20 @@ def test_pad_memo_stays_bounded_and_recomputes_identically():
 
 
 def test_genesis_line_memo_stays_bounded_and_recomputes_identically():
-    layout = MemoryLayout(1 << 20)
+    # The memo is shared by every image in the process; one more data line
+    # than it holds forces at least one emptying during the loop.
+    layout = MemoryLayout(1 << 22)
     image = GenesisImage(layout, KEY, SecretKey.from_seed("memo-mac"))
     addrs = [i * CACHE_LINE_SIZE for i in range(LINE_MEMO_ENTRIES + 1)]
-    addrs += [layout.hmac_base + i * CACHE_LINE_SIZE for i in range(LINE_MEMO_ENTRIES)]
     lines = {}
     for addr in addrs:
         lines[addr] = image.line(addr)
-        assert len(image._lines) <= LINE_MEMO_ENTRIES
+        assert genesis._memo.size <= LINE_MEMO_ENTRIES
+        assert sum(len(i._lines) for i in genesis._memo.images) <= LINE_MEMO_ENTRIES
+    assert addrs[0] not in image._lines
+    hmac_addrs = [layout.hmac_base + i * CACHE_LINE_SIZE for i in range(8)]
+    for addr in hmac_addrs:
+        lines[addr] = image.line(addr)
     fresh = GenesisImage(layout, SecretKey.from_seed("prop-key"), SecretKey.from_seed("memo-mac"))
-    for addr in addrs:
+    for addr in addrs[:64] + addrs[-64:] + hmac_addrs:
         assert image.line(addr) == lines[addr] == fresh.line(addr)
