@@ -192,36 +192,6 @@ def series_to_json(series: SensitivitySeries) -> str:
     )
 
 
-def campaign_to_json(result) -> str:
-    """JSON document for a fault-campaign result (``CampaignResult``)."""
-    return json.dumps(result.to_dict(), indent=2, sort_keys=True)
-
-
-def campaign_to_csv(result) -> str:
-    """CSV with one row per injection, then one per media experiment.
-
-    Media rows reuse the site/hit columns for the fault kind and address,
-    so a single flat file carries the whole campaign.
-    """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        ["phase", "scheme", "site", "hit", "fired", "outcome", "expected",
-         "ok", "total_retries", "nwb", "unrecoverable"]
-    )
-    for r in result.injections:
-        writer.writerow(
-            ["injection", r.scheme, r.site, r.hit, int(r.fired), r.outcome,
-             r.expected, int(r.ok), r.total_retries, r.nwb, r.unrecoverable]
-        )
-    for m in result.media:
-        writer.writerow(
-            ["media", m.scheme, m.kind, f"{m.addr:#x}", 1, m.outcome,
-             m.expected, int(m.ok), "", "", ""]
-        )
-    return buffer.getvalue()
-
-
 def crash_summary_to_json(summary: dict) -> str:
     """JSON document for a crash exploration (``run_explore`` summary).
 

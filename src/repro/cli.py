@@ -7,8 +7,6 @@ Commands:
 * ``sweep`` — the Figure 6 sensitivity panels;
 * ``demo`` — a one-minute crash/attack/recovery walk-through;
 * ``simulate`` — run one workload on one design and dump statistics;
-* ``faults run`` — the fault-injection campaign (crash sites x schemes x
-  media faults) judged by the differential recovery oracle;
 * ``faults sites`` — the catalogue of instrumented crash sites;
 * ``crash explore`` — enumerate every crash state ADR semantics permit
   for a recorded persist trace and judge each one's recovery
@@ -30,7 +28,7 @@ Commands:
 * ``runs status`` / ``runs gc`` — inspect and prune the content-addressed
   result cache the orchestrated commands share.
 
-``evaluate``, ``sweep``, ``faults run`` and ``crash explore`` all submit
+``evaluate``, ``sweep``, ``crash explore`` and ``crash campaign`` all submit
 through the run orchestrator: ``--jobs N`` fans the grid out over N worker processes,
 results are reused from ``.repro-cache/`` when the simulator sources are
 unchanged (``--no-cache`` forces re-execution), and interrupted sweeps
@@ -46,7 +44,6 @@ from repro.analysis import experiments
 from repro.analysis.report import headline_numbers, ipc_table, write_traffic_table
 from repro.common.config import SystemConfig
 from repro.core.schemes import SCHEME_LABELS, SCHEMES
-from repro.faults.plan import ALL_SITE_NAMES
 from repro.sim.runner import run_simulation
 from repro.workloads.spec import SPEC_ORDER, spec_trace
 
@@ -90,7 +87,7 @@ def _progress_printer(args: argparse.Namespace):
 
 
 def _run_kwargs(args: argparse.Namespace) -> dict:
-    """Orchestration knobs shared by evaluate/sweep/faults run."""
+    """Orchestration knobs shared by evaluate/sweep/crash."""
     return {
         "jobs": args.jobs,
         "cache": not args.no_cache,
@@ -329,45 +326,6 @@ def cmd_demo(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_faults_run(args: argparse.Namespace) -> int:
-    from repro.faults import CampaignConfig, run_campaign
-
-    cfg = CampaignConfig.smoke() if args.smoke else CampaignConfig()
-    overrides = {}
-    if args.schemes:
-        overrides["schemes"] = tuple(args.schemes)
-    if args.sites:
-        overrides["sites"] = tuple(args.sites)
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, **overrides)
-    result = run_campaign(
-        cfg,
-        jobs=args.jobs,
-        cache=not args.no_cache,
-        timeout=args.timeout,
-        progress=_progress_printer(args),
-    )
-    print(result.summary())
-    if args.export:
-        import os
-
-        from repro.analysis.export import campaign_to_csv, campaign_to_json
-
-        os.makedirs(args.export, exist_ok=True)
-        with open(os.path.join(args.export, "fault_campaign.csv"), "w") as f:
-            f.write(campaign_to_csv(result))
-        with open(os.path.join(args.export, "fault_campaign.json"), "w") as f:
-            f.write(campaign_to_json(result))
-        print(f"exported CSV/JSON to {args.export}/")
-    return 0 if result.passed else 1
-
-
 def cmd_faults_sites(args: argparse.Namespace) -> int:
     from repro.faults import SITES, sites_for_scheme
 
@@ -399,11 +357,22 @@ def cmd_faults_sites(args: argparse.Namespace) -> int:
     return 0
 
 
+def _crash_config(command: str, config_cls, **fields):
+    """Build a crashsim config, or report its rejection and return None."""
+    try:
+        return config_cls(**fields)
+    except ValueError as exc:
+        print(f"repro crash {command}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_crash_explore(args: argparse.Namespace) -> int:
     from repro.crashsim import ExploreConfig, run_explore
     from repro.crashsim.explore import DEFAULT_SHARDS, DEFAULT_STEPS
 
-    cfg = ExploreConfig(
+    cfg = _crash_config(
+        "explore",
+        ExploreConfig,
         schemes=tuple(args.schemes),
         steps=DEFAULT_STEPS if args.steps is None else args.steps,
         window=args.window,
@@ -416,6 +385,8 @@ def cmd_crash_explore(args: argparse.Namespace) -> int:
         reduce=args.classes,
         spot=args.spot,
     )
+    if cfg is None:
+        return 2
     mode = "classes (reduced, exhaustive)" if cfg.reduce else f"budget {cfg.budget}"
     print(f"crash exploration: {', '.join(cfg.schemes)} @ {cfg.steps} steps, "
           f"profile {cfg.profile}, window {cfg.window}, {mode}, seed {cfg.seed} "
@@ -472,11 +443,33 @@ def cmd_crash_explore(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _campaign_gate(summary: dict) -> list[str]:
+    """Why a crash campaign summary fails its gates (empty: it passes)."""
+    totals = summary["totals"]
+    problems = []
+    if not totals["cells"]:
+        problems.append("no grid cell ran")
+    if totals["violations"]:
+        problems.append(f"{totals['violations']} violation(s)")
+    if totals["class_mismatches"]:
+        problems.append(f"{totals['class_mismatches']} class mismatch(es)")
+    if totals["sampling_fallbacks"]:
+        problems.append(
+            f"{totals['sampling_fallbacks']} sampling fallback(s) "
+            "(coverage not exhaustive)"
+        )
+    if summary["failures"]:
+        problems.append(f"{len(summary['failures'])} failed shard(s)")
+    return problems
+
+
 def cmd_crash_campaign(args: argparse.Namespace) -> int:
     from repro.crashsim import CrashCampaignConfig, run_campaign
     from repro.crashsim.explore import DEFAULT_SHARDS, DEFAULT_STEPS
 
-    cfg = CrashCampaignConfig(
+    cfg = _crash_config(
+        "campaign",
+        CrashCampaignConfig,
         schemes=tuple(args.schemes or ()),
         profiles=tuple(args.profiles or ()),
         steps=DEFAULT_STEPS if args.steps is None else args.steps,
@@ -485,6 +478,8 @@ def cmd_crash_campaign(args: argparse.Namespace) -> int:
         shards=DEFAULT_SHARDS if args.shards is None else args.shards,
         spot=args.spot,
     )
+    if cfg is None:
+        return 2
     schemes = cfg.resolved_schemes()
     profiles = cfg.resolved_profiles()
     print(f"crash campaign: {len(schemes)} scheme(s) x {len(profiles)} "
@@ -546,18 +541,7 @@ def cmd_crash_campaign(args: argparse.Namespace) -> int:
                         json.dump(v["reproducer"], f, indent=2, sort_keys=True)
                     written += 1
         print(f"wrote {written} minimized reproducer(s) to {args.reproducers}/")
-    problems = []
-    if totals["violations"]:
-        problems.append(f"{totals['violations']} violation(s)")
-    if totals["class_mismatches"]:
-        problems.append(f"{totals['class_mismatches']} class mismatch(es)")
-    if totals["sampling_fallbacks"]:
-        problems.append(
-            f"{totals['sampling_fallbacks']} sampling fallback(s) "
-            "(coverage not exhaustive)"
-        )
-    if failures:
-        problems.append(f"{len(failures)} failed shard(s)")
+    problems = _campaign_gate(summary)
     if args.min_classes and totals["classes"] < args.min_classes:
         problems.append(
             f"only {totals['classes']} classes (< --min-classes "
@@ -636,24 +620,6 @@ def cmd_crash_minimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _traffic_gate(summary: dict) -> list[str]:
-    """The ace-campaign pass/fail gates (same bar as ``crash campaign``)."""
-    totals = summary["totals"]
-    problems = []
-    if totals["violations"]:
-        problems.append(f"{totals['violations']} violation(s)")
-    if totals["class_mismatches"]:
-        problems.append(f"{totals['class_mismatches']} class mismatch(es)")
-    if totals["sampling_fallbacks"]:
-        problems.append(
-            f"{totals['sampling_fallbacks']} sampling fallback(s) "
-            "(coverage not exhaustive)"
-        )
-    if summary["failures"]:
-        problems.append(f"{len(summary['failures'])} failed shard(s)")
-    return problems
-
-
 def cmd_traffic_ace(args: argparse.Namespace) -> int:
     from repro.trafficgen.ace import (
         ace_campaign_config,
@@ -705,7 +671,7 @@ def cmd_traffic_ace(args: argparse.Namespace) -> int:
         with open(args.json, "w") as f:
             f.write(campaign_summary_to_json(summary))
         print(f"wrote ace campaign summary to {args.json}")
-    problems = _traffic_gate(summary)
+    problems = _campaign_gate(summary)
     if problems:
         print(f"ace campaign FAILED: {', '.join(problems)}")
         return 1
@@ -1039,25 +1005,8 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_demo
     )
 
-    faults = sub.add_parser("faults", help="fault-injection campaigns")
+    faults = sub.add_parser("faults", help="the fault-injection crash sites")
     fsub = faults.add_subparsers(dest="faults_command", required=True)
-    frun = fsub.add_parser(
-        "run", help="sweep crash sites x schemes under the recovery oracle"
-    )
-    frun.add_argument("--smoke", action="store_true",
-                      help="CI-sized campaign (two schemes, short workload)")
-    frun.add_argument("--schemes", nargs="+", metavar="SCHEME",
-                      choices=sorted(SCHEME_LABELS), default=None)
-    frun.add_argument("--sites", nargs="+", metavar="SITE", default=None,
-                      choices=ALL_SITE_NAMES,
-                      help="restrict the sweep to these crash sites")
-    frun.add_argument("--steps", type=int, default=None,
-                      help="write-backs in the main workload loop")
-    frun.add_argument("--seed", type=int, default=None)
-    frun.add_argument("--export", metavar="DIR", default=None,
-                      help="also write campaign CSV/JSON into DIR")
-    add_run_options(frun)
-    frun.set_defaults(func=cmd_faults_run)
     fsites = fsub.add_parser("sites", help="list the instrumented crash sites")
     fsites.add_argument("--scheme", default=None, choices=sorted(SCHEME_LABELS),
                         help="only the sites this design's execution can reach")

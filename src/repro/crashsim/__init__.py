@@ -1,7 +1,9 @@
 """Systematic crash-state exploration for the secure-NVM designs.
 
-The fault campaign (:mod:`repro.faults`) crashes at 16 hand-named
-micro-steps; this package turns the recovery oracle into a *falsifier*:
+The core carries 16 hand-named crash sites (:mod:`repro.faults`); this
+package instead enumerates every crash state ADR semantics permit and
+judges recovery on each one — the repo's single crash-correctness
+pipeline:
 
 1. :mod:`~repro.crashsim.trace` records the ordered stream of persist
    micro-ops a workload produces (WPQ writes, atomic batches, TCB

@@ -38,6 +38,14 @@ DEFAULT_SHARDS = 4
 MAX_MINIMIZE = 3
 
 
+def _check_shape(shards: int, spot: int) -> None:
+    """Reject shapes that would enumerate nothing (or spot-check < 0)."""
+    if shards < 1:
+        raise ValueError(f"shards must be at least 1, got {shards}")
+    if spot < 0:
+        raise ValueError(f"spot must be at least 0, got {spot}")
+
+
 @dataclass(frozen=True)
 class ExploreConfig:
     """Shape of one exploration."""
@@ -62,6 +70,9 @@ class ExploreConfig:
     reduce: bool = False
     #: Passing-class witnesses spot-checked against the representative.
     spot: int = 1
+
+    def __post_init__(self) -> None:
+        _check_shape(self.shards, self.spot)
 
 
 def record_trace(scheme_name: str, cfg: ExploreConfig):
@@ -480,6 +491,9 @@ class CrashCampaignConfig:
     shards: int = DEFAULT_SHARDS
     data_capacity: int = 1 << 16
     spot: int = 1
+
+    def __post_init__(self) -> None:
+        _check_shape(self.shards, self.spot)
 
     def resolved_schemes(self) -> tuple[str, ...]:
         from repro.crashsim.oracle import ALLOWED_OUTCOMES

@@ -3,8 +3,7 @@
 For each crash state the oracle rewinds one long-lived scheme instance
 (crash → restore NVM image → restore TCB registers), runs the design's
 own :class:`~repro.core.recovery.RecoveryManager`, classifies the
-outcome with the fault campaign's taxonomy, and checks the scheme-aware
-invariants:
+outcome (:func:`classify`), and checks the scheme-aware invariants:
 
 * the outcome lies in the design's *allowed* set — cc-NVM variants must
   come back ``RECOVERED`` from every reachable state (the paper's
@@ -14,7 +13,7 @@ invariants:
 * both TCB roots agree and the rebuilt tree matches them;
 * ``recovery_pending`` is cleared — recovery is restartable, never
   stuck;
-* retry totals stay within N × blocks;
+* retry totals stay within N × the data blocks the workload wrote;
 * **exact data contents**: the enumerator knows precisely which
   annotated write-backs survived, so every hot block must read back the
   plaintext the surviving stream implies — byte for byte, with
@@ -52,7 +51,13 @@ ALLOWED_OUTCOMES: dict[str, frozenset[str]] = {
 
 
 def classify(report) -> str:
-    """The campaign's outcome taxonomy (see ``repro.faults.campaign``)."""
+    """One recovery report's outcome class.
+
+    ``FAILED`` for tampering findings or a failed recovery,
+    ``DEGRADED`` when blocks were written off (and located),
+    ``FALSE_ALARM`` when a pure crash was reported as a possible replay
+    (no attacker exists here), otherwise ``RECOVERED``.
+    """
     if any(f.kind == "tree_tampering" for f in report.findings):
         return "FAILED"
     if report.unrecoverable_blocks:
@@ -275,7 +280,7 @@ class RecoveryOracle:
                 f"outcome: {outcome} not allowed for {self.scheme_name} "
                 f"(allowed: {sorted(allowed)})"
             )
-        self._structural_checks(report, problems)
+        self._structural_checks(state, report, problems)
         self._data_checks(state, report, problems)
         self._probe_check(problems)
         if problems and outcome in allowed:
@@ -292,7 +297,9 @@ class RecoveryOracle:
 
     # -- invariant layers ----------------------------------------------------------
 
-    def _structural_checks(self, report, problems: list[str]) -> None:
+    def _structural_checks(
+        self, state: CrashState, report, problems: list[str]
+    ) -> None:
         scheme = self.scheme
         if scheme.tcb.root_old != scheme.tcb.root_new:
             problems.append("roots: TCB roots disagree after recovery")
@@ -301,11 +308,11 @@ class RecoveryOracle:
         if scheme.tcb.recovery_pending:
             problems.append("restart: recovery_pending still set after recovery")
         limit = scheme.config.epoch.update_limit
-        blocks = max(1, len(scheme.nvm.touched_lines()))
+        blocks = max(1, len(state.expected))
         if report.total_retries > limit * blocks:
             problems.append(
                 f"retries: total {report.total_retries} exceeds "
-                f"N x lines = {limit * blocks}"
+                f"N x blocks = {limit * blocks}"
             )
 
     def _data_checks(self, state: CrashState, report, problems: list[str]) -> None:

@@ -1,8 +1,10 @@
 """The recording workloads: deterministic annotated write streams.
 
-The default ``hotset`` profile mirrors the fault campaign's hot-set
-shape (8 blocks on 2 pages, enough round-robin pressure to cross the
-update-times limit N and trigger every drain path).  The Figure-5
+The default ``hotset`` profile is 8 blocks on 2 pages written round
+robin: one warm-up write per block, then *steps* write-backs.  At 160
+steps each block takes 21 updates, past the update-times limit N = 16,
+so every drain path triggers and w/o CC's missing staleness bound
+shows; at the default 96 steps each block takes only 13.  The Figure-5
 profiles replay the write-back stream of one SPEC CPU2006 surrogate
 (:mod:`repro.workloads.spec`), folded onto a small page range so the
 crash campaign exercises each benchmark's metadata-locality shape —

@@ -1,4 +1,4 @@
-"""Fault injection: micro-step crash points, media faults, recovery oracle.
+"""Fault injection: micro-step crash points and media faults.
 
 This package drives the system model through the failures the paper's
 guarantees are supposed to survive:
@@ -9,23 +9,17 @@ guarantees are supposed to survive:
   visit of a site (or records site hit counts in discovery mode);
 * :mod:`repro.faults.media` — NVM media-fault model: ECC-detectable
   transient read faults, permanent (stuck) faults, and silent bit flips
-  only the HMAC layer can catch;
-* :mod:`repro.faults.campaign` — the differential recovery oracle: sweep
-  schemes x crash sites x fault models and assert each design's
-  documented post-crash contract.
+  only the HMAC layer can catch.
+
+The recovery contract itself is judged by :mod:`repro.crashsim`, whose
+oracle arms this package's injector for nested crash-during-recovery
+schedules.
 
 Layering: core modules never import this package — they expose plain
 ``fault_hook`` attributes the injector attaches to, and the media model
 plugs into :class:`~repro.mem.nvm.NVMDevice` through ``set_media_model``.
 """
 
-from repro.faults.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    InjectionResult,
-    MediaResult,
-    run_campaign,
-)
 from repro.faults.injector import FaultInjector
 from repro.faults.media import MediaFaultModel
 from repro.faults.plan import (
@@ -39,16 +33,11 @@ from repro.faults.plan import (
 
 __all__ = [
     "ALL_SITE_NAMES",
-    "CampaignConfig",
-    "CampaignResult",
     "FaultInjector",
     "FaultSite",
-    "InjectionResult",
     "MediaFaultModel",
-    "MediaResult",
     "PowerFailure",
     "RECOVERY_SITES",
     "SITES",
-    "run_campaign",
     "sites_for_scheme",
 ]

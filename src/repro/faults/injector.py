@@ -6,9 +6,9 @@ recovery manager inherits the scheme's hook).  It runs in one of two
 modes:
 
 * **discovery** (default) — count how many times each site is visited by
-  a given workload, without interfering.  Campaigns use a discovery pass
-  to learn which sites a scheme/workload pair can reach and how often,
-  then pick a deterministic visit (e.g. the middle one) to crash at;
+  a given workload, without interfering — a caller learns which sites a
+  scheme/workload pair reaches and how often, then picks a deterministic
+  visit (e.g. the middle one) to crash at;
 * **armed** — raise :class:`PowerFailure` at exactly the *n*-th visit of
   one site, then disarm, so the crash is reproducible and a subsequent
   recovery run is not re-crashed unless re-armed.
@@ -25,7 +25,7 @@ class FaultInjector:
     """Counts site visits and, when armed, crashes at a chosen one."""
 
     def __init__(self) -> None:
-        #: Visits per site since construction (or :meth:`reset_counts`).
+        #: Visits per site since construction.
         self.hits: Counter[str] = Counter()
         self._armed_site: str | None = None
         self._armed_hit = 0
@@ -107,10 +107,6 @@ class FaultInjector:
     def armed(self) -> str | None:
         """The armed site name, or ``None`` in discovery mode."""
         return self._armed_site
-
-    def reset_counts(self) -> None:
-        """Zero the visit counters (e.g. between discovery phases)."""
-        self.hits.clear()
 
     # -- the hook -------------------------------------------------------------
 

@@ -3,8 +3,8 @@
 Every instrumented micro-step in the core carries a dotted site name
 (``component.step``).  The registry below is the single source of truth
 for what exists, where it sits in the protocol, and which designs can
-reach it — the campaign uses it to build its sweep and the CLI to print
-the catalogue.
+reach it — the injector validates armed sites against it, lint rule P2
+checks it against the instrumented code, and the CLI prints it.
 
 Site semantics (what is durable when the lights go out there):
 
@@ -183,14 +183,7 @@ RECOVERY_SITES: frozenset[str] = frozenset(
     s.name for s in SITES if s.component == "recovery"
 )
 
-_BY_NAME = {s.name: s for s in SITES}
-
-
-def site(name: str) -> FaultSite:
-    """Look one site up by name (raises ``KeyError`` on unknown names)."""
-    return _BY_NAME[name]
-
 
 def sites_for_scheme(scheme_name: str) -> tuple[str, ...]:
-    """The site names *scheme_name*'s execution can reach, in sweep order."""
+    """The site names *scheme_name*'s execution can reach, in registry order."""
     return tuple(s.name for s in SITES if scheme_name in s.schemes)

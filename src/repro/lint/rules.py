@@ -11,8 +11,8 @@ objects.  The rules encode cc-NVM's write-ordering discipline
   micro-ops (TCB register ops, WPQ ``write``/``write_atomic``/...).
 * **P2** — the crash-site registry and the instrumented code agree in
   both directions, and every persist point (atomic-batch signals, TCB
-  root commits) executes under crash-site coverage so the fault campaign
-  can actually reach it.
+  root commits) executes under crash-site coverage so the fault
+  injector can actually crash around it.
 * **P3** — an atomic batch opens, fills and commits within a single
   function: no split batches, no unbalanced ``begin``/``commit``.
 * **P4** — recovery-path code never reads volatile-domain attributes;
@@ -37,7 +37,7 @@ from repro.lint.model import (
 )
 
 #: Calls that advance persistent state wholesale — each must run under
-#: crash-site coverage (rule P2) so the campaign can crash around it.
+#: crash-site coverage (rule P2) so the injector can crash around it.
 PERSIST_POINTS = ("begin_atomic", "commit_atomic", "commit_root", "set_roots")
 
 #: The atomic draining protocol's WPQ signals (rule P3).
@@ -159,7 +159,7 @@ def rule_p2(model: CodeModel, config) -> list[Finding]:
                 Finding(
                     "P2", fc.path, fc.line, fc.col, fc.symbol,
                     f"fault site {fc.site!r} is not in the faults/plan.py "
-                    "registry — the campaign can never arm it",
+                    "registry — the injector can never arm it",
                     suggestion="register a FaultSite entry (name, component, "
                     "description, reachable schemes)",
                     token=f"unregistered:{fc.site}",
@@ -205,7 +205,7 @@ def _persist_point_coverage(model: CodeModel, registry: set[str]) -> list[Findin
                 Finding(
                     "P2", scope.path, node.lineno, node.col_offset, scope.symbol,
                     f"persist point {method}() executes with no crash site in "
-                    "scope — the fault campaign cannot land a power failure "
+                    "scope — the fault injector cannot land a power failure "
                     "around this state transition",
                     suggestion="add a _fault(\"<component>.<step>\") call (and "
                     "registry entry) before/after the persist point, or "

@@ -2,7 +2,7 @@
 parallel execution and resumable journals.
 
 The subsystem turns every experiment in the repo — a Figure 5 cell, a
-sensitivity point, a fault injection — into data (:class:`RunSpec`),
+sensitivity point, a crash-exploration cell — into data (:class:`RunSpec`),
 which makes three things cheap at once:
 
 * **parallelism** — specs are picklable, so a spawn-safe worker pool

@@ -113,39 +113,6 @@ def _execute_simulation(spec: RunSpec):
     return payload
 
 
-def _campaign_config(spec: RunSpec):
-    from repro.faults.campaign import CampaignConfig
-
-    return CampaignConfig(
-        schemes=(spec.scheme,),
-        steps=spec.params["steps"],
-        seed=spec.seed,
-        data_capacity=spec.params["data_capacity"],
-        media=False,
-    )
-
-
-def _execute_injection(spec: RunSpec):
-    from repro.faults.campaign import _inject
-
-    result = _inject(
-        spec.scheme, spec.params["site"], spec.params["hit"], _campaign_config(spec)
-    )
-    return result.to_dict()
-
-
-def _execute_media(spec: RunSpec):
-    from repro.faults.campaign import _media_phase
-
-    return [m.to_dict() for m in _media_phase(spec.scheme, _campaign_config(spec))]
-
-
-def _execute_discover(spec: RunSpec):
-    from repro.faults.campaign import _discover
-
-    return _discover(spec.scheme, _campaign_config(spec))
-
-
 def _execute_crash(spec: RunSpec):
     from repro.crashsim.explore import execute_cell
 
@@ -154,9 +121,6 @@ def _execute_crash(spec: RunSpec):
 
 _EXECUTORS = {
     "simulation": _execute_simulation,
-    "injection": _execute_injection,
-    "media": _execute_media,
-    "discover": _execute_discover,
     "crash": _execute_crash,
 }
 

@@ -13,8 +13,8 @@ deterministic and cheap, and keeping specs tiny lets a worker process
 rebuild its entire job from one small dict.
 
 :class:`Sweep` is the cartesian product companion: the Figure 5 matrix
-is ``Sweep(schemes=..., workloads=...)``, the fault campaign's scheme x
-site grid and the Figure 6 sensitivity sweeps expand the same way.
+is ``Sweep(schemes=..., workloads=...)`` and the Figure 6 sensitivity
+sweeps expand the same way.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.common.config import (
 )
 
 #: Run kinds the worker pool knows how to execute (see ``runs.pool``).
-RUN_KINDS = ("simulation", "injection", "media", "discover", "crash")
+RUN_KINDS = ("simulation", "crash")
 
 
 def canonical_json(obj: Any) -> str:
@@ -85,9 +85,9 @@ def _normalize_config(config: SystemConfig | Mapping | None) -> dict | None:
 class RunSpec:
     """Everything that determines one experiment's result, as data.
 
-    * ``kind`` — what the worker executes: a full-system ``simulation``,
-      a fault-campaign ``injection``/``media`` phase, or a crash-site
-      ``discover`` pass.
+    * ``kind`` — what the worker executes: a full-system ``simulation``
+      or a ``crash`` cell of the crash-state explorer
+      (:mod:`repro.crashsim.explore`).
     * ``scheme`` / ``workload`` / ``length`` / ``seed`` — the design and
       the workload recipe (SPEC surrogate name + generator parameters).
     * ``scheme_seed`` — the key-derivation seed handed to
@@ -96,7 +96,7 @@ class RunSpec:
     * ``warmup`` — warmup fraction replayed before measurement.
     * ``config`` — full :func:`config_to_dict` image, or ``None`` for the
       paper-default :class:`SystemConfig`.
-    * ``params`` — kind-specific knobs (crash site, hit index, campaign
+    * ``params`` — kind-specific knobs (cell mode, shard, recovery site,
       steps, data capacity ...); folded into the hash like everything else.
     """
 

@@ -10,7 +10,12 @@ failing shard is isolated instead of poisoning the rest of the grid.
 import pytest
 
 from repro.analysis.export import campaign_summary_to_json
-from repro.crashsim import CrashCampaignConfig, campaign_specs, run_campaign
+from repro.crashsim import (
+    CrashCampaignConfig,
+    ExploreConfig,
+    campaign_specs,
+    run_campaign,
+)
 
 SMOKE = CrashCampaignConfig(
     schemes=("ccnvm", "sc"),
@@ -139,3 +144,38 @@ class TestDefaults:
         )
         assert all(s.params["reduce"] for s in specs)
         assert all(s.params["budget"] == 1 for s in specs)
+
+    @pytest.mark.parametrize("config", [CrashCampaignConfig, ExploreConfig])
+    @pytest.mark.parametrize("field", [{"shards": 0}, {"shards": -1}, {"spot": -1}])
+    def test_rejects_shapes_that_would_cover_nothing(self, config, field):
+        with pytest.raises(ValueError):
+            config(**field)
+
+
+class TestDifferentialContract:
+    """At 160 hot-set steps every hot block takes 21 updates, past N = 16.
+
+    So each design's whole contract shows, not only its clean half:
+    w/o CC strands blocks once staleness passes N, and SC / Osiris Plus
+    false-alarm inside their replay window.  (At the default 96 steps
+    each block takes 13 updates and w/o CC only ever recovers.)
+    """
+
+    def test_hotset_outcomes_per_design(self):
+        cfg = CrashCampaignConfig(profiles=("hotset",), steps=160, seed=1)
+        summary, _ = run_campaign(cfg, cache=False)
+        assert summary["failures"] == []
+        assert summary["totals"]["violations"] == 0
+        assert summary["totals"]["class_mismatches"] == 0
+        outcomes = {
+            scheme: row["hotset"]["outcomes"]
+            for scheme, row in summary["grid"].items()
+        }
+        assert outcomes == {
+            "ccnvm": {"RECOVERED": 1201},
+            "ccnvm_locate": {"RECOVERED": 1201},
+            "ccnvm_no_ds": {"RECOVERED": 1081},
+            "no_cc": {"DEGRADED": 290, "RECOVERED": 955},
+            "osiris_plus": {"FALSE_ALARM": 712, "RECOVERED": 347},
+            "sc": {"FALSE_ALARM": 336, "RECOVERED": 673},
+        }

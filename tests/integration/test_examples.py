@@ -46,16 +46,6 @@ class TestExamples:
         assert "(not committed)" in result.stdout
         assert "balance=41" in result.stdout
 
-    def test_crash_injection_campaign(self):
-        result = run_example("crash_injection_campaign.py")
-        assert result.returncode == 0, result.stderr
-        assert "PASS" in result.stdout
-        assert "every outcome matched its design's contract" in result.stdout
-        # The smoke sweep must exercise the replay-vs-crash window (SC
-        # false alarm) and cc-NVM's full recovery, plus the media phase.
-        assert "FALSE_ALARM" in result.stdout
-        assert "detected_by_hmac" in result.stdout
-
     def test_evaluate_designs_small(self):
         # --no-cache keeps the checkout free of a .repro-cache directory
         result = run_example("evaluate_designs.py", "--length", "500",

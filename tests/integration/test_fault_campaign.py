@@ -1,101 +1,191 @@
-"""Integration tests for the differential recovery oracle.
+"""Named-site fault injection, cross-checked against crash-state enumeration.
 
-One smoke campaign run (shared across the class via a module fixture)
-must satisfy the subsystem's acceptance bar: enough distinct crash sites
-fire, cc-NVM comes back clean from every reachable micro-step including
-crashes injected into recovery itself, the known SC replay-vs-crash
-window is exhibited, and the media phase behaves per contract.
+The core is instrumented with named crash sites (``faults/plan.py``).
+For every design, this module arms a :class:`FaultInjector` at the
+first, middle and last visit of each site outside recovery that the
+hot-set workload (160 steps, seed 1) reaches.  It crashes the machine
+there and requires three things:
+
+* the post-crash NVM image and TCB registers equal a state that
+  ``CrashEnumerator(window=4, budget=16)`` yields from the unarmed
+  trace — crashsim's enumeration reaches every named-site crash;
+* :class:`RecoveryOracle` on that state finds no problem, and its
+  outcome equals :func:`classify` of the injected machine's own
+  recovery;
+* the outcomes form each design's differential contract: cc-NVM
+  always ``RECOVERED``; SC and Osiris Plus ``FALSE_ALARM`` exactly at
+  ``writeback.after_data`` (data intact, replay reported); w/o CC
+  ``DEGRADED`` at the last visit, once per-block staleness passed N.
+
+The three ``recovery.*`` sites are crashed as crashsim's nested cells:
+a second power failure inside recovery, then a resumed recovery.
 """
 
-import json
+from collections import Counter
 
 import pytest
 
-from repro.analysis.export import campaign_to_csv, campaign_to_json
-from repro.faults import CampaignConfig, run_campaign
-from repro.faults.plan import RECOVERY_SITES
+from repro.core.schemes import create_scheme
+from repro.crashsim.enumerate import CrashEnumerator, CrashState
+from repro.crashsim.explore import ExploreConfig, execute_cell, explore_specs
+from repro.crashsim.oracle import ALLOWED_OUTCOMES, RecoveryOracle, classify
+from repro.crashsim.workload import hot_addrs, record_workload
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import RECOVERY_SITES, SITES, PowerFailure, sites_for_scheme
+
+SEED = 1
+CAPACITY = 1 << 16
+STEPS = 160
+SCHEMES = tuple(sorted(ALLOWED_OUTCOMES))
+
+
+def _state_hash(lines, registers) -> str:
+    """:meth:`CrashState.image_hash` of an NVM image and register file."""
+    return CrashState(0, (), None, lines, registers, {}).image_hash()
+
+
+def expected_outcome(scheme: str, site: str, visit: str) -> str:
+    if scheme in ("sc", "osiris_plus") and site == "writeback.after_data":
+        return "FALSE_ALARM"
+    if scheme == "no_cc" and visit == "last":
+        return "DEGRADED"
+    return "RECOVERED"
+
+
+def crash_at(scheme_name: str, site: str, hit: int):
+    """Run the workload with a crash armed at *site*'s *hit*-th visit."""
+    scheme = create_scheme(scheme_name, data_capacity=CAPACITY, seed=SEED)
+    injector = FaultInjector()
+    injector.attach(scheme)
+    injector.arm(site, hit)
+    fired = False
+    try:
+        record_workload(scheme, STEPS, SEED)
+    except PowerFailure:
+        fired = True
+    scheme.crash()
+    return scheme, fired
 
 
 @pytest.fixture(scope="module")
-def smoke():
-    return run_campaign(CampaignConfig.smoke())
+def sweep():
+    """One record per (scheme, site, visit), plus each scheme's state set."""
+    records = []
+    state_sets = {}
+    for name in SCHEMES:
+        scheme = create_scheme(name, data_capacity=CAPACITY, seed=SEED)
+        counter = FaultInjector()
+        counter.attach(scheme)
+        trace = record_workload(scheme, STEPS, SEED)
+        states = {
+            state.image_hash(): state
+            for state in CrashEnumerator(
+                trace, window=4, budget=16, seed=SEED
+            ).states()
+        }
+        state_sets[name] = states
+        oracle = RecoveryOracle(name, CAPACITY, SEED)
+        for site in sites_for_scheme(name):
+            if site in RECOVERY_SITES:
+                continue
+            visits = counter.hits[site]
+            for visit, hit in (
+                ("first", 1), ("middle", max(1, visits // 2)), ("last", visits)
+            ):
+                crashed, fired = crash_at(name, site, hit)
+                lines = crashed.nvm.snapshot()
+                registers = crashed.tcb.registers_snapshot()
+                state = states.get(_state_hash(lines, registers))
+                records.append(
+                    {
+                        "scheme": name,
+                        "site": site,
+                        "visit": visit,
+                        "fired": fired,
+                        "lines": lines,
+                        "registers": registers,
+                        "injected": classify(crashed.recover()),
+                        "verdict": None if state is None else oracle.evaluate(state),
+                    }
+                )
+    return records, state_sets
 
 
 class TestSmokeCampaign:
-    def test_every_outcome_matches_its_contract(self, smoke):
-        assert smoke.passed, "\n".join(smoke.failures())
-
-    def test_sweeps_enough_distinct_sites(self, smoke):
-        fired = smoke.sites_fired()
-        assert len(fired) >= 8
-        # At least one crash landed inside recovery itself.
-        assert fired & RECOVERY_SITES
-
-    def test_ccnvm_recovers_everywhere(self, smoke):
-        ccnvm = [r for r in smoke.injections if r.scheme == "ccnvm"]
-        assert len(ccnvm) == 15  # every registered site is reachable
-        assert all(r.fired and r.outcome == "RECOVERED" for r in ccnvm)
-
-    def test_retries_stay_bounded(self, smoke):
-        limit = 16  # the default update-times limit N
-        for r in smoke.injections:
-            if r.fired:
-                assert r.total_retries <= limit * 8  # 8 hot blocks
-
-    def test_sc_false_alarms_only_in_the_replay_window(self, smoke):
-        sc = {r.site: r for r in smoke.injections if r.scheme == "sc"}
-        assert sc["writeback.after_data"].outcome == "FALSE_ALARM"
-        others = [r for site, r in sc.items() if site != "writeback.after_data"]
-        assert all(r.outcome in ("RECOVERED", "NOT_REACHED") for r in others)
-
-    def test_media_phase_contracts(self, smoke):
-        outcomes = {(m.scheme, m.kind): m.outcome for m in smoke.media}
-        for scheme in smoke.schemes:
-            assert outcomes[(scheme, "transient")] == "absorbed"
-            assert outcomes[(scheme, "permanent")] == "degraded_located"
-            assert outcomes[(scheme, "silent")] == "detected_by_hmac"
-
-    def test_double_crash_runs_are_marked(self, smoke):
-        doubles = [
-            r for r in smoke.injections
-            if r.scheme == "ccnvm" and r.site in RECOVERY_SITES
+    def test_every_crash_image_is_an_enumerated_state(self, sweep):
+        records, _ = sweep
+        # 2 (w/o CC) + 6 (SC) + 3 (Osiris Plus) + 3 x 12 (cc-NVM) sites.
+        assert len(records) == 3 * 47
+        missing = [
+            (r["scheme"], r["site"], r["visit"])
+            for r in records
+            if r["verdict"] is None
         ]
-        assert len(doubles) == len(RECOVERY_SITES)
-        for r in doubles:
-            assert any("double crash" in n for n in r.notes)
-            assert any("resumed" in n for n in r.notes)
+        assert missing == []
 
+    def test_every_outcome_matches_its_contract(self, sweep):
+        records, _ = sweep
+        for r in records:
+            verdict = r["verdict"]
+            where = (r["scheme"], r["site"], r["visit"])
+            assert verdict.problems == [], where
+            assert verdict.outcome == r["injected"], where
+            assert r["injected"] == expected_outcome(*where), where
 
-class TestExport:
-    def test_json_round_trip(self, smoke):
-        doc = json.loads(campaign_to_json(smoke))
-        assert doc["passed"] is True
-        assert len(doc["injections"]) == len(smoke.injections)
-        assert {m["kind"] for m in doc["media"]} == {
-            "transient", "permanent", "silent"
-        }
+    def test_sweeps_enough_distinct_sites(self, sweep):
+        records, _ = sweep
+        assert all(r["fired"] for r in records)
+        named = {s.name for s in SITES} - RECOVERY_SITES
+        assert {r["site"] for r in records} == named
 
-    def test_csv_has_one_row_per_experiment(self, smoke):
-        lines = campaign_to_csv(smoke).strip().splitlines()
-        assert lines[0].startswith("phase,scheme,site")
-        assert len(lines) == 1 + len(smoke.injections) + len(smoke.media)
+    def test_ccnvm_recovers_everywhere(self, sweep):
+        records, _ = sweep
+        for name in ("ccnvm", "ccnvm_no_ds", "ccnvm_locate"):
+            mine = [r for r in records if r["scheme"] == name]
+            assert len({r["site"] for r in mine}) == 12
+            assert {r["injected"] for r in mine} == {"RECOVERED"}
 
+    def test_retries_stay_bounded(self, sweep):
+        records, _ = sweep
+        limit = 16  # the default update-times limit N
+        for r in records:
+            assert r["verdict"].total_retries <= limit * len(hot_addrs())
 
-class TestConfigKnobs:
-    def test_site_restriction(self):
-        cfg = CampaignConfig(
-            schemes=("ccnvm",),
-            sites=("writeback.after_data", "recovery.mid_rebuild"),
-            steps=32,
-            media=False,
+    def test_sc_false_alarms_only_in_the_replay_window(self, sweep):
+        records, _ = sweep
+        for name in ("sc", "osiris_plus"):
+            alarms = Counter(
+                r["site"]
+                for r in records
+                if r["scheme"] == name and r["injected"] == "FALSE_ALARM"
+            )
+            assert alarms == {"writeback.after_data": 3}
+
+    def test_perturbed_image_matches_no_state(self, sweep):
+        records, state_sets = sweep
+        for name in SCHEMES:
+            last = [r for r in records if r["scheme"] == name][-1]
+            lines = dict(last["lines"])
+            addr = hot_addrs()[0]
+            flipped = bytearray(lines[addr])
+            flipped[0] ^= 1
+            lines[addr] = bytes(flipped)
+            assert _state_hash(last["lines"], last["registers"]) in state_sets[name]
+            assert _state_hash(lines, last["registers"]) not in state_sets[name]
+
+    def test_double_crash_runs_are_marked(self):
+        cfg = ExploreConfig(
+            schemes=SCHEMES, steps=STEPS, seed=SEED, data_capacity=CAPACITY
         )
-        result = run_campaign(cfg)
-        assert result.passed
-        assert {r.site for r in result.injections} == set(cfg.sites)
-
-    def test_summary_mentions_pass(self):
-        cfg = CampaignConfig(
-            schemes=("sc",), sites=("writeback.before_data",),
-            steps=32, media=False,
-        )
-        assert "PASS" in run_campaign(cfg).summary()
+        nested = [
+            spec for spec in explore_specs(cfg) if spec.params["mode"] == "nested"
+        ]
+        assert len(nested) == len(SCHEMES) * len(RECOVERY_SITES) * 2
+        for spec in nested:
+            payload = execute_cell(spec)
+            verdict = payload["verdict"]
+            scheduled = [site for site, _ in payload["schedule"]]
+            assert verdict["problems"] == [], spec.describe()
+            assert verdict["fired_sites"] == scheduled, spec.describe()
+            assert verdict["outcome"] in ALLOWED_OUTCOMES[spec.scheme]
+            assert any("resumed" in note for note in verdict["notes"])

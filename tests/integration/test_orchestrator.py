@@ -8,7 +8,6 @@ depend on *how* they were computed.
 
 import pytest
 
-from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.runs import (
     ResultCache,
     RunJournal,
@@ -108,29 +107,3 @@ class TestFailureIsolation:
         with RunJournal(tmp_path / "j.jsonl", FP) as journal:
             report = run_specs([bad], cache=cache, journal=journal)
         assert report.executed == 1  # re-attempted, not replayed
-
-
-class TestCampaignOrchestration:
-    @pytest.mark.slow
-    def test_parallel_campaign_matches_serial(self, tmp_path):
-        cfg = CampaignConfig(
-            schemes=("ccnvm",),
-            sites=("wpq.before_end", "writeback.after_data"),
-            steps=48,
-        )
-        serial = run_campaign(cfg)
-        pooled = run_campaign(cfg, jobs=2)
-        assert serial.to_dict() == pooled.to_dict()
-        assert pooled.passed
-
-    @pytest.mark.slow
-    def test_campaign_cache_replays(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CCNVM_CACHE_DIR", str(tmp_path / "cache"))
-        cfg = CampaignConfig(
-            schemes=("ccnvm",), sites=("wpq.before_end",), steps=48, media=False
-        )
-        cold = run_campaign(cfg, cache=True)
-        warm = run_campaign(cfg, cache=True)
-        assert cold.to_dict() == warm.to_dict()
-        stats = ResultCache(tmp_path / "cache").cumulative
-        assert stats["hits"] >= 2  # discover + injection replayed

@@ -31,14 +31,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["faults"])
 
-    def test_faults_run_validates_scheme(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["faults", "run", "--schemes", "magic"])
-
-    def test_faults_run_defaults(self):
-        args = build_parser().parse_args(["faults", "run", "--smoke"])
-        assert args.smoke and args.schemes is None and args.export is None
-
     def test_faults_sites_flags(self):
         args = build_parser().parse_args(
             ["faults", "sites", "--json", "--scheme", "osiris_plus"]
@@ -248,16 +240,26 @@ class TestCommands:
         # No violations -> the reproducer directory exists but is empty.
         assert list((tmp_path / "repros").iterdir()) == []
 
-    def test_faults_run_restricted(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["explore", "campaign"])
+    @pytest.mark.parametrize("flag", [["--shards", "0"], ["--spot", "-1"]])
+    def test_crash_rejects_shapes_that_cover_nothing(self, capsys, command, flag):
+        assert main(["crash", command, "--quiet", "--no-cache", *flag]) == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_crash_campaign_with_no_cells_fails(self, capsys, monkeypatch, tmp_path):
+        import repro.crashsim.explore as explore_mod
+
+        def broken(spec):
+            raise RuntimeError("every shard fails")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(explore_mod, "run_enumerate_cell", broken)
         assert main([
-            "faults", "run", "--schemes", "ccnvm",
-            "--sites", "wpq.before_end", "--steps", "48",
-            "--export", str(tmp_path),
-        ]) == 0
+            "crash", "campaign", "--schemes", "ccnvm", "--profiles", "hotset",
+            "--steps", "8", "--shards", "1", "--quiet", "--no-cache",
+        ]) == 1
         out = capsys.readouterr().out
-        assert "PASS" in out
-        assert (tmp_path / "fault_campaign.csv").exists()
-        assert (tmp_path / "fault_campaign.json").exists()
+        assert "campaign FAILED: no grid cell ran" in out
 
     def test_lint_runs_clean_on_repo(self, capsys, monkeypatch):
         import repro
@@ -347,6 +349,6 @@ class TestCommands:
         assert args.jobs == 1 and not args.no_cache
         assert args.timeout is None and args.json is None
         args = build_parser().parse_args(
-            ["faults", "run", "--jobs", "4", "--no-cache"]
+            ["crash", "campaign", "--jobs", "4", "--no-cache"]
         )
         assert args.jobs == 4 and args.no_cache

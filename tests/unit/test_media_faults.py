@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.schemes import create_scheme
+from repro.core.schemes import SCHEMES, create_scheme
 from repro.faults import MediaFaultModel
 from repro.mem.nvm import PermanentMediaError, TransientReadFault
 from repro.metadata.metacache import IntegrityError
@@ -16,6 +16,17 @@ def scheme():
     for i in range(4):
         s.writeback(i * 1000, 0x2000 + i * 64, payload(i))
     return s
+
+
+@pytest.fixture(params=sorted(SCHEMES))
+def design(request):
+    """Every design, with four committed blocks and a media model fitted."""
+    s = create_scheme(request.param, data_capacity=TINY_CAPACITY)
+    for i in range(4):
+        s.writeback(i * 1000, 0x2000 + i * 64, payload(i))
+    model = MediaFaultModel()
+    s.nvm.set_media_model(model)
+    return s, model
 
 
 class TestModelSchedule:
@@ -145,3 +156,28 @@ class TestControllerRetry:
         model.clear(0x2000)
         got, _ = scheme.read(20_000, 0x2000)
         assert got == payload(0)
+
+
+class TestMediaContractOnEveryDesign:
+    """The three media-fault contracts hold for every design, not only cc-NVM."""
+
+    def test_transient_fault_absorbed(self, design):
+        scheme, model = design
+        model.inject_transient(0x2000, count=2)
+        got, _ = scheme.read(10_000, 0x2000)
+        assert got == payload(0)
+        assert model.delivered["transient"] == 2
+
+    def test_permanent_fault_located(self, design):
+        scheme, model = design
+        model.inject_permanent(0x2040)
+        with pytest.raises(PermanentMediaError) as exc:
+            scheme.read(10_000, 0x2040)
+        assert (exc.value.addr, exc.value.region) == (0x2040, "data")
+        assert exc.value.attempts == scheme.config.controller.read_retry_limit + 1
+
+    def test_silent_bitflip_caught_by_data_hmac(self, design):
+        scheme, model = design
+        model.inject_silent_bitflip(0x2080, byte_index=5)
+        with pytest.raises(IntegrityError):
+            scheme.read(10_000, 0x2080)
