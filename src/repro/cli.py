@@ -18,11 +18,7 @@ Commands:
 * ``traffic ace`` — bounded exhaustive workload enumeration
   (k writes x address-overlap patterns x fence placements, canonical-form
   deduped) with ``--campaign`` running the whole set through the crash
-  explorer; ``traffic ingest`` — validate/normalize an external trace
-  (CSV/JSONL/Lackey) into the content-addressed trace store; ``traffic
-  interleave`` — merge N tenant streams over one memory system with
-  per-tenant attribution; ``traffic catalog`` — descriptor schema, ace
-  bounds and stored traces;
+  explorer;
 * ``lint`` — the persistence-domain static analyzer (persist-order
   rules P0-P5, crash-site coverage, scheme contract);
 * ``runs status`` / ``runs gc`` — inspect and prune the content-addressed
@@ -357,12 +353,12 @@ def cmd_faults_sites(args: argparse.Namespace) -> int:
     return 0
 
 
-def _crash_config(command: str, config_cls, **fields):
-    """Build a crashsim config, or report its rejection and return None."""
+def _validated(command: str, build, **fields):
+    """``build(**fields)``, or report its rejection and return None."""
     try:
-        return config_cls(**fields)
+        return build(**fields)
     except ValueError as exc:
-        print(f"repro crash {command}: {exc}", file=sys.stderr)
+        print(f"repro {command}: {exc}", file=sys.stderr)
         return None
 
 
@@ -370,8 +366,8 @@ def cmd_crash_explore(args: argparse.Namespace) -> int:
     from repro.crashsim import ExploreConfig, run_explore
     from repro.crashsim.explore import DEFAULT_SHARDS, DEFAULT_STEPS
 
-    cfg = _crash_config(
-        "explore",
+    cfg = _validated(
+        "crash explore",
         ExploreConfig,
         schemes=tuple(args.schemes),
         steps=DEFAULT_STEPS if args.steps is None else args.steps,
@@ -467,8 +463,8 @@ def cmd_crash_campaign(args: argparse.Namespace) -> int:
     from repro.crashsim import CrashCampaignConfig, run_campaign
     from repro.crashsim.explore import DEFAULT_SHARDS, DEFAULT_STEPS
 
-    cfg = _crash_config(
-        "campaign",
+    cfg = _validated(
+        "crash campaign",
         CrashCampaignConfig,
         schemes=tuple(args.schemes or ()),
         profiles=tuple(args.profiles or ()),
@@ -627,7 +623,9 @@ def cmd_traffic_ace(args: argparse.Namespace) -> int:
         enumerate_ace,
     )
 
-    stats = enumeration_stats(args.k)
+    stats = _validated("traffic ace", enumeration_stats, k=args.k)
+    if stats is None:
+        return 2
     print(f"ace enumeration @ k={args.k}: "
           f"{stats['canonical_workloads']} canonical workload(s) "
           f"({stats['overlap_classes']} overlap classes x "
@@ -640,10 +638,12 @@ def cmd_traffic_ace(args: argparse.Namespace) -> int:
         return 0
     from repro.crashsim import run_campaign
 
-    cfg = ace_campaign_config(
-        args.k, schemes=tuple(args.schemes or ()), seed=args.seed,
-        spot=args.spot,
+    cfg = _validated(
+        "traffic ace", ace_campaign_config, k=args.k,
+        schemes=tuple(args.schemes or ()), seed=args.seed, spot=args.spot,
     )
+    if cfg is None:
+        return 2
     schemes = cfg.resolved_schemes()
     print(f"ace crash campaign: {len(schemes)} scheme(s) x "
           f"{len(cfg.profiles)} workload(s), seed {cfg.seed} "
@@ -677,131 +677,6 @@ def cmd_traffic_ace(args: argparse.Namespace) -> int:
         return 1
     print(f"ace campaign ok: every bounded workload recovered on every "
           f"scheme ({stats['dedup_ratio']}x canonical-form dedup)")
-    return 0
-
-
-def _traffic_bench(args: argparse.Namespace, descriptors: list) -> int:
-    """Shared --run/--json tail of ingest and interleave."""
-    from repro.analysis.traffic import traffic_document, traffic_document_to_json
-
-    if not args.run:
-        return 0
-    document, report = traffic_document(
-        descriptors, schemes=tuple(args.schemes), length=args.length,
-        seed=args.seed, **_run_kwargs(args),
-    )
-    print()
-    for label in sorted(document["results"]):
-        for scheme, row in document["results"][label].items():
-            print(f"  {label:28s} {scheme:14s} ipc={row['ipc']:.3f} "
-                  f"nvm_writes={row['nvm_writes']}")
-    print(f"orchestration: {report.summary()}")
-    if args.json:
-        with open(args.json, "w") as f:
-            f.write(traffic_document_to_json(document))
-        print(f"wrote traffic bench document to {args.json}")
-    return 0
-
-
-def cmd_traffic_ingest(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.trafficgen.ingest import STORE_ENV, TraceFormatError, TraceStore
-
-    store = TraceStore(args.store)
-    if args.store:
-        # Pool workers resolve trace digests through the environment;
-        # an explicit --store must reach them too.
-        os.environ[STORE_ENV] = str(store.root)
-    try:
-        descriptor = store.ingest(
-            args.file, fmt=args.format, name=args.name,
-            footprint=args.footprint, base=0,
-        )
-    except TraceFormatError as exc:
-        print(f"trace rejected: {exc}", file=sys.stderr)
-        return 1
-    print(f"ingested {args.file} ({args.format}): "
-          f"{descriptor['records']} reference(s) -> "
-          f"{store.trace_path(descriptor['digest'])}")
-    return _traffic_bench(args, [descriptor])
-
-
-def _parse_tenant(text: str) -> dict:
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise SystemExit(
-            f"bad --tenant {text!r} (want name:profile[:weight])"
-        )
-    tenant = {"name": parts[0], "profile": parts[1]}
-    if len(parts) == 3:
-        try:
-            tenant["weight"] = float(parts[2])
-        except ValueError:
-            raise SystemExit(f"bad --tenant weight in {text!r}") from None
-    return tenant
-
-
-def cmd_traffic_interleave(args: argparse.Namespace) -> int:
-    from repro.trafficgen.descriptor import (
-        descriptor_label,
-        interleave_descriptor,
-    )
-    from repro.trafficgen.interleave import interleave_attribution
-
-    try:
-        descriptor = interleave_descriptor(
-            [_parse_tenant(t) for t in args.tenant],
-            policy=args.policy, burst=args.burst,
-        )
-    except ValueError as exc:
-        print(f"bad interleave: {exc}", file=sys.stderr)
-        return 1
-    attribution = interleave_attribution(descriptor, args.length, args.seed)
-    print(f"interleave {descriptor_label(descriptor)}: "
-          f"{len(descriptor['tenants'])} tenant(s), policy {args.policy}")
-    for name, row in attribution["tenants"].items():
-        low, high = row["range"]
-        print(f"  {name:12s} weight={row['weight']:<5g} "
-              f"share={row['share']:<7g} refs={row['references']:<7d} "
-              f"writes={row['writes']:<6d} lines={row['distinct_lines']:<6d} "
-              f"range=[{low:#x},{high:#x})")
-    return _traffic_bench(args, [descriptor])
-
-
-def cmd_traffic_catalog(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.trafficgen.ace import MAX_K, enumeration_stats
-    from repro.trafficgen.descriptor import DESCRIPTOR_KINDS, SCHEMA_VERSION
-    from repro.trafficgen.ingest import TraceStore
-
-    store = TraceStore(args.store)
-    entries = store.catalog()
-    if args.json:
-        print(json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "descriptor_kinds": list(DESCRIPTOR_KINDS),
-                "ace": [enumeration_stats(k) for k in range(1, MAX_K + 1)],
-                "store": {"root": str(store.root), "traces": entries},
-            },
-            indent=2, sort_keys=True,
-        ))
-        return 0
-    print(f"workload descriptor schema v{SCHEMA_VERSION}; "
-          f"kinds: {', '.join(DESCRIPTOR_KINDS)}")
-    print("\nace enumeration bounds:")
-    print(f"  {'k':>2} {'raw':>10} {'canonical':>10} {'dedup':>7}")
-    for k in range(1, MAX_K + 1):
-        stats = enumeration_stats(k)
-        print(f"  {k:>2} {stats['raw_workloads']:>10} "
-              f"{stats['canonical_workloads']:>10} "
-              f"{stats['dedup_ratio']:>6}x")
-    print(f"\ntrace store at {store.root}: {len(entries)} trace(s)")
-    for meta in entries:
-        print(f"  {meta['digest'][:12]}  {meta['name']:24s} "
-              f"{meta['records']:>9d} refs  ({meta['source']})")
     return 0
 
 
@@ -1123,26 +998,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     traffic = sub.add_parser(
         "traffic",
-        help="the workload frontier: ace enumeration, trace ingestion, "
-             "multi-tenant interleaving",
+        help="bounded exhaustive workloads for the crash explorer",
     )
     tsub = traffic.add_subparsers(dest="traffic_command", required=True)
-
-    def add_bench_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--run", action="store_true",
-                       help="run the workload on --schemes and print the "
-                            "traffic bench results")
-        p.add_argument("--schemes", nargs="+", metavar="S",
-                       choices=sorted(SCHEMES),
-                       default=["no_cc", "sc", "osiris_plus", "ccnvm_no_ds",
-                                "ccnvm"],
-                       help="designs for --run (default: the Figure-5 five)")
-        p.add_argument("--length", type=int, default=20000,
-                       help="references per run (default 20000)")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--json", metavar="FILE", default=None,
-                       help="write the traffic bench document to FILE")
-        add_run_options(p)
 
     tace = tsub.add_parser(
         "ace",
@@ -1165,45 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the campaign summary document to FILE")
     add_run_options(tace)
     tace.set_defaults(func=cmd_traffic_ace)
-
-    tingest = tsub.add_parser(
-        "ingest", help="validate + normalize an external trace into the store"
-    )
-    tingest.add_argument("file", help="trace file (CSV/JSONL/Lackey)")
-    tingest.add_argument("--format", choices=["csv", "jsonl", "lackey"],
-                         default="csv")
-    tingest.add_argument("--name", default=None,
-                         help="workload name (default: the file stem)")
-    tingest.add_argument("--store", default=None, metavar="DIR",
-                         help="trace store root (default .repro-traffic or "
-                              "$CCNVM_TRAFFIC_STORE)")
-    tingest.add_argument("--footprint", type=int, default=16 << 20,
-                         help="footprint addresses are folded into "
-                              "(default 16 MiB)")
-    add_bench_options(tingest)
-    tingest.set_defaults(func=cmd_traffic_ingest)
-
-    tinterleave = tsub.add_parser(
-        "interleave", help="merge N tenant streams over one memory system"
-    )
-    tinterleave.add_argument("--tenant", action="append", required=True,
-                             metavar="NAME:PROFILE[:WEIGHT]",
-                             help="one tenant (repeat; at least 2)")
-    tinterleave.add_argument("--policy",
-                             choices=["round_robin", "weighted", "bursty"],
-                             default="round_robin")
-    tinterleave.add_argument("--burst", type=int, default=8,
-                             help="max burst length for --policy bursty")
-    add_bench_options(tinterleave)
-    tinterleave.set_defaults(func=cmd_traffic_interleave)
-
-    tcatalog = tsub.add_parser(
-        "catalog", help="descriptor schema, ace bounds and stored traces"
-    )
-    tcatalog.add_argument("--store", default=None, metavar="DIR")
-    tcatalog.add_argument("--json", action="store_true",
-                          help="emit the machine-readable catalog")
-    tcatalog.set_defaults(func=cmd_traffic_catalog)
 
     lint = sub.add_parser("lint", help="persistence-domain static analysis")
     lint.add_argument("--root", default=None, metavar="DIR",

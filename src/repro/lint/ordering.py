@@ -73,13 +73,9 @@ DEFAULT_DETERMINISTIC_ENTRIES = (
     "runs/pool.py::_execute_",
     "crashsim/enumerate.py::CrashState.image_hash",
     "crashsim/enumerate.py::canonical_value",
-    # The workload frontier: descriptors are folded into spec hashes and
-    # traces are content-addressed, so every generator path must be
-    # seeded-Random-only and serialize with sorted keys.
-    "trafficgen/descriptor.py::",
+    # ACE profile names are crash-campaign spec workloads, so their
+    # enumeration must be deterministic.
     "trafficgen/ace.py::",
-    "trafficgen/ingest.py::",
-    "trafficgen/interleave.py::",
 )
 
 #: Consumers that are insensitive to iteration order: a generator over

@@ -81,16 +81,9 @@ def _execute_simulation(spec: RunSpec):
             sample_every=obs_params.get("sample_every", 0),
         )
 
-    descriptor = spec.params.get("workload")
-    if descriptor is not None:
-        from repro.trafficgen.descriptor import build_trace
-
-        trace = build_trace(descriptor, spec.length, spec.seed)
-    else:
-        trace = spec_trace(spec.workload, spec.length, spec.seed)
     result = run_simulation(
         spec.scheme,
-        trace,
+        spec_trace(spec.workload, spec.length, spec.seed),
         spec.system_config(),
         data_capacity=spec.params.get("data_capacity"),
         seed=spec.scheme_seed,

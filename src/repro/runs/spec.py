@@ -166,9 +166,11 @@ def simulation_spec(
     warmup: float = 0.0,
     data_capacity: int | None = None,
     obs: Mapping | None = None,
-    workload_descriptor: Mapping | None = None,
 ) -> RunSpec:
     """Spec for one :func:`repro.sim.runner.run_simulation` cell.
+
+    The worker builds the trace with :func:`repro.workloads.spec.spec_trace`
+    from *workload* (a Figure-5 surrogate name), *length* and *seed*.
 
     *obs*, when given, asks the worker to run under an
     :class:`repro.obs.ObsSession` and attach the folded observability
@@ -176,26 +178,10 @@ def simulation_spec(
     ``"obs"`` key.  Its knobs (``capacity``, ``sample_every``) are part
     of the spec hash, so obs-enabled runs cache separately from plain
     ones — the plain headline payload stays byte-identical.
-
-    *workload_descriptor*, when given, is a trafficgen workload
-    descriptor (see :mod:`repro.trafficgen.descriptor`): it is
-    canonicalized into ``params["workload"]`` — and therefore into the
-    spec hash — and the worker materializes the trace from it instead
-    of from a named Figure-5 surrogate.  *workload* may then be left
-    empty; it defaults to the descriptor's short content label.
     """
     params = {} if data_capacity is None else {"data_capacity": data_capacity}
     if obs is not None:
         params["obs"] = dict(obs)
-    if workload_descriptor is not None:
-        from repro.trafficgen.descriptor import (
-            descriptor_label,
-            validate_descriptor,
-        )
-
-        canonical = validate_descriptor(workload_descriptor)
-        params["workload"] = canonical
-        workload = workload or descriptor_label(canonical)
     return RunSpec(
         kind="simulation",
         scheme=scheme,

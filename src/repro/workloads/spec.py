@@ -25,7 +25,6 @@ overhead-free) are reproduced; per-benchmark absolute IPC is not a target
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.sim.trace import Trace
 from repro.workloads import synthetic
@@ -49,14 +48,13 @@ class SpecProfile:
     hot_probability: float = 0.9
     description: str = ""
 
-    def generate(self, length: int, seed: int = 0, base: int = 0) -> Trace:
+    def generate(self, length: int, seed: int = 0) -> Trace:
         """Build a *length*-reference trace for this profile."""
         common = dict(
             length=length,
             footprint=self.footprint,
             write_ratio=self.write_ratio,
             mem_gap=self.mem_gap,
-            base=base,
             seed=seed,
             name=self.name,
         )
@@ -172,55 +170,6 @@ SPEC_ORDER = [
     "milc",
     "namd",
 ]
-
-
-def workload_to_dict(profile: SpecProfile) -> dict:
-    """The one canonical dict image of a workload profile.
-
-    Every field that influences the generated trace is present, in a
-    fixed shape — this is what the trafficgen workload descriptor embeds
-    (and therefore what the spec hash covers), so it must stay stable:
-    adding a generator knob means adding a field with a default that
-    reproduces today's behaviour.
-    """
-    return {
-        "name": profile.name,
-        "pattern": profile.pattern,
-        "footprint": profile.footprint,
-        "write_ratio": profile.write_ratio,
-        "mem_gap": profile.mem_gap,
-        "stride": profile.stride,
-        "hot_fraction": profile.hot_fraction,
-        "hot_probability": profile.hot_probability,
-    }
-
-
-def workload_from_dict(data: Mapping) -> SpecProfile:
-    """Rebuild a :class:`SpecProfile` from :func:`workload_to_dict` output.
-
-    The round trip is exact for every field :func:`workload_to_dict`
-    emits (``description`` is presentation-only and not part of the
-    recipe).  Unknown keys are rejected rather than ignored, so a
-    descriptor written by a newer schema fails loudly here instead of
-    silently generating a different trace.
-    """
-    allowed = {
-        "name",
-        "pattern",
-        "footprint",
-        "write_ratio",
-        "mem_gap",
-        "stride",
-        "hot_fraction",
-        "hot_probability",
-    }
-    extra = sorted(set(data) - allowed)
-    if extra:
-        raise ValueError(f"unknown workload fields {extra}")
-    missing = sorted(k for k in ("name", "pattern", "footprint") if k not in data)
-    if missing:
-        raise ValueError(f"workload dict is missing required fields {missing}")
-    return SpecProfile(**dict(data))
 
 
 def spec_trace(name: str, length: int, seed: int = 0) -> Trace:

@@ -179,15 +179,3 @@ def pointer_chase(
         position = (position + 1) % len(lines)
     return Trace(name, records)
 
-
-def interleave(name: str, *traces: Trace, seed: int = 0) -> Trace:
-    """Randomly interleave several traces into one (phase mixing)."""
-    rng = random.Random(f"interleave-{seed}")
-    sources = [list(t.records) for t in traces if len(t)]
-    merged: list[TraceRecord] = []
-    while sources:
-        source = rng.choice(sources)
-        merged.append(source.pop(0))
-        if not source:
-            sources.remove(source)
-    return Trace(name, merged)

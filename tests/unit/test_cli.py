@@ -261,6 +261,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "campaign FAILED: no grid cell ran" in out
 
+    @pytest.mark.parametrize("flag", [
+        ["--k", "0"], ["--k", "7"], ["--k", "1", "--campaign", "--spot", "-1"],
+    ])
+    def test_traffic_ace_rejects_bad_arguments(self, capsys, flag):
+        assert main(["traffic", "ace", "--quiet", "--no-cache", *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro traffic ace: ") and "must be" in err
+
+    def test_traffic_ace_campaign_gate(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "traffic", "ace", "--k", "2", "--campaign", "--schemes", "ccnvm",
+            "--no-cache", "--quiet",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "ace campaign ok" in out
+
     def test_lint_runs_clean_on_repo(self, capsys, monkeypatch):
         import repro
 

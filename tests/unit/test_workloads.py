@@ -94,20 +94,6 @@ class TestPatternShapes:
         trace = synthetic.pointer_chase(length=lines, footprint=lines * 64)
         assert len({r.addr for r in trace}) == lines
 
-    def test_interleave_preserves_records(self):
-        a = synthetic.sequential_stream(length=10, footprint=1 << 12, name="a")
-        b = synthetic.random_uniform(length=5, footprint=1 << 12, name="b")
-        merged = synthetic.interleave("m", a, b, seed=0)
-        assert len(merged) == 15
-        assert sorted(r.addr for r in merged) == sorted(
-            [r.addr for r in a] + [r.addr for r in b]
-        )
-
-    def test_interleave_keeps_relative_order(self):
-        a = synthetic.sequential_stream(length=6, footprint=1 << 12, name="a")
-        merged = synthetic.interleave("m", a, seed=0)
-        assert [r.addr for r in merged] == [r.addr for r in a]
-
 
 class TestSpecProfiles:
     def test_all_eight_benchmarks_present(self):
