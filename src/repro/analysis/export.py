@@ -18,20 +18,37 @@ from repro.core.schemes import SCHEME_LABELS
 from repro.sim.runner import SimulationResult
 
 
+#: Field names of :class:`SimulationResult`, in declaration order.
+_RESULT_FIELDS = tuple(f.name for f in fields(SimulationResult))
+
+
 def result_to_dict(result: SimulationResult) -> dict:
     """Flatten a :class:`SimulationResult` into a JSON-able dict.
 
     This is the serialization shared by the run cache, the run journal
     and the ``BENCH_fig5.json`` artifact, so it must (and does) survive
     an exact round-trip through :func:`result_from_dict`.
+
+    Equal to ``dataclasses.asdict(result)``, built from the known field
+    shapes instead of asdict's generic recursive deep copy:
+    ``writes_by_region`` and ``drains_by_trigger`` map names to ints, and
+    ``stats`` maps names to numbers or one-level distribution summaries
+    (``StatGroup.as_dict``).  Every dict is copied, so mutating the
+    returned dict never reaches *result*.
     """
-    return asdict(result)
+    data = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    data["writes_by_region"] = dict(result.writes_by_region)
+    data["drains_by_trigger"] = dict(result.drains_by_trigger)
+    data["stats"] = {
+        key: dict(value) if type(value) is dict else value
+        for key, value in result.stats.items()
+    }
+    return data
 
 
 def result_from_dict(data: dict) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` from :func:`result_to_dict`."""
-    known = {f.name for f in fields(SimulationResult)}
-    unknown = set(data) - known
+    unknown = set(data).difference(_RESULT_FIELDS)
     if unknown:
         raise ValueError(f"unknown SimulationResult fields: {sorted(unknown)}")
     return SimulationResult(**data)
@@ -117,15 +134,11 @@ def fig5_bench_from_json(text: str) -> dict:
         workload: DesignComparison(workload=workload, results=cells)
         for workload, cells in results.items()
     }
+    ipc = ipc_table(comparisons)
+    writes = write_traffic_table(comparisons)
     derived = {
-        "fig5a_ipc": {
-            "rows": ipc_table(comparisons).rows,
-            "averages": ipc_table(comparisons).averages(),
-        },
-        "fig5b_writes": {
-            "rows": write_traffic_table(comparisons).rows,
-            "averages": write_traffic_table(comparisons).averages(),
-        },
+        "fig5a_ipc": {"rows": ipc.rows, "averages": ipc.averages()},
+        "fig5b_writes": {"rows": writes.rows, "averages": writes.averages()},
         "headline": asdict(headline_numbers(comparisons)),
     }
     for key, expect in derived.items():

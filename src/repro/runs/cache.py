@@ -140,9 +140,11 @@ class ResultCache:
     def get(self, spec: RunSpec):
         """The cached payload for *spec*, or ``None`` on a miss.
 
-        A hit requires the entry to exist, parse, and carry the current
-        format version and fingerprint; anything less is a miss (and an
-        unreadable entry is removed rather than trusted).
+        A hit requires the entry to exist, parse, carry the current
+        format version and fingerprint, and name *spec*'s own hash;
+        anything less is a miss.  An unreadable entry, or one filed under
+        another spec's hash (misplaced or copied), is removed rather than
+        trusted.
         """
         path = self.path_for(spec)
         try:
@@ -151,20 +153,27 @@ class ResultCache:
             self.misses += 1
             return None
         except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+            return self._discard(path)
         if (
             envelope.get("format") != CACHE_FORMAT
             or envelope.get("fingerprint") != self.fingerprint
         ):
             self.misses += 1
             return None
+        # The file is named by the spec hash; an envelope recording
+        # another spec's hash was misplaced or copied there.
+        if envelope.get("spec_hash") != path.stem:
+            return self._discard(path)
         self.hits += 1
         return envelope["payload"]
+
+    def _discard(self, path: Path) -> None:
+        """Count a miss and remove the corrupt entry at *path*."""
+        self.misses += 1
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
     def put(self, spec: RunSpec, payload) -> Path:
         """Store *payload* for *spec* (atomically) and return its path."""

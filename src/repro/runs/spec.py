@@ -98,6 +98,12 @@ class RunSpec:
       paper-default :class:`SystemConfig`.
     * ``params`` — kind-specific knobs (cell mode, shard, recovery site,
       steps, data capacity ...); folded into the hash like everything else.
+
+    The spec hash is computed once, in ``__post_init__``, and memoized:
+    the dataclass is frozen, ``__post_init__`` replaces ``config`` and
+    ``params`` with normalized copies, and nothing mutates them (or
+    their nested dicts) afterwards, so the hash cannot go stale.  Code
+    that wants a different spec builds a new one.
     """
 
     kind: str = "simulation"
@@ -115,6 +121,11 @@ class RunSpec:
             raise ValueError(f"unknown run kind {self.kind!r}; choose from {RUN_KINDS}")
         object.__setattr__(self, "config", _normalize_config(self.config))
         object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(
+            self,
+            "_spec_hash",
+            hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest(),
+        )
 
     def to_dict(self) -> dict:
         """Plain-dict image — the canonical JSON of this is what is hashed."""
@@ -136,7 +147,7 @@ class RunSpec:
 
     def spec_hash(self) -> str:
         """Deterministic content hash of the spec (sha256 of canonical JSON)."""
-        return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
+        return self._spec_hash
 
     def describe(self) -> str:
         """A short human label for progress lines and journals."""

@@ -105,6 +105,24 @@ class TestResultRoundTrip:
         clone = result_from_dict(result_to_dict(result))
         assert clone == result
 
+    def test_dict_equals_asdict_of_a_real_cell_and_is_a_copy(self):
+        import dataclasses
+
+        from repro.analysis.export import result_to_dict
+        from repro.sim.runner import run_simulation
+        from repro.workloads.spec import spec_trace
+
+        result = run_simulation("ccnvm", spec_trace("gcc", 300, 1))
+        pristine = dataclasses.asdict(result)
+        data = result_to_dict(result)
+        assert data == pristine
+        assert any(isinstance(v, dict) for v in data["stats"].values())
+        data["stats"]["injected"] = 1
+        next(v for v in data["stats"].values() if isinstance(v, dict))["n"] = -1
+        data["writes_by_region"]["data"] = -1
+        data["drains_by_trigger"]["flush"] = -1
+        assert dataclasses.asdict(result) == pristine
+
     def test_json_round_trip_is_exact_and_stable(self):
         from repro.analysis.export import result_from_json, result_to_json
 

@@ -41,6 +41,17 @@ class TestStore:
         assert cache.get(SPEC) is None
         assert not path.exists()
 
+    def test_entry_filed_under_another_spec_is_a_miss_and_removed(self, tmp_path):
+        cache = make_cache(tmp_path)
+        other = simulation_spec("sc", "lbm", 1000, 1)
+        source = cache.put(SPEC, {"x": 1})
+        target = cache.path_for(other)
+        target.write_bytes(source.read_bytes())
+        assert cache.get(other) is None
+        assert cache.misses == 1
+        assert not target.exists()
+        assert cache.get(SPEC) == {"x": 1}
+
     def test_real_fingerprint_is_stable_within_a_process(self):
         assert code_fingerprint() == code_fingerprint()
         assert len(code_fingerprint()) == 16

@@ -57,6 +57,38 @@ class TestSpecHash:
         assert clone == spec
         assert clone.spec_hash() == spec.spec_hash()
 
+    def test_pinned_hashes(self):
+        # Computed before the hash was memoized; cache addresses and
+        # journal keys depend on these never moving.
+        from repro.crashsim import CrashCampaignConfig, campaign_specs
+
+        assert simulation_spec("ccnvm", "lbm", 4000, 1).spec_hash() == (
+            "1960d141c16b5503521966a9dd1c6f7002490a8ed103af0f8b2e2fd406e4b6c6"
+        )
+        campaign = campaign_specs(CrashCampaignConfig(seed=1, profiles=("hotset",)))
+        assert campaign[0].spec_hash() == (
+            "4ac5335961a3b5b98c8ecc8fe721d429f3ccf5bf7ba756c7a3a1d7652508fbc9"
+        )
+
+    def test_memoized_hash_matches_a_fresh_digest(self):
+        import hashlib
+
+        from repro.analysis.experiments import FIGURE5_DESIGNS
+        from repro.crashsim import CrashCampaignConfig, campaign_specs
+        from repro.workloads.spec import SPEC_ORDER
+
+        fig5 = [
+            simulation_spec(scheme, name, 3000, 1)
+            for name in SPEC_ORDER
+            for scheme in FIGURE5_DESIGNS
+        ]
+        campaign = campaign_specs(CrashCampaignConfig(seed=1, profiles=("hotset",)))
+        assert (len(fig5), len(campaign)) == (40, 24)
+        for spec in fig5 + campaign:
+            fresh = hashlib.sha256(canonical_json(spec.to_dict()).encode()).hexdigest()
+            assert spec.spec_hash() == fresh
+            assert RunSpec.from_dict(spec.to_dict()).spec_hash() == fresh
+
     def test_canonical_json_is_order_insensitive(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
 
