@@ -152,15 +152,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    session = None
-    if args.report or args.stats_json:
-        # The session keeps a handle on the built system, which is how
-        # the live stat tree stays reachable after the run.
-        from repro.obs import ObsSession
-
-        session = ObsSession()
     trace = spec_trace(args.workload, args.length, args.seed)
-    result = run_simulation(args.scheme, trace, obs=session)
+    result = run_simulation(args.scheme, trace)
     print(f"{result.label} on {result.workload}: "
           f"{result.instructions} instructions, {result.cycles} cycles, "
           f"IPC {result.ipc:.4f}")
@@ -171,135 +164,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"  HMAC computations: {result.counter_hmacs} counter, "
           f"{result.data_hmacs} data")
     if args.report:
+        from repro.common.stats import render_report
+
         print()
-        print(session.system.scheme.stats.report())
+        print(render_report(result.stats))
     if args.stats_json:
         import json
 
         with open(args.stats_json, "w") as f:
-            json.dump(session.system.scheme.stats.as_dict(), f,
-                      indent=2, sort_keys=True)
+            json.dump(result.stats, f, indent=2, sort_keys=True)
             f.write("\n")
         print(f"wrote statistics JSON to {args.stats_json}")
-    return 0
-
-
-def _obs_session(args: argparse.Namespace, sample_every: int = 0):
-    from repro.obs import DEFAULT_CAPACITY, ObsSession
-
-    return ObsSession(
-        capacity=args.capacity or DEFAULT_CAPACITY, sample_every=sample_every
-    )
-
-
-def cmd_obs_trace(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.export import events_to_trace, validate_trace, write_chrome_trace
-
-    session = _obs_session(args)
-    trace = spec_trace(args.workload, args.length, args.seed)
-    result = run_simulation(args.scheme, trace, obs=session)
-    chrome = events_to_trace(
-        session.bus.events(),
-        process_name=f"repro:{args.scheme}",
-        thread_name=args.workload,
-    )
-    problems = validate_trace(chrome)
-    print(f"{result.label} on {result.workload}: {len(session.bus)} event(s), "
-          f"{session.bus.dropped} dropped, "
-          f"{'valid' if not problems else 'INVALID'} trace")
-    for problem in problems[:10]:
-        print(f"  {problem}")
-    if args.out:
-        write_chrome_trace(args.out, chrome)
-        print(f"wrote Chrome trace_event JSON to {args.out} "
-              f"(open in ui.perfetto.dev or chrome://tracing)")
-    else:
-        print(json.dumps(chrome, indent=None, separators=(",", ":")))
-    return 0 if not problems else 1
-
-
-def cmd_obs_timeline(args: argparse.Namespace) -> int:
-    from repro.analysis.export import result_from_dict
-    from repro.obs import DEFAULT_CAPACITY
-    from repro.obs.export import obs_headline_to_json, write_json
-    from repro.obs.timeline import TimelineSummary, render_table
-    from repro.runs import orchestrate
-    from repro.runs.spec import simulation_spec
-
-    obs_params = {"capacity": args.capacity or DEFAULT_CAPACITY, "timeline": True}
-    specs = [
-        simulation_spec(
-            scheme, args.workload, args.length, args.seed, obs=obs_params
-        )
-        for scheme in args.schemes
-    ]
-    print(f"obs timeline: {args.workload} x {len(specs)} design(s), "
-          f"{args.length} refs (jobs={args.jobs}, "
-          f"cache={'off' if args.no_cache else 'on'})")
-    report = orchestrate(
-        "obs-timeline",
-        specs,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        timeout=args.timeout,
-        progress=_progress_printer(args),
-    )
-    report.raise_on_failure()
-    summaries = []
-    for spec in specs:
-        payload = dict(report.payload(spec))
-        obs_payload = payload.pop("obs")
-        result_from_dict(payload)  # round-trip check: payload stays rebuildable
-        summaries.append(TimelineSummary.from_dict(obs_payload["timeline"]))
-    print()
-    print(render_table(summaries))
-    print()
-    print(f"orchestration: {report.summary()}")
-    if args.json:
-        write_json(
-            args.json,
-            obs_headline_to_json(
-                [s.as_dict() for s in summaries], args.workload, args.length
-            ),
-        )
-        print(f"wrote obs headline artifact to {args.json}")
-    low = [
-        s.scheme
-        for s in summaries
-        if s.cycle_coverage < 0.95 or s.write_coverage < 0.95
-    ]
-    if low:
-        print(f"attribution below 95% for: {', '.join(low)}")
-        return 1
-    return 0
-
-
-def cmd_obs_sample(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.export import series_to_csv, series_to_json
-
-    session = _obs_session(args, sample_every=args.every)
-    trace = spec_trace(args.workload, args.length, args.seed)
-    result = run_simulation(args.scheme, trace, obs=session)
-    samples = session.samples()
-    print(f"{result.label} on {result.workload}: {len(samples)} sample(s) "
-          f"every {args.every} cycles "
-          f"({session.sampler.dropped} dropped)")
-    if args.json:
-        text = json.dumps(
-            series_to_json(samples, every=args.every), indent=2, sort_keys=True
-        ) + "\n"
-    else:
-        text = series_to_csv(samples)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-        print(f"wrote time-series to {args.out}")
-    else:
-        print(text, end="")
     return 0
 
 
@@ -826,55 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--stats-json", metavar="FILE", default=None,
                           help="write the statistics tree as JSON to FILE")
     simulate.set_defaults(func=cmd_simulate)
-
-    obs = sub.add_parser(
-        "obs", help="observability: event traces, timelines, time-series"
-    )
-    osub = obs.add_subparsers(dest="obs_command", required=True)
-
-    def add_obs_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--length", type=int, default=4000)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--capacity", type=int, default=None, metavar="N",
-                       help="event ring-buffer budget (default 1M events); "
-                            "oldest events are dropped beyond it")
-
-    otrace = osub.add_parser(
-        "trace", help="capture one run's event stream as a Chrome/Perfetto trace"
-    )
-    otrace.add_argument("workload", choices=SPEC_ORDER)
-    otrace.add_argument("--scheme", default="ccnvm", choices=sorted(SCHEME_LABELS))
-    add_obs_options(otrace)
-    otrace.add_argument("--out", metavar="FILE", default=None,
-                        help="write trace_event JSON to FILE (default stdout)")
-    otrace.set_defaults(func=cmd_obs_trace)
-
-    otimeline = osub.add_parser(
-        "timeline", help="per-phase cycle/NVM-write attribution across designs"
-    )
-    otimeline.add_argument("workload", choices=SPEC_ORDER)
-    otimeline.add_argument("--schemes", nargs="+", metavar="SCHEME",
-                           choices=sorted(SCHEME_LABELS),
-                           default=list(SCHEME_LABELS))
-    add_obs_options(otimeline)
-    otimeline.add_argument("--json", metavar="FILE", default=None,
-                           help="write the BENCH_obs_headline.json artifact")
-    add_run_options(otimeline)
-    otimeline.set_defaults(func=cmd_obs_timeline)
-
-    osample = osub.add_parser(
-        "sample", help="interval-sampled stat deltas as a time-series"
-    )
-    osample.add_argument("workload", choices=SPEC_ORDER)
-    osample.add_argument("--scheme", default="ccnvm", choices=sorted(SCHEME_LABELS))
-    osample.add_argument("--every", type=int, default=1000, metavar="K",
-                         help="sampling interval in cycles (default 1000)")
-    add_obs_options(osample)
-    osample.add_argument("--out", metavar="FILE", default=None,
-                         help="write the series to FILE (default stdout)")
-    osample.add_argument("--json", action="store_true",
-                         help="emit the JSON series instead of CSV")
-    osample.set_defaults(func=cmd_obs_sample)
 
     sub.add_parser("demo", help="crash/attack/recovery walk-through").set_defaults(
         func=cmd_demo

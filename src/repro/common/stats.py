@@ -17,7 +17,7 @@ report is requested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Mapping
 
 
 class Counter:
@@ -214,20 +214,21 @@ class StatGroup:
                 result[path] = stat.as_dict()
         return result
 
-    def report(self) -> str:
-        """Human-readable, gem5-style stat dump for this subtree."""
-        lines = []
-        for path, stat in sorted(self.walk()):
-            if isinstance(stat, Counter):
-                lines.append(f"{path:<60} {stat.value}")
-            elif stat.count == 0:
-                lines.append(f"{path:<60} n=0")
-            else:
-                lines.append(
-                    f"{path:<60} n={stat.count} mean={stat.mean:.4f}"
-                    f" min={stat.min:g} max={stat.max:g}"
-                    f" p50={stat.percentile(50):g}"
-                    f" p95={stat.percentile(95):g}"
-                    f" p99={stat.percentile(99):g}"
-                )
-        return "\n".join(lines)
+
+def render_report(stats: Mapping[str, float | Mapping[str, float]]) -> str:
+    """Human-readable, gem5-style dump of a flat :meth:`StatGroup.as_dict`."""
+    lines = []
+    for path, value in sorted(stats.items()):
+        if not isinstance(value, Mapping):
+            lines.append(f"{path:<60} {value}")
+        elif value["n"] == 0:
+            lines.append(f"{path:<60} n=0")
+        else:
+            lines.append(
+                f"{path:<60} n={value['n']} mean={value['mean']:.4f}"
+                f" min={value['min']:g} max={value['max']:g}"
+                f" p50={value['p50']:g}"
+                f" p95={value['p95']:g}"
+                f" p99={value['p99']:g}"
+            )
+    return "\n".join(lines)

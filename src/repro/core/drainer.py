@@ -45,7 +45,7 @@ class DrainTrigger(Enum):
 
 
 @persistence(
-    volatile=("_queue", "_writebacks_this_epoch", "obs"),
+    volatile=("_queue", "_writebacks_this_epoch"),
     aka=("queue",),
 )
 class DirtyAddressQueue:
@@ -59,9 +59,6 @@ class DirtyAddressQueue:
         #: Optional fault-injection callback (see :mod:`repro.faults`):
         #: called with a dotted site name at instrumented micro-steps.
         self.fault_hook = None
-        #: Optional observability bus (see :mod:`repro.obs`): epoch
-        #: commits are emitted as instants when set.
-        self.obs = None
         self._stats = stats if stats is not None else StatGroup("drainer")
         self._writebacks_this_epoch = 0
         self._drains = {
@@ -138,16 +135,6 @@ class DirtyAddressQueue:
         self._drains[trigger].inc()
         self._epoch_writebacks.sample(self._writebacks_this_epoch)
         self._epoch_lines.sample(len(addrs))
-        if self.obs is not None:
-            self.obs.instant(
-                "epoch.commit",
-                "epoch",
-                {
-                    "trigger": trigger.value,
-                    "writebacks": self._writebacks_this_epoch,
-                    "lines": len(addrs),
-                },
-            )
         self._queue.clear()
         self._writebacks_this_epoch = 0
         return addrs

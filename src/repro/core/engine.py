@@ -61,10 +61,6 @@ class EncryptionEngine:
         self._writebacks = self._stats.counter("data_writebacks")
         self._fills = self._stats.counter("data_fills")
         self._reencryptions = self._stats.counter("page_reencryptions")
-        #: Optional observability bus (see :mod:`repro.obs`): data-path
-        #: crypto work (encrypt+HMAC writebacks, verified fills, page
-        #: re-encryptions) is emitted as instants when set.
-        self.obs = None
 
     @property
     def stats(self) -> StatGroup:
@@ -94,8 +90,6 @@ class EncryptionEngine:
         self.wpq.write_partial(hmac_line, offset, code)
         self.wpq.end_combined()
         self._writebacks.inc()
-        if self.obs is not None:
-            self.obs.instant("engine.writeback", "engine", {"addr": addr})
 
     # -- fill path ----------------------------------------------------------------------
 
@@ -120,10 +114,6 @@ class EncryptionEngine:
                     f"(counter {major}.{minor})"
                 )
         self._fills.inc()
-        if self.obs is not None:
-            self.obs.instant(
-                "engine.fill", "engine", {"addr": addr, "verified": verify}
-            )
         return self.cipher.decrypt(ciphertext, addr, major, minor)
 
     # -- split-counter overflow ------------------------------------------------------------
@@ -163,10 +153,4 @@ class EncryptionEngine:
             self.wpq.end_combined()
             rewritten += 1
         self._reencryptions.inc()
-        if self.obs is not None:
-            self.obs.instant(
-                "engine.reencrypt_page",
-                "engine",
-                {"page": page_addr, "blocks": rewritten},
-            )
         return rewritten

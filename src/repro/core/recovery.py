@@ -124,7 +124,6 @@ class RecoveryManager:
         policy: RecoveryPolicy,
         scheme_name: str,
         fault_hook=None,
-        obs=None,
     ) -> None:
         self.nvm = nvm
         self.layout = nvm.layout
@@ -138,24 +137,10 @@ class RecoveryManager:
         #: lets campaigns crash recovery itself mid-run, exercising the
         #: restartable (crash-during-recovery) path.
         self.fault_hook = fault_hook
-        #: Optional observability bus (see :mod:`repro.obs`).  Recovery is
-        #: not cycle-modeled, so its phase spans advance the bus clock by
-        #: one pseudo-cycle per phase boundary to stay ordered.
-        self.obs = obs
 
     def _fault(self, site: str) -> None:
         if self.fault_hook is not None:
             self.fault_hook(site)
-
-    def _obs_begin(self, phase: str) -> None:
-        if self.obs is not None:
-            self.obs.advance(1)
-            self.obs.begin(f"recovery.{phase}", "recovery")
-
-    def _obs_end(self, phase: str, args: dict | None = None) -> None:
-        if self.obs is not None:
-            self.obs.advance(1)
-            self.obs.end(f"recovery.{phase}", "recovery", args)
 
     # -- image access helpers (peek/poke: recovery is not runtime traffic) ------
 
@@ -385,7 +370,6 @@ class RecoveryManager:
         remaining steps are idempotent.
         """
         report = RecoveryReport(scheme=self.scheme_name, nwb=self.tcb.nwb)
-        self._obs_begin("run")
         resumed = self.tcb.recovery_pending
         if resumed:
             report.notes.append(
@@ -395,21 +379,12 @@ class RecoveryManager:
             )
 
         if self.policy.check_tree_against and not resumed:
-            self._obs_begin("check_tree")
             self._check_tree(report)
-            self._obs_end("check_tree", {"matched_root": report.matched_root})
 
         self.tcb.begin_recovery()
-        self._obs_begin("counters")
         recovered, leaf_retries, rolled_leaves = self._recover_counters(report)
-        self._obs_end(
-            "counters",
-            {"retries": report.total_retries, "recovered": report.recovered_blocks},
-        )
         self._fault("recovery.after_counters")
-        self._obs_begin("rebuild")
         root = self._apply(recovered)
-        self._obs_end("rebuild")
 
         located_by_log = False
         if self.policy.use_counter_log and not resumed:
@@ -480,5 +455,4 @@ class RecoveryManager:
             and not report.potential_replay_detected
             and not any(f.kind == "tree_tampering" for f in report.findings)
         )
-        self._obs_end("run", {"success": report.success, "clean": report.clean})
         return report

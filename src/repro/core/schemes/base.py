@@ -126,10 +126,6 @@ class SecureNVMScheme(ABC):
         #: called with a dotted site name at instrumented micro-steps of
         #: the write-back / drain / recovery paths.
         self.fault_hook = None
-        #: Optional observability bus (see :mod:`repro.obs`); like
-        #: ``fault_hook``, components check it against ``None`` so the
-        #: disabled path stays zero-cost.
-        self.obs = None
         #: Cycle before which the scheme cannot accept new traffic
         #: (drains block subsequent evictions until finished).
         self.busy_until = 0
@@ -419,8 +415,6 @@ class SecureNVMScheme(ABC):
         queue is SRAM and is lost too).
         """
         self._crashes.inc()
-        if self.obs is not None:
-            self.obs.instant("scheme.crash", "scheme")
         self.wpq.power_failure()
         self.meta.crash()
         self.tcb.crash()

@@ -249,23 +249,10 @@ class CcNVM(SecureNVMScheme):
             return 0
         self._draining = True
         cycles = 0
-        if self.obs is not None:
-            self.obs.begin(
-                "epoch.drain",
-                "epoch",
-                {"trigger": trigger.value, "queued": len(addrs)},
-                ts=now,
-            )
 
         self._fault("drain.before_recompute")
         if self.deferred_spreading:
-            if self.obs is not None:
-                self.obs.begin("epoch.spread", "epoch", ts=now)
             cycles += self._spread_recorded(addrs)
-            if self.obs is not None:
-                self.obs.end(
-                    "epoch.spread", "epoch", {"cycles": cycles}, ts=now + cycles
-                )
         self._fault("drain.after_recompute")
 
         # start signal: metadata cachelines are blocked inside the WPQ.
@@ -306,13 +293,6 @@ class CcNVM(SecureNVMScheme):
 
         self._draining = False
         self._drain_cycles.sample(cycles)
-        if self.obs is not None:
-            self.obs.end(
-                "epoch.drain",
-                "epoch",
-                {"cycles": cycles, "lines": flushed},
-                ts=now + cycles,
-            )
         self.busy_until = max(self.busy_until, now + cycles)
         # The batch owns the WPQ end to end: nothing overlaps a drain.
         self.writeback_hard_cycles += cycles
@@ -389,7 +369,7 @@ class CcNVM(SecureNVMScheme):
         )
         return RecoveryManager(
             self.nvm, self.tcb, self.merkle, policy, self.name,
-            fault_hook=self.fault_hook, obs=self.obs,
+            fault_hook=self.fault_hook,
         ).run()
 
 

@@ -55,7 +55,7 @@ class WithoutCrashConsistency(SecureNVMScheme):
         )
         report = RecoveryManager(
             self.nvm, self.tcb, self.merkle, policy, self.name,
-            fault_hook=self.fault_hook, obs=self.obs,
+            fault_hook=self.fault_hook,
         ).run()
         report.notes.append(
             "w/o CC provides no crash consistency: recovery is best-effort "

@@ -98,7 +98,7 @@ class OsirisPlus(SecureNVMScheme):
         )
         report = RecoveryManager(
             self.nvm, self.tcb, self.merkle, policy, self.name,
-            fault_hook=self.fault_hook, obs=self.obs,
+            fault_hook=self.fault_hook,
         ).run()
         if report.potential_replay_detected:
             report.notes.append(

@@ -104,5 +104,5 @@ class StrictConsistency(SecureNVMScheme):
         )
         return RecoveryManager(
             self.nvm, self.tcb, self.merkle, policy, self.name,
-            fault_hook=self.fault_hook, obs=self.obs,
+            fault_hook=self.fault_hook,
         ).run()

@@ -66,9 +66,6 @@ class Cache:
         self._misses = self._stats.counter("misses")
         self._evictions = self._stats.counter("evictions")
         self._dirty_evictions = self._stats.counter("dirty_evictions")
-        #: Optional observability bus (see :mod:`repro.obs`): dirty
-        #: evictions are emitted as instants when set.
-        self.obs = None
 
     @property
     def stats(self) -> StatGroup:
@@ -122,10 +119,6 @@ class Cache:
             self._evictions.inc()
             if victim.dirty:
                 self._dirty_evictions.inc()
-                if self.obs is not None:
-                    self.obs.instant(
-                        "cache.dirty_evict", "cache", {"cache": self.config.name}
-                    )
         cache_set[addr] = CacheLine(addr, data, dirty)
         return victim
 

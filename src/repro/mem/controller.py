@@ -79,9 +79,6 @@ class MemoryController:
         self._media_backoff_capped = self._stats.counter(
             "media_backoff_capped", "retries whose backoff hit the hard ceiling"
         )
-        #: Optional observability bus (see :mod:`repro.obs`): write-queue
-        #: stalls and media retries are emitted as instants when set.
-        self.obs = None
 
     @property
     def stats(self) -> StatGroup:
@@ -114,12 +111,6 @@ class MemoryController:
             except TransientReadFault:
                 attempt += 1
                 self._media_retries.inc()
-                if self.obs is not None:
-                    self.obs.instant(
-                        "media.retry",
-                        "controller",
-                        {"addr": addr, "attempt": attempt},
-                    )
                 if attempt > limit:
                     self._media_failures.inc()
                     raise PermanentMediaError(
@@ -166,8 +157,6 @@ class MemoryController:
             stall = max(0, oldest - now)
             now += stall
             self._write_stalls.inc(stall)
-            if stall and self.obs is not None:
-                self.obs.instant("controller.write_stall", "controller", {"cycles": stall})
         last = self._pending_writes[-1] if self._pending_writes else now
         done = max(now, last) + self._write_interval
         self._pending_writes.append(done)

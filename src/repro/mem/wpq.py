@@ -31,7 +31,7 @@ class AtomicBatchError(RuntimeError):
 
 
 @persistence(
-    volatile=("_batch", "obs"),
+    volatile=("_batch",),
     aka=("wpq",),
     mutators=(
         "write",
@@ -65,9 +65,6 @@ class WritePendingQueue:
         #: micro-op so a recorder can rebuild the exact order in which
         #: lines became durable under ADR.
         self.trace_hook = None
-        #: Optional observability bus (see :mod:`repro.obs`): every
-        #: device write and atomic-batch bracket is emitted when set.
-        self.obs = None
         self._stats = stats if stats is not None else StatGroup("wpq")
         self._normal_writes = self._stats.counter("normal_writes")
         self._batched_writes = self._stats.counter("batched_writes")
@@ -147,12 +144,6 @@ class WritePendingQueue:
         self._normal_writes.inc()
         self.nvm.write_line(addr, data)
         self._trace("write", addr)
-        if self.obs is not None:
-            self.obs.instant(
-                "nvm.write",
-                "wpq",
-                {"region": self.nvm.layout.region_of(addr), "addr": addr},
-            )
 
     def write_partial(self, addr: int, offset: int, data: bytes) -> None:
         """Accept a normal sub-line write (e.g. a 128-bit data HMAC)."""
@@ -166,12 +157,6 @@ class WritePendingQueue:
         self._normal_writes.inc()
         self.nvm.write_partial(addr, offset, data)
         self._trace("write_partial", addr)
-        if self.obs is not None:
-            self.obs.instant(
-                "nvm.write",
-                "wpq",
-                {"region": self.nvm.layout.region_of(addr), "addr": addr},
-            )
 
     # -- atomic draining protocol -------------------------------------------------
 
@@ -182,8 +167,6 @@ class WritePendingQueue:
         self._batch = []
         self._trace("begin_atomic")
         self._fault("wpq.after_start")
-        if self.obs is not None:
-            self.obs.begin("wpq.batch", "wpq")
 
     def write_atomic(self, addr: int, data: bytes) -> None:
         """Block one metadata line inside the WPQ until the ``end`` signal."""
@@ -212,23 +195,11 @@ class WritePendingQueue:
         batch, self._batch = self._batch, None
         for addr, data in batch:
             self.nvm.write_line(addr, data)
-            if self.obs is not None:
-                self.obs.instant(
-                    "nvm.write",
-                    "wpq",
-                    {
-                        "region": self.nvm.layout.region_of(addr),
-                        "addr": addr,
-                        "atomic": True,
-                    },
-                )
         self._trace("commit_atomic")
         self._fault("wpq.after_end")
         self._batched_writes.inc(len(batch))
         self._batches_committed.inc()
         self._batch_size_dist.sample(len(batch))
-        if self.obs is not None:
-            self.obs.end("wpq.batch", "wpq", {"lines": len(batch)})
         return len(batch)
 
     def power_failure(self) -> int:
@@ -240,15 +211,8 @@ class WritePendingQueue:
         """
         if self._batch is None:
             self._trace("power_failure")
-            if self.obs is not None:
-                self.obs.instant("wpq.power_failure", "wpq", {"dropped": 0})
             return 0
         dropped, self._batch = self._batch, None
         self._batches_dropped.inc()
         self._trace("power_failure")
-        if self.obs is not None:
-            # The dropped batch's open span must still close so the
-            # trace nests correctly across a crash.
-            self.obs.end("wpq.batch", "wpq", {"lines": 0, "dropped": len(dropped)})
-            self.obs.instant("wpq.power_failure", "wpq", {"dropped": len(dropped)})
         return len(dropped)

@@ -64,7 +64,7 @@ class AccessResult(NamedTuple):
 
 
 @persistence(
-    volatile=("cache", "overlay", "walk_depth", "obs"),
+    volatile=("cache", "overlay", "walk_depth"),
     aka=("meta",),
 )
 class MetadataStore:
@@ -107,9 +107,6 @@ class MetadataStore:
         #: Called with a victim that left the cache still dirty; the
         #: scheme must make it durable (lazy propagate + NVM write).
         self.on_dirty_evict: Callable[[CacheLine], None] | None = None
-        #: Optional observability bus (see :mod:`repro.obs`): verified
-        #: fills (with their walk depth) are emitted as instants when set.
-        self.obs = None
         #: Depth of in-flight verification walks.  Schemes consult this
         #: to defer epoch drains: a drain rewrites NVM lines, which would
         #: invalidate the walk's point-in-time snapshots.
@@ -235,12 +232,6 @@ class MetadataStore:
             node = parent
             node_addr = parent_addr
         self._verify_walks.sample(len(chain))
-        if self.obs is not None:
-            self.obs.instant(
-                "meta.fill",
-                "meta",
-                {"addr": addr, "levels": len(chain), "region": self.layout.region_of(addr)},
-            )
 
         # Verify top-down: the topmost fetched node against the trusted
         # source, then each fetched node against the one above it.

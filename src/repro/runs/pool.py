@@ -71,16 +71,6 @@ def _execute_simulation(spec: RunSpec):
     from repro.sim.runner import run_simulation
     from repro.workloads.spec import spec_trace
 
-    obs_params = spec.params.get("obs")
-    session = None
-    if obs_params:
-        from repro.obs import DEFAULT_CAPACITY, ObsSession
-
-        session = ObsSession(
-            capacity=obs_params.get("capacity", DEFAULT_CAPACITY),
-            sample_every=obs_params.get("sample_every", 0),
-        )
-
     result = run_simulation(
         spec.scheme,
         spec_trace(spec.workload, spec.length, spec.seed),
@@ -88,22 +78,8 @@ def _execute_simulation(spec: RunSpec):
         data_capacity=spec.params.get("data_capacity"),
         seed=spec.scheme_seed,
         warmup_fraction=spec.warmup,
-        obs=session,
     )
-    payload = result_to_dict(result)
-    if session is not None:
-        # Folded worker-side: the event stream is large and per-process,
-        # the timeline summary is small and JSON-able — only the latter
-        # travels back (and into the cache).  Consumers must pop "obs"
-        # before result_from_dict.
-        payload["obs"] = {"timeline": session.timeline(result).as_dict()}
-        if obs_params.get("sample_every"):
-            from repro.obs.export import series_to_json
-
-            payload["obs"]["series"] = series_to_json(
-                session.samples(), every=obs_params["sample_every"]
-            )
-    return payload
+    return result_to_dict(result)
 
 
 def _execute_crash(spec: RunSpec):

@@ -176,23 +176,13 @@ def simulation_spec(
     scheme_seed: int = 0,
     warmup: float = 0.0,
     data_capacity: int | None = None,
-    obs: Mapping | None = None,
 ) -> RunSpec:
     """Spec for one :func:`repro.sim.runner.run_simulation` cell.
 
     The worker builds the trace with :func:`repro.workloads.spec.spec_trace`
     from *workload* (a Figure-5 surrogate name), *length* and *seed*.
-
-    *obs*, when given, asks the worker to run under an
-    :class:`repro.obs.ObsSession` and attach the folded observability
-    payload (timeline, optional sample series) to the result under an
-    ``"obs"`` key.  Its knobs (``capacity``, ``sample_every``) are part
-    of the spec hash, so obs-enabled runs cache separately from plain
-    ones — the plain headline payload stays byte-identical.
     """
     params = {} if data_capacity is None else {"data_capacity": data_capacity}
-    if obs is not None:
-        params["obs"] = dict(obs)
     return RunSpec(
         kind="simulation",
         scheme=scheme,

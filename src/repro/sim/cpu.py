@@ -57,12 +57,6 @@ class TraceCPU:
         #: warm-up region and the measured region share one timeline with
         #: the memory system's internal clocks.
         self.clock = 0.0
-        #: Optional observability bus (see :mod:`repro.obs`): the CPU is
-        #: the clock source — it publishes the cycle count once per trace
-        #: record so every component's events are stamped consistently.
-        self.obs = None
-        #: Optional interval sampler (see :mod:`repro.obs.sampler`).
-        self.sampler = None
 
     @property
     def stats(self) -> StatGroup:
@@ -77,19 +71,11 @@ class TraceCPU:
         instructions = 0
         reads = writes = 0
         read_stalls = write_stalls = 0
-        # Hoisted so the disabled path costs one local None check per
-        # record instead of repeated attribute lookups.
-        obs = self.obs
-        sampler = self.sampler
 
         for record in trace:
             instructions += record.icount + 1
             self.clock += record.icount / peak_ipc
             now = int(self.clock)
-            if obs is not None:
-                obs.set_now(now)
-            if sampler is not None:
-                sampler.maybe_sample(now)
             if record.op == READ:
                 reads += 1
                 _, latency, level = self.memory.read(now, record.addr)

@@ -57,9 +57,7 @@ def run_simulation(
     config: SystemConfig | None = None,
     data_capacity: int | None = None,
     seed: int | str = 0,
-    flush_at_end: bool = True,
     warmup_fraction: float = 0.0,
-    obs=None,
 ) -> SimulationResult:
     """Run one trace on one design and collect the result.
 
@@ -67,12 +65,6 @@ def run_simulation(
     caches and metadata structures, then resets every statistic before
     the measured region — the trace-driven analogue of the paper's
     "fast-forwarding to representative regions".
-
-    *obs* is an optional :class:`repro.obs.ObsSession`; when given, the
-    event bus (and interval sampler) are wired into the built system and
-    the caller reads the captured events/samples off the session after
-    the run.  ``None`` (the default) leaves every instrumentation seam
-    on its zero-cost path.
     """
     config = config or SystemConfig()
     scheme = create_scheme(
@@ -80,8 +72,6 @@ def run_simulation(
     )
     memory = MemoryHierarchy(config, scheme)
     cpu = TraceCPU(config, memory)
-    if obs is not None:
-        obs.attach(memory, cpu)
 
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
@@ -91,17 +81,12 @@ def run_simulation(
         cpu.run(Trace(f"{trace.name}:warmup", records[:split]))
         scheme.stats.reset()
         memory.stats.reset()
-        if obs is not None:
-            obs.reset()
         measured = Trace(trace.name, records[split:])
     else:
         measured = trace
 
     outcome = cpu.run(measured)
-    if flush_at_end:
-        memory.flush()
-    if obs is not None:
-        obs.finish(outcome.cycles)
+    memory.flush()
 
     drains: dict[str, int] = {}
     epochs = 0

@@ -63,29 +63,6 @@ class TestParser:
         )
         assert args.file == "r.json" and args.out == "m.json"
 
-    def test_obs_requires_a_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["obs"])
-
-    def test_obs_trace_defaults(self):
-        args = build_parser().parse_args(["obs", "trace", "gcc"])
-        assert args.scheme == "ccnvm" and args.length == 4000
-        assert args.capacity is None and args.out is None
-
-    def test_obs_timeline_defaults(self):
-        args = build_parser().parse_args(["obs", "timeline", "gcc"])
-        assert len(args.schemes) == 6
-        assert args.jobs == 1 and not args.no_cache and args.json is None
-
-    def test_obs_timeline_validates_scheme(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["obs", "timeline", "gcc",
-                                       "--schemes", "magic"])
-
-    def test_obs_sample_defaults(self):
-        args = build_parser().parse_args(["obs", "sample", "gcc"])
-        assert args.every == 1000 and not args.json and args.out is None
-
     def test_simulate_report_flags(self):
         args = build_parser().parse_args(
             ["simulate", "gcc", "--report", "--stats-json", "s.json"]
@@ -127,65 +104,23 @@ class TestCommands:
     def test_simulate_report_and_stats_json(self, capsys, tmp_path):
         import json
 
+        from repro.common.stats import render_report
+        from repro.sim.runner import run_simulation
+        from repro.workloads.spec import spec_trace
+
         stats_path = tmp_path / "stats.json"
         assert main(["simulate", "namd", "--length", "300", "--report",
                      "--stats-json", str(stats_path)]) == 0
         out = capsys.readouterr().out
-        assert "statistics for ccnvm" in out or "ccnvm" in out
         assert "p50=" in out  # distributions render percentiles
         doc = json.loads(stats_path.read_text())
         assert any(key.startswith("ccnvm.controller.") for key in doc)
         # distributions export the summary-dict shape
         assert any(isinstance(v, dict) and "n" in v for v in doc.values())
-
-    def test_obs_trace_writes_valid_trace(self, capsys, tmp_path):
-        import json
-
-        from repro.obs.export import validate_trace
-
-        out_path = tmp_path / "trace.json"
-        assert main(["obs", "trace", "namd", "--length", "300",
-                     "--out", str(out_path)]) == 0
-        assert "valid trace" in capsys.readouterr().out
-        trace = json.loads(out_path.read_text())
-        assert validate_trace(trace) == []
-        names = {e["name"] for e in trace["traceEvents"]}
-        assert "epoch.drain" in names and "nvm.write" in names
-
-    def test_obs_timeline_runs_and_writes_artifact(self, capsys, monkeypatch,
-                                                   tmp_path):
-        import json
-
-        monkeypatch.chdir(tmp_path)  # the cache lands here
-        assert main(["obs", "timeline", "namd", "--length", "300", "--quiet",
-                     "--schemes", "sc", "ccnvm",
-                     "--json", "BENCH_obs_headline.json"]) == 0
-        out = capsys.readouterr().out
-        assert "[coverage]" in out and "100.0%" in out
-        doc = json.loads((tmp_path / "BENCH_obs_headline.json").read_text())
-        assert doc["bench"] == "obs_headline"
-        assert doc["schemes"] == ["sc", "ccnvm"]
-        for timeline in doc["timelines"]:
-            assert timeline["cycle_coverage"] >= 0.95
-            assert timeline["write_coverage"] >= 0.95
-
-    def test_obs_timeline_second_run_hits_cache(self, capsys, monkeypatch,
-                                                tmp_path):
-        monkeypatch.chdir(tmp_path)
-        argv = ["obs", "timeline", "namd", "--length", "300", "--quiet",
-                "--schemes", "ccnvm"]
-        assert main(argv) == 0
-        capsys.readouterr()
-        assert main(argv) == 0
-        assert "1 from cache" in capsys.readouterr().out
-
-    def test_obs_sample_emits_csv(self, capsys, tmp_path):
-        out_path = tmp_path / "series.csv"
-        assert main(["obs", "sample", "namd", "--length", "300",
-                     "--every", "500", "--out", str(out_path)]) == 0
-        header, first = out_path.read_text().splitlines()[:2]
-        assert header.startswith("cycle,")
-        assert first.split(",")[0].isdigit()
+        # Both views are the run's own result.stats, rendered once.
+        expected = run_simulation("ccnvm", spec_trace("namd", 300, 1)).stats
+        assert doc == expected
+        assert render_report(expected) in out
 
     def test_faults_sites_lists_catalogue(self, capsys):
         assert main(["faults", "sites"]) == 0

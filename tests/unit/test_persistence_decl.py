@@ -16,6 +16,8 @@ from repro.common.persistence import (
     persistent_attrs,
     volatile_attrs,
 )
+from repro.core.schemes import SCHEMES, create_scheme
+from tests.conftest import SMALL_CAPACITY, small_config
 
 
 class TestDecorator:
@@ -96,3 +98,29 @@ class TestRepoAnnotations:
         assert "meta" in vols  # the meta cache handle is crash-lost state
         assert "queue" in vols  # the dirty address queue too
         assert not (vols & persistent_attrs(CcNVM))
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_declared_names_exist_on_built_components(self, name):
+        """Every declared persistent/volatile name is a live attribute."""
+        scheme = create_scheme(name, small_config(), SMALL_CAPACITY)
+        checked = set()
+        seen = set()
+        todo = [scheme]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            cls = type(obj)
+            if is_declared(cls):
+                checked.add(cls.__name__)
+                for attr in persistent_attrs(cls) | volatile_attrs(cls):
+                    assert hasattr(obj, attr), f"{cls.__name__}.{attr} is declared but missing"
+            todo.extend(
+                value for value in vars(obj).values()
+                if type(value).__module__.startswith("repro.")
+                and hasattr(value, "__dict__")
+            )
+        assert {"TCB", "NVMDevice", "WritePendingQueue", "MetadataStore",
+                "EncryptionEngine", type(scheme).__name__} <= checked
+        assert ("DirtyAddressQueue" in checked) == name.startswith("ccnvm")

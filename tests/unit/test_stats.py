@@ -1,6 +1,6 @@
 """Unit tests for the statistics registry."""
 
-from repro.common.stats import Counter, Distribution, StatGroup
+from repro.common.stats import Counter, Distribution, StatGroup, render_report
 
 
 class TestCounter:
@@ -156,7 +156,7 @@ class TestStatGroup:
         g = StatGroup("top")
         g.counter("hits").inc(42)
         g.distribution("lat").sample(3)
-        text = g.report()
+        text = render_report(g.as_dict())
         assert "top.hits" in text
         assert "42" in text
         assert "top.lat" in text
@@ -165,7 +165,7 @@ class TestStatGroup:
     def test_report_empty_distribution_renders_n0_only(self):
         g = StatGroup("top")
         g.distribution("never_sampled")
-        (line,) = g.report().splitlines()
+        (line,) = render_report(g.as_dict()).splitlines()
         assert "top.never_sampled" in line
         assert line.rstrip().endswith("n=0")
         assert "inf" not in line
