@@ -205,24 +205,14 @@ def series_to_json(series: SensitivitySeries) -> str:
     )
 
 
-def crash_summary_to_json(summary: dict) -> str:
-    """JSON document for a crash exploration (``run_explore`` summary).
-
-    The summary is already pure content — no timings, no cache counters —
-    so this serialization is byte-identical across serial, parallel and
-    fully-cached runs of the same exploration.
-    """
-    return json.dumps(summary, indent=2, sort_keys=True)
-
-
 def campaign_summary_to_json(summary: dict) -> str:
     """JSON document for a crash campaign (``run_campaign`` summary).
 
     Carries the scheme x workload grid with per-cell class tables
     (fingerprint, representative, witness count, verdict), shard
-    failures, and the campaign totals.  Pure content like the
-    exploration summary: serial, pooled and warm-cache runs of the same
-    campaign serialize byte-identically.
+    failures, and the campaign totals.  The summary is pure content (no
+    timings, no cache counters), so serial, pooled and warm-cache runs
+    of the same campaign serialize byte-identically.
     """
     return json.dumps(summary, indent=2, sort_keys=True)
 

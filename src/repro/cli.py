@@ -8,27 +8,25 @@ Commands:
 * ``demo`` — a one-minute crash/attack/recovery walk-through;
 * ``simulate`` — run one workload on one design and dump statistics;
 * ``faults sites`` — the catalogue of instrumented crash sites;
-* ``crash explore`` — enumerate every crash state ADR semantics permit
-  for a recorded persist trace and judge each one's recovery
-  (``--classes`` routes the states through the equivalence-class
-  reducer); ``crash campaign`` — the standing scheme x workload grid of
-  reduced explorations with exhaustive-coverage gates; ``crash
+* ``crash campaign`` — enumerate every crash state ADR semantics permit
+  for each scheme x workload cell of a grid, judge each equivalence
+  class's recovery once, and gate on exhaustive coverage; ``crash
   replay`` / ``crash minimize`` — re-run and delta-debug the replayable
-  reproducer artifacts the explorer emits for violations;
+  reproducer artifacts the campaign emits for violations;
 * ``traffic ace`` — bounded exhaustive workload enumeration
   (k writes x address-overlap patterns x fence placements, canonical-form
   deduped) with ``--campaign`` running the whole set through the crash
-  explorer;
+  campaign;
 * ``lint`` — the persistence-domain static analyzer (persist-order
   rules P0-P5, crash-site coverage, scheme contract);
 * ``runs status`` / ``runs gc`` — inspect and prune the content-addressed
   result cache the orchestrated commands share.
 
-``evaluate``, ``sweep``, ``crash explore`` and ``crash campaign`` all submit
-through the run orchestrator: ``--jobs N`` fans the grid out over N worker processes,
-results are reused from ``.repro-cache/`` when the simulator sources are
-unchanged (``--no-cache`` forces re-execution), and interrupted sweeps
-resume from their journal.
+``evaluate``, ``sweep``, ``crash campaign`` and ``traffic ace --campaign``
+all submit through the run orchestrator: ``--jobs N`` fans the grid out
+over N worker processes, results are reused from ``.repro-cache/`` when
+the simulator sources are unchanged (``--no-cache`` forces
+re-execution), and interrupted sweeps resume from their journal.
 """
 
 from __future__ import annotations
@@ -237,83 +235,6 @@ def _validated(command: str, build, **fields):
         return None
 
 
-def cmd_crash_explore(args: argparse.Namespace) -> int:
-    from repro.crashsim import ExploreConfig, run_explore
-    from repro.crashsim.explore import DEFAULT_SHARDS, DEFAULT_STEPS
-
-    cfg = _validated(
-        "crash explore",
-        ExploreConfig,
-        schemes=tuple(args.schemes),
-        steps=DEFAULT_STEPS if args.steps is None else args.steps,
-        window=args.window,
-        budget=args.budget,
-        seed=args.seed,
-        shards=DEFAULT_SHARDS if args.shards is None else args.shards,
-        torn_batches=args.torn_batches,
-        nested_depth=args.nested_depth,
-        profile=args.profile,
-        reduce=args.classes,
-        spot=args.spot,
-    )
-    if cfg is None:
-        return 2
-    mode = "classes (reduced, exhaustive)" if cfg.reduce else f"budget {cfg.budget}"
-    print(f"crash exploration: {', '.join(cfg.schemes)} @ {cfg.steps} steps, "
-          f"profile {cfg.profile}, window {cfg.window}, {mode}, seed {cfg.seed} "
-          f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'})")
-    summary, report = run_explore(cfg, **_run_kwargs(args))
-    print()
-    ok = True
-    for scheme, entry in summary["schemes"].items():
-        violations = entry["violations"]
-        mismatches = entry.get("class_mismatches", [])
-        status = (
-            "ok"
-            if not violations and entry["nested_ok"] and not mismatches
-            else "VIOLATED"
-        )
-        ok = ok and status == "ok"
-        outcomes = ", ".join(f"{k}={v}" for k, v in entry["outcomes"].items())
-        print(f"  {scheme:14s} {entry['states_evaluated']:5d} states "
-              f"({entry['distinct_states']} distinct)  [{outcomes}]  "
-              f"{len(violations)} violation(s), "
-              f"nested {'ok' if entry['nested_ok'] else 'FAILED'}  -> {status}")
-        if cfg.reduce:
-            ratio = entry["reduction_ratio"]
-            print(f"  {'':14s} {entry['classes']} classes cover "
-                  f"{entry['states_covered']} states with "
-                  f"{entry['oracle_calls']} oracle calls "
-                  f"({ratio if ratio is not None else '-'}x reduction), "
-                  f"{len(mismatches)} spot mismatch(es)")
-        for v in violations[:5]:
-            print(f"      {v['state']}: {'; '.join(v['verdict']['problems'][:2])}")
-    print(f"\norchestration: {report.summary()}")
-    if args.export:
-        from repro.analysis.export import crash_summary_to_json
-
-        with open(args.export, "w") as f:
-            f.write(crash_summary_to_json(summary))
-        print(f"wrote exploration summary to {args.export}")
-    if args.reproducers:
-        import json
-        import os
-
-        os.makedirs(args.reproducers, exist_ok=True)
-        written = 0
-        for scheme, entry in summary["schemes"].items():
-            for v in entry["violations"]:
-                if "reproducer" not in v:
-                    continue
-                name = v["state"].replace("=", "").replace(",", "_")
-                path = os.path.join(args.reproducers, f"{scheme}_{name}.json")
-                with open(path, "w") as f:
-                    json.dump(v["reproducer"], f, indent=2, sort_keys=True)
-                written += 1
-        print(f"wrote {written} minimized reproducer(s) to {args.reproducers}/")
-    return 0 if ok else 1
-
-
 def _campaign_gate(summary: dict) -> list[str]:
     """Why a crash campaign summary fails its gates (empty: it passes)."""
     totals = summary["totals"]
@@ -376,9 +297,10 @@ def cmd_crash_campaign(args: argparse.Namespace) -> int:
                       f"{'; '.join(v['verdict']['problems'][:2])}")
     totals = summary["totals"]
     failures = summary["failures"]
+    ratio = totals["reduction_ratio"]
     print(f"\n  totals: {totals['cells']} cells, {totals['covered']} states "
           f"covered, {totals['oracle_calls']} oracle calls "
-          f"({totals['reduction_ratio']}x), {totals['classes']} classes, "
+          f"({ratio if ratio is not None else '-'}x), {totals['classes']} classes, "
           f"{totals['violations']} violation(s), "
           f"{totals['class_mismatches']} class mismatch(es), "
           f"{totals['sampling_fallbacks']} sampling fallback(s), "
@@ -719,45 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         "crash", help="systematic crash-state exploration (ADR semantics)"
     )
     csub = crash.add_subparsers(dest="crash_command", required=True)
-    cexplore = csub.add_parser(
-        "explore",
-        help="enumerate every ADR-permitted crash state and judge recovery",
-    )
-    cexplore.add_argument("--schemes", nargs="+", metavar="SCHEME",
-                          choices=sorted(SCHEME_LABELS), default=["ccnvm"])
-    cexplore.add_argument("--steps", type=int, default=None,
-                          help="write-backs in the recorded workload "
-                               "(default: the smoke budget)")
-    cexplore.add_argument("--window", type=int, default=4,
-                          help="in-flight reordering window (units)")
-    cexplore.add_argument("--budget", type=int, default=16,
-                          help="drop-set budget per crash point; exhaustive "
-                               "below it, seeded sampling above")
-    cexplore.add_argument("--seed", type=int, default=7)
-    cexplore.add_argument("--shards", type=int, default=None,
-                          help="enumerate cells per scheme (default 4)")
-    cexplore.add_argument("--torn-batches", action="store_true",
-                          help="also emit protocol-violating partially-applied "
-                               "batches (demonstrates oracle sensitivity)")
-    cexplore.add_argument("--nested-depth", type=int, default=2, choices=(1, 2),
-                          help="crash-during-recovery schedule depth")
-    cexplore.add_argument("--profile", default="hotset",
-                          help="recording workload: 'hotset' or a Figure-5 "
-                               "SPEC surrogate name")
-    cexplore.add_argument("--classes", action="store_true",
-                          help="route states through the equivalence-class "
-                               "reducer: exhaustive drop-sets (budget "
-                               "ignored), one oracle run per class")
-    cexplore.add_argument("--spot", type=int, default=1,
-                          help="passing-class witnesses spot-checked against "
-                               "the representative (reduce mode)")
-    cexplore.add_argument("--export", metavar="FILE", default=None,
-                          help="write the JSON exploration summary to FILE")
-    cexplore.add_argument("--reproducers", metavar="DIR", default=None,
-                          help="write minimized reproducer JSON artifacts "
-                               "into DIR")
-    add_run_options(cexplore)
-    cexplore.set_defaults(func=cmd_crash_explore)
     ccampaign = csub.add_parser(
         "campaign",
         help="the standing exhaustive campaign: scheme x workload grid of "
@@ -824,13 +707,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     traffic = sub.add_parser(
         "traffic",
-        help="bounded exhaustive workloads for the crash explorer",
+        help="bounded exhaustive workloads for the crash campaign",
     )
     tsub = traffic.add_subparsers(dest="traffic_command", required=True)
 
     tace = tsub.add_parser(
         "ace",
-        help="bounded exhaustive workload enumeration for the crash explorer",
+        help="bounded exhaustive workload enumeration for the crash campaign",
     )
     tace.add_argument("--k", type=int, default=3,
                       help="writes per workload (default 3)")
@@ -838,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print every canonical workload profile name")
     tace.add_argument("--campaign", action="store_true",
                       help="run the full enumeration through the crash "
-                           "explorer with exhaustive-coverage gates")
+                           "campaign with exhaustive-coverage gates")
     tace.add_argument("--schemes", nargs="+", metavar="S", default=None,
                       choices=sorted(SCHEMES),
                       help="restrict the campaign (default: all schemes)")

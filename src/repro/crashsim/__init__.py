@@ -20,8 +20,8 @@ pipeline:
 5. :mod:`~repro.crashsim.minimize` delta-debugs any violation to a
    minimal replayable reproducer;
 6. :mod:`~repro.crashsim.explore` fans the whole thing out through the
-   run orchestrator (cached, journaled, parallel) — one-shot
-   explorations and the standing scheme x workload crash campaign.
+   run orchestrator (cached, journaled, parallel) as the standing
+   scheme x workload crash campaign.
 """
 
 from repro.crashsim.enumerate import (
@@ -32,12 +32,8 @@ from repro.crashsim.enumerate import (
 )
 from repro.crashsim.explore import (
     CrashCampaignConfig,
-    ExploreConfig,
     campaign_specs,
-    explore_specs,
-    record_trace,
     run_campaign,
-    run_explore,
 )
 from repro.crashsim.minimize import (
     Reproducer,
@@ -76,7 +72,6 @@ __all__ = [
     "CrashEnumerator",
     "CrashState",
     "CrashStateReducer",
-    "ExploreConfig",
     "PersistOp",
     "PersistTrace",
     "PersistTraceRecorder",
@@ -90,14 +85,11 @@ __all__ = [
     "applied_ops",
     "build_state",
     "campaign_specs",
-    "explore_specs",
     "from_state",
     "minimize",
     "rebuild_trace",
-    "record_trace",
     "record_workload",
     "recovery_view",
     "replay",
     "run_campaign",
-    "run_explore",
 ]

@@ -1,24 +1,25 @@
-"""The explorer driver: fan crash-state enumeration through the orchestrator.
+"""The crash campaign driver: fan crash-state enumeration through the orchestrator.
 
-A full exploration of one scheme is embarrassingly parallel but far too
-big for one cacheable unit, so it is cut into **cells**, each a
-:class:`~repro.runs.spec.RunSpec` of the new ``crash`` kind:
+A campaign covers a scheme x workload grid, and each grid cell is far
+too big for one cacheable unit, so it is cut into ``enumerate`` shards,
+each a :class:`~repro.runs.spec.RunSpec` of the ``crash`` kind.  A shard
+takes the trace's crash points of one residue class (``k % shards ==
+shard``).  Every worker regenerates the identical deterministic trace —
+specs stay tiny, exactly like the simulation specs that ship workload
+recipes instead of traces — expands its own points through the
+equivalence-class reducer, runs the oracle once per class, and returns
+distinct image hashes, an outcome histogram, the class table and
+(minimized) violations.
 
-* ``enumerate`` cells shard the trace's crash points by residue class
-  (``k % shards == shard``).  Every worker regenerates the identical
-  deterministic trace — specs stay tiny, exactly like the simulation
-  specs that ship workload recipes instead of traces — expands its own
-  points, runs the oracle on each state, and returns distinct
-  image hashes, an outcome histogram and (minimized) violations;
-* ``nested`` cells take the full-trace state and crash *recovery
-  itself* at one scheduled recovery site (depth 1) or two in sequence
-  (depth 2), exercising the restartable ``recovery_pending`` path.
-
-Because cells run through :func:`repro.runs.orchestrate`, explorations
+Because shards run through :func:`repro.runs.orchestrate`, campaigns
 are content-cached (a warm re-run executes nothing), journaled,
 resumable and parallel.  The merged summary is deliberately free of
 timings and orchestration counts, so a serial run and a ``--jobs 2``
-run of the same exploration produce byte-identical JSON.
+run of the same campaign produce byte-identical JSON.
+
+:func:`run_nested_cell` crashes *recovery itself* at one scheduled
+recovery site (depth 1) or two in sequence (depth 2), exercising the
+restartable ``recovery_pending`` path.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from repro.crashsim.workload import HOTSET, workload_profiles
 from repro.faults.plan import RECOVERY_SITES
 
 #: Smoke-budget defaults: small enough for CI, large enough that every
@@ -38,71 +40,15 @@ DEFAULT_SHARDS = 4
 MAX_MINIMIZE = 3
 
 
-def _check_shape(shards: int, spot: int) -> None:
-    """Reject shapes that would enumerate nothing (or spot-check < 0)."""
-    if shards < 1:
-        raise ValueError(f"shards must be at least 1, got {shards}")
-    if spot < 0:
-        raise ValueError(f"spot must be at least 0, got {spot}")
-
-
-@dataclass(frozen=True)
-class ExploreConfig:
-    """Shape of one exploration."""
-
-    schemes: tuple[str, ...] = ("ccnvm",)
-    steps: int = DEFAULT_STEPS
-    window: int = 4
-    budget: int = 16
-    seed: int = 7
-    shards: int = DEFAULT_SHARDS
-    data_capacity: int = 1 << 16
-    #: Emit partially-applied batch states (protocol-violating; used to
-    #: demonstrate the oracle catches ordering bugs).
-    torn_batches: bool = False
-    #: Nested crash-during-recovery schedules per recovery site (1..2).
-    nested_depth: int = 2
-    #: Recording workload profile ('hotset' or a Figure-5 SPEC surrogate).
-    profile: str = "hotset"
-    #: Route enumeration through the equivalence-class reducer
-    #: (``crashsim.reduce``): exhaustive drop-sets, one oracle run per
-    #: class, witness verdict attribution.
-    reduce: bool = False
-    #: Passing-class witnesses spot-checked against the representative.
-    spot: int = 1
-
-    def __post_init__(self) -> None:
-        _check_shape(self.shards, self.spot)
-
-
-def record_trace(scheme_name: str, cfg: ExploreConfig):
-    """Deterministically rebuild the persist trace for one scheme."""
+def _record_trace(
+    scheme_name: str, steps: int, seed: int, data_capacity: int, profile: str = HOTSET
+):
+    """Deterministically rebuild the persist trace of one grid cell."""
     from repro.core.schemes import create_scheme
     from repro.crashsim.workload import record_workload
 
-    scheme = create_scheme(
-        scheme_name, data_capacity=cfg.data_capacity, seed=cfg.seed
-    )
-    return scheme, record_workload(
-        scheme, cfg.steps, cfg.seed, profile=cfg.profile
-    )
-
-
-def _cell_config(spec) -> ExploreConfig:
-    p = spec.params
-    return ExploreConfig(
-        schemes=(spec.scheme,),
-        steps=p["steps"],
-        window=p.get("window", 4),
-        budget=p.get("budget", 16),
-        seed=spec.seed,
-        shards=p.get("shards", 1),
-        data_capacity=p["data_capacity"],
-        torn_batches=p.get("torn", False),
-        profile=p.get("profile", "hotset"),
-        reduce=p.get("reduce", False),
-        spot=p.get("spot", 1),
-    )
+    scheme = create_scheme(scheme_name, data_capacity=data_capacity, seed=seed)
+    return record_workload(scheme, steps, seed, profile=profile)
 
 
 def _violation_entry(state, verdict, reproducer=None) -> dict:
@@ -118,7 +64,7 @@ def _violation_entry(state, verdict, reproducer=None) -> dict:
     return entry
 
 
-def _minimize_violation(spec, cfg, trace, oracle, state, verdict):
+def _minimize_violation(scheme, data_capacity, trace, oracle, state, verdict):
     from repro.crashsim.enumerate import applied_ops, build_state
     from repro.crashsim.minimize import from_state, minimize
 
@@ -130,24 +76,23 @@ def _minimize_violation(spec, cfg, trace, oracle, state, verdict):
         minimal,
         final,
         description=(
-            f"{spec.scheme} crash state {state.describe()} minimized "
+            f"{scheme} crash state {state.describe()} minimized "
             f"from {len(ops)} to {len(minimal)} persist micro-ops"
         ),
-        data_capacity=cfg.data_capacity,
+        data_capacity=data_capacity,
     )
 
 
 def run_enumerate_cell(spec) -> dict:
     """Execute one ``enumerate`` shard; returns a JSON-able payload.
 
-    In *reduce* mode the shard routes every state through the
-    equivalence-class machinery: drop-sets are expanded exhaustively
-    (never sampled), one oracle run covers each class, violating classes
-    fall back to per-witness evaluation and pinned-drop variants of
-    violating states are materialized — violation findings stay
-    byte-identical to a brute-force run's, verdict for verdict.
+    The shard routes every state through the equivalence-class
+    machinery: drop-sets are expanded exhaustively (never sampled), one
+    oracle run covers each class, violating classes fall back to
+    per-witness evaluation and pinned-drop variants of violating states
+    are materialized — violation findings stay byte-identical to a
+    brute-force run's, verdict for verdict.
     """
-    from repro.crashsim.enumerate import CrashEnumerator
     from repro.crashsim.oracle import ClassOracle, RecoveryOracle
     from repro.crashsim.reduce import (
         CrashStateReducer,
@@ -156,34 +101,21 @@ def run_enumerate_cell(spec) -> dict:
         pin_variants,
     )
 
-    cfg = _cell_config(spec)
-    shard = spec.params["shard"]
-    shards = spec.params["shards"]
-    _, trace = record_trace(spec.scheme, cfg)
-    oracle = RecoveryOracle(
-        spec.scheme, data_capacity=cfg.data_capacity, seed=cfg.seed
+    p = spec.params
+    shard, shards = p["shard"], p["shards"]
+    data_capacity = p["data_capacity"]
+    profile = p.get("profile", HOTSET)
+    trace = _record_trace(spec.scheme, p["steps"], spec.seed, data_capacity, profile)
+    oracle = RecoveryOracle(spec.scheme, data_capacity=data_capacity, seed=spec.seed)
+    reducer = CrashStateReducer(trace, spec.scheme, data_capacity, spec.seed)
+    enumerator = ReducedEnumerator(
+        trace,
+        reducer,
+        window=p["window"],
+        seed=spec.seed,
+        torn_batches=p.get("torn", False),
     )
-    if cfg.reduce:
-        reducer = CrashStateReducer(
-            trace, spec.scheme, cfg.data_capacity, cfg.seed
-        )
-        enumerator = ReducedEnumerator(
-            trace,
-            reducer,
-            window=cfg.window,
-            seed=cfg.seed,
-            torn_batches=cfg.torn_batches,
-        )
-        class_oracle = ClassOracle(oracle, reducer, spot=cfg.spot)
-    else:
-        enumerator = CrashEnumerator(
-            trace,
-            window=cfg.window,
-            budget=cfg.budget,
-            seed=cfg.seed,
-            torn_batches=cfg.torn_batches,
-        )
-        class_oracle = None
+    class_oracle = ClassOracle(oracle, reducer, spot=p["spot"])
     hashes: set[str] = set()
     outcomes: Counter[str] = Counter()
     violations: list[dict] = []
@@ -192,12 +124,8 @@ def run_enumerate_cell(spec) -> dict:
     for state in enumerator.states(points=lambda k: k % shards == shard):
         evaluated += 1
         hashes.add(state.image_hash())
-        if class_oracle is None:
-            weight = 1
-            verdict = oracle.evaluate(state)
-        else:
-            weight = 1 if state.torn is not None else enumerator.weight(state.k)
-            verdict, _role = class_oracle.submit(state, weight=weight)
+        weight = 1 if state.torn is not None else enumerator.weight(state.k)
+        verdict, _role = class_oracle.submit(state, weight=weight)
         if verdict.ok:
             outcomes[verdict.outcome] += weight
             continue
@@ -206,10 +134,10 @@ def run_enumerate_cell(spec) -> dict:
         if minimized < MAX_MINIMIZE:
             minimized += 1
             reproducer = _minimize_violation(
-                spec, cfg, trace, oracle, state, verdict
+                spec.scheme, data_capacity, trace, oracle, state, verdict
             )
         violations.append(_violation_entry(state, verdict, reproducer))
-        if class_oracle is not None and state.torn is None:
+        if state.torn is None:
             # A violating state forfeits its pin weight: every pinned
             # variant it stood for is materialized and judged for real.
             for vdrop in pin_variants(state, enumerator.pins.get(state.k, ())):
@@ -219,10 +147,12 @@ def run_enumerate_cell(spec) -> dict:
                 outcomes[vverdict.outcome] += 1
                 if not vverdict.ok:
                     violations.append(_violation_entry(vstate, vverdict))
-    payload = {
+    # Constant keys ("mode", "reduce") stay: the golden shard digests
+    # (tests/integration/test_campaign_digests.py) hash the whole payload.
+    return {
         "mode": "enumerate",
         "scheme": spec.scheme,
-        "profile": cfg.profile,
+        "profile": profile,
         "shard": shard,
         "shards": shards,
         "trace_units": len(trace.units),
@@ -232,14 +162,12 @@ def run_enumerate_cell(spec) -> dict:
         "outcomes": dict(sorted(outcomes.items())),
         "violations": violations,
         "sampling": dict(enumerator.sample_stats),
+        "reduce": True,
+        "covered": sum(outcomes.values()),
+        "oracle_calls": class_oracle.calls,
+        "classes": class_oracle.class_table(),
+        "class_mismatches": list(class_oracle.mismatches),
     }
-    if class_oracle is not None:
-        payload["reduce"] = True
-        payload["covered"] = sum(outcomes.values())
-        payload["oracle_calls"] = class_oracle.calls
-        payload["classes"] = class_oracle.class_table()
-        payload["class_mismatches"] = list(class_oracle.mismatches)
-    return payload
 
 
 def _nested_schedule(site: str, depth: int) -> list[tuple[str, int]]:
@@ -252,222 +180,33 @@ def _nested_schedule(site: str, depth: int) -> list[tuple[str, int]]:
     return schedule
 
 
-def run_nested_cell(spec) -> dict:
-    """Execute one nested crash-during-recovery schedule."""
+def run_nested_cell(
+    scheme: str, site: str, depth: int, steps: int, seed: int, data_capacity: int
+) -> dict:
+    """Crash recovery of the full hot-set trace at *site*, *depth* deep.
+
+    Returns the crash schedule and the oracle's verdict on the resumed
+    recovery.
+    """
     from repro.crashsim.enumerate import applied_ops, build_state
     from repro.crashsim.oracle import RecoveryOracle
 
-    cfg = _cell_config(spec)
-    site = spec.params["site"]
-    depth = spec.params["depth"]
-    _, trace = record_trace(spec.scheme, cfg)
+    trace = _record_trace(scheme, steps, seed, data_capacity)
     state = build_state(trace, applied_ops(trace, (len(trace.units), (), None)))
-    oracle = RecoveryOracle(
-        spec.scheme, data_capacity=cfg.data_capacity, seed=cfg.seed
-    )
+    oracle = RecoveryOracle(scheme, data_capacity=data_capacity, seed=seed)
     schedule = _nested_schedule(site, depth)
-    verdict = oracle.evaluate(state, schedule)
     return {
-        "mode": "nested",
-        "scheme": spec.scheme,
-        "site": site,
-        "depth": depth,
         "schedule": [[s, h] for s, h in schedule],
-        "verdict": verdict.to_dict(),
+        "verdict": oracle.evaluate(state, schedule).to_dict(),
     }
 
 
 def execute_cell(spec) -> dict:
     """Worker entry point for ``crash``-kind specs (see ``runs.pool``)."""
     mode = spec.params.get("mode")
-    if mode == "enumerate":
-        return run_enumerate_cell(spec)
-    if mode == "nested":
-        return run_nested_cell(spec)
-    raise ValueError(f"unknown crash cell mode {mode!r}")
-
-
-def explore_specs(cfg: ExploreConfig) -> list:
-    """The cell decomposition of one exploration, as run specs."""
-    from repro.runs import RunSpec
-
-    base = {
-        "steps": cfg.steps,
-        "window": cfg.window,
-        "budget": cfg.budget,
-        "data_capacity": cfg.data_capacity,
-    }
-    if cfg.profile != "hotset":
-        base["profile"] = cfg.profile
-    specs = []
-    for scheme in cfg.schemes:
-        for shard in range(cfg.shards):
-            params = dict(
-                base, mode="enumerate", shard=shard, shards=cfg.shards
-            )
-            if cfg.torn_batches:
-                params["torn"] = True
-            if cfg.reduce:
-                params["reduce"] = True
-                params["spot"] = cfg.spot
-            specs.append(
-                RunSpec(kind="crash", scheme=scheme, seed=cfg.seed, params=params)
-            )
-        for site in sorted(RECOVERY_SITES):
-            for depth in range(1, cfg.nested_depth + 1):
-                specs.append(
-                    RunSpec(
-                        kind="crash",
-                        scheme=scheme,
-                        seed=cfg.seed,
-                        params=dict(base, mode="nested", site=site, depth=depth),
-                    )
-                )
-    return specs
-
-
-def run_explore(
-    cfg: ExploreConfig | None = None,
-    jobs: int = 1,
-    cache: bool = True,
-    cache_root=None,
-    timeout: float | None = None,
-    progress=None,
-):
-    """Run one exploration; returns ``(summary, RunReport)``.
-
-    The summary dict is pure content (no timings, no cache counters):
-    the same exploration summarizes byte-identically whether it ran
-    serially, pooled, or entirely from cache.  Orchestration accounting
-    lives in the returned :class:`~repro.runs.orchestrate.RunReport`.
-    """
-    from repro.runs import orchestrate
-
-    cfg = cfg or ExploreConfig()
-    specs = explore_specs(cfg)
-    report = orchestrate(
-        "crash-explore",
-        specs,
-        jobs=jobs,
-        use_cache=cache,
-        cache_root=cache_root,
-        timeout=timeout,
-        progress=progress,
-    )
-    report.raise_on_failure()
-
-    schemes: dict[str, dict] = {}
-    for spec in specs:
-        payload = report.payload(spec)
-        entry = schemes.setdefault(
-            spec.scheme,
-            {
-                "distinct_states": set(),
-                "evaluated": 0,
-                "trace_units": 0,
-                "outcomes": Counter(),
-                "violations": [],
-                "nested": {},
-                "sampling": Counter(),
-                "covered": 0,
-                "oracle_calls": 0,
-                "class_tables": [],
-                "class_mismatches": [],
-            },
-        )
-        if payload["mode"] == "enumerate":
-            entry["distinct_states"].update(payload["states"])
-            entry["evaluated"] += payload["evaluated"]
-            entry["trace_units"] = payload["trace_units"]
-            entry["outcomes"].update(payload["outcomes"])
-            entry["violations"].extend(payload["violations"])
-            entry["sampling"].update(payload.get("sampling", {}))
-            if payload.get("reduce"):
-                entry["covered"] += payload["covered"]
-                entry["oracle_calls"] += payload["oracle_calls"]
-                entry["class_tables"].append(payload["classes"])
-                entry["class_mismatches"].extend(payload["class_mismatches"])
-        else:
-            entry["nested"].setdefault(payload["site"], []).append(
-                {
-                    "depth": payload["depth"],
-                    "schedule": payload["schedule"],
-                    "outcome": payload["verdict"]["outcome"],
-                    "fired_sites": payload["verdict"]["fired_sites"],
-                    "problems": payload["verdict"]["problems"],
-                }
-            )
-
-    summary = {"config": _config_dict(cfg), "schemes": {}}
-    total_violations = 0
-    for scheme in sorted(schemes):
-        entry = schemes[scheme]
-        violations = sorted(entry["violations"], key=lambda v: (v["k"], v["state"]))
-        total_violations += len(violations)
-        nested = {
-            site: sorted(runs, key=lambda r: r["depth"])
-            for site, runs in sorted(entry["nested"].items())
-        }
-        sampling = {
-            key: int(entry["sampling"].get(key, 0))
-            for key in ("points", "requested", "sampled")
-        }
-        summary["schemes"][scheme] = {
-            "trace_units": entry["trace_units"],
-            "states_evaluated": entry["evaluated"],
-            "distinct_states": len(entry["distinct_states"]),
-            "outcomes": dict(sorted(entry["outcomes"].items())),
-            "violations": violations,
-            "nested": nested,
-            "nested_ok": all(
-                not r["problems"] for runs in nested.values() for r in runs
-            ),
-            "sampling": sampling,
-            # Exhaustive means no crash point ever fell back to sampled
-            # drop-sets; when False the run is a spot check, not a proof.
-            "coverage_exhaustive": sampling["points"] == 0,
-        }
-        if cfg.reduce:
-            table, merge_mismatches = _merge_class_tables(entry["class_tables"])
-            mismatches = entry["class_mismatches"] + merge_mismatches
-            summary["schemes"][scheme].update(
-                {
-                    "states_covered": entry["covered"],
-                    "oracle_calls": entry["oracle_calls"],
-                    "classes": len(table),
-                    "reduction_ratio": (
-                        round(entry["covered"] / entry["oracle_calls"], 3)
-                        if entry["oracle_calls"]
-                        else None
-                    ),
-                    "class_table": table,
-                    "class_mismatches": mismatches,
-                }
-            )
-    summary["total_violations"] = total_violations
-    return summary, report
-
-
-def _config_dict(cfg: ExploreConfig) -> dict:
-    return {
-        "schemes": sorted(cfg.schemes),
-        "steps": cfg.steps,
-        "window": cfg.window,
-        "budget": cfg.budget,
-        "seed": cfg.seed,
-        "shards": cfg.shards,
-        "data_capacity": cfg.data_capacity,
-        "torn_batches": cfg.torn_batches,
-        "nested_depth": cfg.nested_depth,
-        "profile": cfg.profile,
-        "reduce": cfg.reduce,
-        "spot": cfg.spot,
-    }
-
-
-# ---------------------------------------------------------------------------
-# The standing campaign: scheme x workload exhaustive exploration
-# ---------------------------------------------------------------------------
+    if mode != "enumerate":
+        raise ValueError(f"unknown crash cell mode {mode!r}")
+    return run_enumerate_cell(spec)
 
 
 @dataclass(frozen=True)
@@ -490,10 +229,28 @@ class CrashCampaignConfig:
     seed: int = 7
     shards: int = DEFAULT_SHARDS
     data_capacity: int = 1 << 16
+    #: Passing-class witnesses spot-checked against the representative.
     spot: int = 1
+    #: Emit partially-applied batch states (protocol-violating; used to
+    #: demonstrate the oracle catches ordering bugs).
+    torn_batches: bool = False
 
     def __post_init__(self) -> None:
-        _check_shape(self.shards, self.spot)
+        from repro.trafficgen.ace import is_ace_profile, parse_profile
+
+        if self.shards < 1:
+            raise ValueError(f"shards must be at least 1, got {self.shards}")
+        if self.spot < 0:
+            raise ValueError(f"spot must be at least 0, got {self.spot}")
+        known = set(workload_profiles())
+        for profile in self.profiles:
+            if is_ace_profile(profile):
+                parse_profile(profile)
+            elif profile not in known:
+                raise ValueError(
+                    f"unknown profile {profile!r} (want one of "
+                    f"{', '.join(sorted(known))} or an ace-k<k>-... name)"
+                )
 
     def resolved_schemes(self) -> tuple[str, ...]:
         from repro.crashsim.oracle import ALLOWED_OUTCOMES
@@ -501,8 +258,6 @@ class CrashCampaignConfig:
         return self.schemes or tuple(sorted(ALLOWED_OUTCOMES))
 
     def resolved_profiles(self) -> tuple[str, ...]:
-        from repro.crashsim.workload import workload_profiles
-
         return self.profiles or tuple(workload_profiles())
 
 
@@ -517,16 +272,16 @@ def campaign_specs(cfg: CrashCampaignConfig) -> list:
                 params = {
                     "steps": cfg.steps,
                     "window": cfg.window,
-                    "budget": 1,
                     "data_capacity": cfg.data_capacity,
                     "mode": "enumerate",
                     "shard": shard,
                     "shards": cfg.shards,
-                    "reduce": True,
                     "spot": cfg.spot,
                 }
-                if profile != "hotset":
+                if profile != HOTSET:
                     params["profile"] = profile
+                if cfg.torn_batches:
+                    params["torn"] = True
                 specs.append(
                     RunSpec(
                         kind="crash", scheme=scheme, seed=cfg.seed, params=params
@@ -581,9 +336,10 @@ def run_campaign(
 ):
     """Run one campaign; returns ``(summary, RunReport)``.
 
-    Like :func:`run_explore` the summary is pure content — a serial run,
-    a pooled run and a warm-cache run of the same campaign summarize
-    byte-identically.  Failed shards are isolated: their grid cells are
+    The summary is pure content (no timings, no cache counters) — a
+    serial run, a pooled run and a warm-cache run of the same campaign
+    summarize byte-identically; orchestration accounting lives in the
+    returned :class:`~repro.runs.orchestrate.RunReport`.  Failed shards are isolated: their grid cells are
     reported under ``failures`` while every healthy cell still merges.
     """
     from repro.runs import orchestrate
@@ -603,7 +359,7 @@ def run_campaign(
     grid: dict[str, dict[str, dict]] = {}
     failures: list[dict] = []
     for spec in specs:
-        profile = spec.params.get("profile", "hotset")
+        profile = spec.params.get("profile", HOTSET)
         outcome = report.outcomes[spec.spec_hash()]
         if not outcome.ok:
             failures.append(
@@ -658,6 +414,8 @@ def run_campaign(
             failures, key=lambda f: (f["scheme"], f["profile"], f["shard"])
         ),
     }
+    if cfg.torn_batches:
+        summary["config"]["torn_batches"] = True
     totals = {
         "cells": 0,
         "evaluated": 0,

@@ -1,7 +1,7 @@
 """The orchestrator: cache -> journal -> worker pool, in that order.
 
 :func:`run_specs` is the single entry point every experiment driver
-(Figure 5/6, the crash explorer and campaign, the benchmark harness) submits through.
+(Figure 5/6, the crash campaign, the benchmark harness) submits through.
 For each requested spec it consults, in order:
 
 1. the content-addressed **result cache** (same spec hash + same code

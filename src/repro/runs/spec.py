@@ -86,7 +86,7 @@ class RunSpec:
     """Everything that determines one experiment's result, as data.
 
     * ``kind`` — what the worker executes: a full-system ``simulation``
-      or a ``crash`` cell of the crash-state explorer
+      or a ``crash`` shard of the crash campaign
       (:mod:`repro.crashsim.explore`).
     * ``scheme`` / ``workload`` / ``length`` / ``seed`` — the design and
       the workload recipe (SPEC surrogate name + generator parameters).
@@ -154,12 +154,10 @@ class RunSpec:
         parts = [self.kind, self.scheme]
         if self.workload:
             parts.append(f"{self.workload}@{self.length}#{self.seed}")
-        if "site" in self.params:
-            parts.append(str(self.params["site"]))
+        if "profile" in self.params:
+            parts.append(str(self.params["profile"]))
         if self.params.get("mode") == "enumerate":
             parts.append(f"shard{self.params['shard']}/{self.params['shards']}")
-        if "depth" in self.params:
-            parts.append(f"depth{self.params['depth']}")
         return "/".join(parts)
 
     def system_config(self) -> SystemConfig:

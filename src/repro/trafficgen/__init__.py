@@ -1,4 +1,4 @@
-"""repro.trafficgen: bounded exhaustive workloads for the crash explorer.
+"""repro.trafficgen: bounded exhaustive workloads for the crash campaign.
 
 :mod:`repro.trafficgen.ace` enumerates every k-write workload over every
 address-overlap pattern and every flush/fence placement, canonical-form

@@ -1,4 +1,4 @@
-"""ACE-style bounded workload enumeration for the crash explorer.
+"""ACE-style bounded workload enumeration for the crash campaign.
 
 Following the ACE idea behind CrashMonkey/Silhouette — crash-consistency
 bugs are overwhelmingly exposed by *tiny* workloads, so enumerate the

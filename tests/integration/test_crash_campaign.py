@@ -10,12 +10,7 @@ failing shard is isolated instead of poisoning the rest of the grid.
 import pytest
 
 from repro.analysis.export import campaign_summary_to_json
-from repro.crashsim import (
-    CrashCampaignConfig,
-    ExploreConfig,
-    campaign_specs,
-    run_campaign,
-)
+from repro.crashsim import CrashCampaignConfig, campaign_specs, run_campaign
 
 SMOKE = CrashCampaignConfig(
     schemes=("ccnvm", "sc"),
@@ -142,14 +137,15 @@ class TestDefaults:
             * len(cfg.resolved_profiles())
             * cfg.shards
         )
-        assert all(s.params["reduce"] for s in specs)
-        assert all(s.params["budget"] == 1 for s in specs)
+        assert not any("torn" in s.params for s in specs)
 
-    @pytest.mark.parametrize("config", [CrashCampaignConfig, ExploreConfig])
-    @pytest.mark.parametrize("field", [{"shards": 0}, {"shards": -1}, {"spot": -1}])
-    def test_rejects_shapes_that_would_cover_nothing(self, config, field):
+    @pytest.mark.parametrize(
+        "field",
+        [{"shards": 0}, {"shards": -1}, {"spot": -1}, {"profiles": ("nosuch",)}],
+    )
+    def test_rejects_shapes_that_would_cover_nothing(self, field):
         with pytest.raises(ValueError):
-            config(**field)
+            CrashCampaignConfig(**field)
 
 
 class TestDifferentialContract:

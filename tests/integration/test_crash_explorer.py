@@ -1,11 +1,13 @@
 """Integration tests for the systematic crash-state explorer.
 
-The acceptance surface of the subsystem: the smoke-budget exploration
-clears 200+ distinct states per scheme with zero cc-NVM violations and
-a nested schedule per recovery site; a deliberately protocol-violating
-variant (torn batches) is caught *and* minimized to a handful of ops;
-and the whole thing is deterministic through the orchestrator — serial,
-pooled and fully-cached runs summarize byte-identically.
+The acceptance surface of the subsystem, driven through the crash
+campaign: the smoke-budget hot-set cell clears 200+ distinct states
+with zero cc-NVM violations; a deliberately protocol-violating variant
+(torn batches) is caught *and* minimized to a handful of ops; and the
+committed minimized reproducer keeps failing.  Determinism across
+serial, pooled and warm-cache runs is pinned by
+``test_crash_campaign.py``; nested crash-during-recovery schedules by
+``test_fault_campaign.py::test_double_crash_runs_are_marked``.
 """
 
 import json
@@ -13,56 +15,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.export import crash_summary_to_json, reproducer_from_json
-from repro.crashsim import ExploreConfig, explore_specs, replay, run_explore
-from repro.faults.plan import RECOVERY_SITES
+from repro.analysis.export import reproducer_from_json
+from repro.crashsim import CrashCampaignConfig, replay, run_campaign
 
 FIXTURE = Path(__file__).parent.parent / "fixtures" / "crash_reproducer_torn_batch.json"
 
-SMOKE = ExploreConfig(schemes=("ccnvm",))
-
-
-@pytest.fixture(scope="module")
-def smoke(tmp_path_factory):
-    root = tmp_path_factory.mktemp("crash-cache")
-    summary, report = run_explore(SMOKE, cache_root=root)
-    return summary, report, root
+SMOKE = CrashCampaignConfig(schemes=("ccnvm",), profiles=("hotset",))
 
 
 class TestSmokeExploration:
-    def test_acceptance_floor(self, smoke):
-        summary, _, _ = smoke
-        entry = summary["schemes"]["ccnvm"]
-        assert entry["distinct_states"] >= 200
-        assert entry["violations"] == []
-        assert summary["total_violations"] == 0
-        assert set(entry["outcomes"]) == {"RECOVERED"}
-
-    def test_nested_schedule_per_recovery_site(self, smoke):
-        summary, _, _ = smoke
-        entry = summary["schemes"]["ccnvm"]
-        assert set(entry["nested"]) == set(RECOVERY_SITES)
-        for site, runs in entry["nested"].items():
-            assert [r["depth"] for r in runs] == [1, 2]
-            for r in runs:
-                assert len(r["fired_sites"]) == r["depth"]
-                assert r["problems"] == []
-        assert entry["nested_ok"]
-
-    def test_warm_rerun_is_fully_cached_and_identical(self, smoke):
-        summary, report, root = smoke
-        assert report.executed == len(explore_specs(SMOKE))
-        warm_summary, warm_report = run_explore(SMOKE, cache_root=root)
-        assert warm_report.executed == 0
-        assert warm_report.cache_hits == len(explore_specs(SMOKE))
-        assert crash_summary_to_json(warm_summary) == crash_summary_to_json(summary)
-
-    @pytest.mark.slow
-    def test_serial_and_pooled_summaries_byte_identical(self, smoke, tmp_path):
-        summary, _, _ = smoke
-        pooled, report = run_explore(SMOKE, jobs=2, cache_root=tmp_path)
-        assert report.executed == len(explore_specs(SMOKE))
-        assert crash_summary_to_json(pooled) == crash_summary_to_json(summary)
+    def test_acceptance_floor(self, tmp_path):
+        summary, _ = run_campaign(SMOKE, cache_root=tmp_path)
+        cell = summary["grid"]["ccnvm"]["hotset"]
+        assert cell["distinct_states"] >= 200
+        assert cell["violations"] == []
+        assert summary["totals"]["violations"] == 0
+        assert set(cell["outcomes"]) == {"RECOVERED"}
 
 
 class TestTornBatchDetection:
@@ -70,24 +38,26 @@ class TestTornBatchDetection:
 
     @pytest.fixture(scope="class")
     def torn(self, tmp_path_factory):
-        cfg = ExploreConfig(schemes=("ccnvm",), steps=48, torn_batches=True)
-        summary, _ = run_explore(
+        cfg = CrashCampaignConfig(
+            schemes=("ccnvm",), profiles=("hotset",), steps=48, torn_batches=True
+        )
+        summary, _ = run_campaign(
             cfg, cache_root=tmp_path_factory.mktemp("torn-cache")
         )
         return summary
 
     def test_violations_found_and_minimized(self, torn):
-        entry = torn["schemes"]["ccnvm"]
-        assert entry["violations"], "torn batches must violate the contract"
-        minimized = [v for v in entry["violations"] if "reproducer" in v]
+        cell = torn["grid"]["ccnvm"]["hotset"]
+        assert cell["violations"], "torn batches must violate the contract"
+        minimized = [v for v in cell["violations"] if "reproducer" in v]
         assert minimized
         for violation in minimized:
             assert violation["torn"] is not None
             assert len(violation["reproducer"]["ops"]) <= 10
 
     def test_minimized_reproducer_replays(self, torn):
-        entry = torn["schemes"]["ccnvm"]
-        violation = next(v for v in entry["violations"] if "reproducer" in v)
+        cell = torn["grid"]["ccnvm"]["hotset"]
+        violation = next(v for v in cell["violations"] if "reproducer" in v)
         artifact = reproducer_from_json(
             json.dumps(violation["reproducer"])
         )

@@ -27,7 +27,7 @@ import pytest
 
 from repro.core.schemes import create_scheme
 from repro.crashsim.enumerate import CrashEnumerator, CrashState
-from repro.crashsim.explore import ExploreConfig, execute_cell, explore_specs
+from repro.crashsim.explore import run_nested_cell
 from repro.crashsim.oracle import ALLOWED_OUTCOMES, RecoveryOracle, classify
 from repro.crashsim.workload import hot_addrs, record_workload
 from repro.faults.injector import FaultInjector
@@ -174,18 +174,15 @@ class TestSmokeCampaign:
             assert _state_hash(lines, last["registers"]) not in state_sets[name]
 
     def test_double_crash_runs_are_marked(self):
-        cfg = ExploreConfig(
-            schemes=SCHEMES, steps=STEPS, seed=SEED, data_capacity=CAPACITY
-        )
-        nested = [
-            spec for spec in explore_specs(cfg) if spec.params["mode"] == "nested"
-        ]
-        assert len(nested) == len(SCHEMES) * len(RECOVERY_SITES) * 2
-        for spec in nested:
-            payload = execute_cell(spec)
-            verdict = payload["verdict"]
-            scheduled = [site for site, _ in payload["schedule"]]
-            assert verdict["problems"] == [], spec.describe()
-            assert verdict["fired_sites"] == scheduled, spec.describe()
-            assert verdict["outcome"] in ALLOWED_OUTCOMES[spec.scheme]
-            assert any("resumed" in note for note in verdict["notes"])
+        for name in SCHEMES:
+            for site in sorted(RECOVERY_SITES):
+                for depth in (1, 2):
+                    label = f"{name}/{site}/depth{depth}"
+                    payload = run_nested_cell(name, site, depth, STEPS, SEED, CAPACITY)
+                    verdict = payload["verdict"]
+                    scheduled = [s for s, _ in payload["schedule"]]
+                    assert len(scheduled) == depth, label
+                    assert verdict["problems"] == [], label
+                    assert verdict["fired_sites"] == scheduled, label
+                    assert verdict["outcome"] in ALLOWED_OUTCOMES[name]
+                    assert any("resumed" in note for note in verdict["notes"])

@@ -43,17 +43,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["crash"])
 
-    def test_crash_explore_defaults(self):
-        args = build_parser().parse_args(["crash", "explore"])
-        assert args.schemes == ["ccnvm"]
+    def test_crash_campaign_defaults(self):
+        args = build_parser().parse_args(["crash", "campaign"])
+        assert args.schemes is None and args.profiles is None
         assert args.steps is None and args.shards is None
-        assert args.window == 4 and args.budget == 16 and args.seed == 7
-        assert not args.torn_batches and args.nested_depth == 2
+        assert args.window == 4 and args.seed == 7 and args.spot == 1
+        assert args.min_classes == 0
+        assert args.json is None and args.reproducers is None
         assert args.jobs == 1 and not args.no_cache
 
-    def test_crash_explore_validates_scheme(self):
+    def test_crash_campaign_validates_scheme(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["crash", "explore", "--schemes", "magic"])
+            build_parser().parse_args(["crash", "campaign", "--schemes", "magic"])
 
     def test_crash_replay_and_minimize_take_a_file(self):
         args = build_parser().parse_args(["crash", "replay", "r.json"])
@@ -158,28 +159,33 @@ class TestCommands:
         assert "failure reproduced" in out
         assert "outcome FAILED" in out
 
-    def test_crash_explore_smoke(self, capsys, monkeypatch, tmp_path):
+    def test_crash_campaign_smoke(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)  # the cache lands here
         assert main([
-            "crash", "explore", "--schemes", "ccnvm",
+            "crash", "campaign", "--schemes", "ccnvm", "--profiles", "hotset",
             "--steps", "24", "--quiet",
-            "--export", "crash.json", "--reproducers", "repros",
+            "--json", "crash.json", "--reproducers", "repros",
         ]) == 0
         out = capsys.readouterr().out
-        assert "0 violation(s)" in out and "nested ok" in out
+        assert "0 violation(s)" in out and "campaign ok" in out
         import json
 
         summary = json.loads((tmp_path / "crash.json").read_text())
-        assert summary["total_violations"] == 0
-        assert "ccnvm" in summary["schemes"]
+        assert summary["totals"]["violations"] == 0
+        assert list(summary["grid"]) == ["ccnvm"]
+        assert list(summary["grid"]["ccnvm"]) == ["hotset"]
         # No violations -> the reproducer directory exists but is empty.
         assert list((tmp_path / "repros").iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["explore", "campaign"])
-    @pytest.mark.parametrize("flag", [["--shards", "0"], ["--spot", "-1"]])
-    def test_crash_rejects_shapes_that_cover_nothing(self, capsys, command, flag):
-        assert main(["crash", command, "--quiet", "--no-cache", *flag]) == 2
-        assert "must be at least" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", [
+        ["--shards", "0"], ["--spot", "-1"], ["--profiles", "nosuch"],
+    ])
+    def test_crash_rejects_shapes_that_cover_nothing(self, capsys, flag):
+        assert main(["crash", "campaign", "--quiet", "--no-cache", *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro crash campaign: ")
+        expected = "unknown profile" if flag[0] == "--profiles" else "must be at least"
+        assert expected in err
 
     def test_crash_campaign_with_no_cells_fails(self, capsys, monkeypatch, tmp_path):
         import repro.crashsim.explore as explore_mod
@@ -195,6 +201,7 @@ class TestCommands:
         ]) == 1
         out = capsys.readouterr().out
         assert "campaign FAILED: no grid cell ran" in out
+        assert "0 oracle calls (-x)" in out and "Nonex" not in out
 
     @pytest.mark.parametrize("flag", [
         ["--k", "0"], ["--k", "7"], ["--k", "1", "--campaign", "--spot", "-1"],

@@ -67,6 +67,15 @@ class TestSpecHash:
         )
         campaign = campaign_specs(CrashCampaignConfig(seed=1, profiles=("hotset",)))
         assert campaign[0].spec_hash() == (
+            "871a9c1ec8fd9b93fa0bcba53e971331bca8e81a25dbbb1535397d0f18d20668"
+        )
+        # The same shard as campaign specs wrote it while they still
+        # carried the unread "budget" and "reduce" keys.
+        legacy = RunSpec(
+            kind="crash", scheme="ccnvm", seed=1,
+            params=dict(campaign[0].params, budget=1, reduce=True),
+        )
+        assert legacy.spec_hash() == (
             "4ac5335961a3b5b98c8ecc8fe721d429f3ccf5bf7ba756c7a3a1d7652508fbc9"
         )
 
@@ -99,6 +108,18 @@ class TestSpecHash:
     def test_describe_names_the_cell(self):
         label = simulation_spec("ccnvm", "lbm", 4000, 1).describe()
         assert "ccnvm" in label and "lbm@4000#1" in label
+
+    def test_describe_names_the_campaign_profile(self):
+        from repro.crashsim import CrashCampaignConfig, campaign_specs
+
+        cfg = CrashCampaignConfig(
+            schemes=("ccnvm",), profiles=("hotset", "lbm", "gcc"), shards=2
+        )
+        labels = [spec.describe() for spec in campaign_specs(cfg)]
+        assert len(set(labels)) == len(labels)
+        assert "crash/ccnvm/shard0/2" in labels
+        assert "crash/ccnvm/lbm/shard0/2" in labels
+        assert "crash/ccnvm/gcc/shard1/2" in labels
 
 
 class TestConfigRoundTrip:
