@@ -198,21 +198,19 @@ class RecoveryManager:
         block = self.layout.block_slot(addr)
         major, minor = stored.counter_pair(block)
         ciphertext = self.nvm.peek(addr)
-        code = self._stored_data_hmac(addr)
+        code = bytes(self._stored_data_hmac(addr))
         limit = self.policy.retry_limit
+        # Consecutive crash states retry the same (block, counter) inputs,
+        # so the codes come through the engine's recovery memo.
+        data_hmac = self.hmac.recovery_data_hmac
         for k in range(limit + 1):
             if minor + k > MINOR_COUNTER_MAX:
                 break
-            if self.hmac.verify(
-                bytes(code), self.hmac.data_hmac(ciphertext, addr, major, minor + k)
-            ):
+            if self.hmac.verify(code, data_hmac(ciphertext, addr, major, minor + k)):
                 return (major, minor + k), k, False
         # A split-counter major bump re-keys the page to (major+1, small).
         for k in range(limit + 1):
-            if self.hmac.verify(
-                bytes(code),
-                self.hmac.data_hmac(ciphertext, addr, major + 1, k),
-            ):
+            if self.hmac.verify(code, data_hmac(ciphertext, addr, major + 1, k)):
                 return (major + 1, k), k, True
         return None, 0, False
 

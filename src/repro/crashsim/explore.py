@@ -6,7 +6,8 @@ each a :class:`~repro.runs.spec.RunSpec` of the ``crash`` kind.  A shard
 takes the trace's crash points of one residue class (``k % shards ==
 shard``).  Every worker regenerates the identical deterministic trace —
 specs stay tiny, exactly like the simulation specs that ship workload
-recipes instead of traces — expands its own points through the
+recipes instead of traces; a worker keeps its last trace, so a cell's
+consecutive shards record it once — expands its own points through the
 equivalence-class reducer, runs the oracle once per class, and returns
 distinct image hashes, an outcome histogram, the class table and
 (minimized) violations.
@@ -24,6 +25,7 @@ restartable ``recovery_pending`` path.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -40,6 +42,10 @@ DEFAULT_SHARDS = 4
 MAX_MINIMIZE = 3
 
 
+# Keeps the last trace: ``campaign_specs`` emits a cell's shards
+# consecutively, so a worker records each cell once.  Callers share the
+# trace, which nothing mutates after recording.
+@functools.lru_cache(maxsize=1)
 def _record_trace(
     scheme_name: str, steps: int, seed: int, data_capacity: int, profile: str = HOTSET
 ):

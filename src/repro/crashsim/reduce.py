@@ -234,6 +234,9 @@ class CrashStateReducer:
             self.layout.region_of(addr) == "data"
             for addr in trace.initial_lines
         )
+        #: Stored counter line bytes -> decoded line; read-only, shared by
+        #: every state that holds the same stored line.
+        self._decoded: dict[bytes, CounterLine] = {}
 
     # -- fingerprints ------------------------------------------------------------
 
@@ -306,17 +309,24 @@ class CrashStateReducer:
         rolled_leaves: set[int] = set()
         total_retries = 0
         unrecoverable = 0
-        adjusted: dict[int, bytes] = {
-            addr: data
-            for addr, data in state.lines.items()
-            if layout.region_of(addr) == "counter"
-        }
+        # Only the rebuilt-root freshness check (``root_new`` designs)
+        # reads the recovery-adjusted counter image.
+        adjusted: dict[int, bytes] | None = None
+        if view.freshness == "root_new":
+            adjusted = {
+                addr: data
+                for addr, data in state.lines.items()
+                if layout.region_of(addr) == "counter"
+            }
+        decoded = self._decoded
         for leaf, addrs in sorted(touched.items()):
             counter_addr = layout.counter_line_addr(addrs[0])
             stored_raw = state.lines.get(counter_addr)
             if stored_raw is None:
                 stored_raw = self.tree.scheme.nvm.virgin(counter_addr)
-            stored = CounterLine.decode(stored_raw)
+            stored = decoded.get(stored_raw)
+            if stored is None:
+                stored = decoded[stored_raw] = CounterLine.decode(stored_raw)
             blocks = []
             pairs: dict[int, tuple[int, int]] = {}
             retries_here = 0
@@ -350,18 +360,10 @@ class CrashStateReducer:
             target = max([stored.major] + [p[0] for p in pairs.values()])
             if target > stored.major:
                 rolled = True
-                full = {}
-                for block in range(BLOCKS_PER_PAGE):
-                    pair = pairs.get(block, stored.counter_pair(block))
-                    full[block] = pair if pair[0] >= target else (target, 0)
-                line = CounterLine(
-                    target, [full[b][1] for b in range(BLOCKS_PER_PAGE)]
+            if adjusted is not None:
+                adjusted[counter_addr] = self._adjusted_line(
+                    stored, pairs, target
                 )
-            else:
-                line = CounterLine(stored.major, list(stored.minors))
-                for block, (_, minor) in pairs.items():
-                    line.minors[block] = minor
-            adjusted[counter_addr] = line.encode()
             leaf_retries[leaf] = retries_here
             total_retries += retries_here
             if rolled:
@@ -430,6 +432,23 @@ class CrashStateReducer:
             unrecoverable,
         )
         return hashlib.sha256(repr(record).encode()).hexdigest()
+
+    @staticmethod
+    def _adjusted_line(
+        stored: CounterLine, pairs: dict[int, tuple[int, int]], target: int
+    ) -> bytes:
+        """The counter line recovery writes back for one page (encoded)."""
+        if target > stored.major:
+            full = {}
+            for block in range(BLOCKS_PER_PAGE):
+                pair = pairs.get(block, stored.counter_pair(block))
+                full[block] = pair if pair[0] >= target else (target, 0)
+            line = CounterLine(target, [full[b][1] for b in range(BLOCKS_PER_PAGE)])
+        else:
+            line = CounterLine(stored.major, list(stored.minors))
+            for block, (_, minor) in pairs.items():
+                line.minors[block] = minor
+        return line.encode()
 
     # -- invisibility analysis -----------------------------------------------------
 

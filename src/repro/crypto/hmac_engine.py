@@ -18,20 +18,38 @@ architecture (Section 2.2, Figure 1):
 The engine also counts every HMAC computation so the deferred-spreading
 ablation can report calculation savings, and exposes the paper's 80-cycle
 latency for the timing layer.
+
+Recovery recomputes the same codes over and over: the counter roll-forward
+retries a block's data HMAC at ``minor+1 … minor+N`` on every crash state,
+and the whole-image Merkle operations rehash the same stored nodes.  The
+``recovery_*`` variants consult one bounded memo keyed on every input, so a
+repeat costs a dictionary lookup.  A hit still counts as a computation —
+the statistics describe the modeled hardware, which keeps no such memo.
+The runtime read/write path never consults it (see DESIGN.md).
 """
 
 from __future__ import annotations
 
 from repro.common.constants import CACHE_LINE_SIZE, HMAC_SIZE
 from repro.common.stats import StatGroup
-from repro.crypto.prf import SecretKey, constant_time_equal, keyed_hash
+from repro.crypto.prf import SecretKey, constant_time_equal
+
+#: Codes remembered per engine by the ``recovery_*`` variants; the memo is
+#: emptied when full.  The bound holds every distinct code of a hot-set
+#: campaign shard (a whole 24-shard pass computes about 1,200).
+RECOVERY_MEMO_ENTRIES = 4096
+
+# ``keyed_hash``'s length prefixes for the fixed-width HMAC inputs, so the
+# message is built in one concatenation with the same bytes.
+_LEN_LINE = CACHE_LINE_SIZE.to_bytes(4, "little")
+_LEN_8 = (8).to_bytes(4, "little")
+_LEN_2 = (2).to_bytes(4, "little")
 
 
 class HmacEngine:
     """Computes data HMACs and counter HMACs with one TCB key."""
 
     def __init__(self, key: SecretKey, stats: StatGroup | None = None) -> None:
-        self._key = key
         self._stats = stats if stats is not None else StatGroup("hmac")
         self._data_hmacs = self._stats.counter(
             "data_hmacs", "data HMAC computations"
@@ -39,6 +57,11 @@ class HmacEngine:
         self._counter_hmacs = self._stats.counter(
             "counter_hmacs", "counter HMAC (Merkle node) computations"
         )
+        #: The key's RFC 2104 states; :meth:`_mac` copies them per code.
+        self._inner, self._outer = key.hmac_states("sha1")
+        #: Recovery-side codes: ``(ciphertext, address, major, minor)`` for
+        #: data HMACs, the node bytes for counter HMACs.
+        self.recovery_memo: dict[object, bytes] = {}
 
     @property
     def stats(self) -> StatGroup:
@@ -55,23 +78,36 @@ class HmacEngine:
         """Total counter-HMAC (tree-node) computations performed so far."""
         return self._counter_hmacs.value
 
+    def _mac(self, message: bytes) -> bytes:
+        """``keyed_hash`` over an already length-prefixed *message*."""
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()[:HMAC_SIZE]
+
     def data_hmac(
         self, encrypted_data: bytes, address: int, major: int, minor: int
     ) -> bytes:
         """128-bit data HMAC of one encrypted block.
 
         Inputs follow Figure 1: encrypted data, address, and the block's
-        (split) encryption counter.
+        (split) encryption counter.  The code equals ``keyed_hash(key,
+        encrypted_data, address, major, minor)`` with the integers as 8-,
+        8- and 2-byte little-endian fields.
         """
         if len(encrypted_data) != CACHE_LINE_SIZE:
             raise ValueError("data HMAC covers exactly one cache line")
         self._data_hmacs.inc()
-        return keyed_hash(
-            self._key,
-            encrypted_data,
-            address.to_bytes(8, "little"),
-            major.to_bytes(8, "little"),
-            minor.to_bytes(2, "little"),
+        return self._mac(
+            _LEN_LINE
+            + encrypted_data
+            + _LEN_8
+            + address.to_bytes(8, "little")
+            + _LEN_8
+            + major.to_bytes(8, "little")
+            + _LEN_2
+            + minor.to_bytes(2, "little")
         )
 
     def counter_hmac(self, child_node: bytes) -> bytes:
@@ -89,7 +125,36 @@ class HmacEngine:
         if len(child_node) != CACHE_LINE_SIZE:
             raise ValueError("counter HMAC covers exactly one tree node")
         self._counter_hmacs.inc()
-        return keyed_hash(self._key, child_node)
+        return self._mac(_LEN_LINE + child_node)
+
+    # -- recovery-side memoized variants ---------------------------------------
+
+    def _remember(self, key: object, code: bytes) -> bytes:
+        memo = self.recovery_memo
+        if len(memo) >= RECOVERY_MEMO_ENTRIES:
+            memo.clear()
+        memo[key] = code
+        return code
+
+    def recovery_data_hmac(
+        self, encrypted_data: bytes, address: int, major: int, minor: int
+    ) -> bytes:
+        """:meth:`data_hmac` through the recovery memo (same code, same count)."""
+        key = (bytes(encrypted_data), address, major, minor)
+        code = self.recovery_memo.get(key)
+        if code is None:
+            return self._remember(key, self.data_hmac(*key))
+        self._data_hmacs.inc()
+        return code
+
+    def recovery_counter_hmac(self, child_node: bytes) -> bytes:
+        """:meth:`counter_hmac` through the recovery memo (same code, same count)."""
+        key = bytes(child_node)
+        code = self.recovery_memo.get(key)
+        if code is None:
+            return self._remember(key, self.counter_hmac(key))
+        self._counter_hmacs.inc()
+        return code
 
     def verify(self, expected: bytes, actual: bytes) -> bool:
         """Constant-time comparison of two HMAC codewords."""

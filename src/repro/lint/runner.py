@@ -64,7 +64,7 @@ class LintReport:
     files_analyzed: int = 0
     #: Wall-clock analyzer runtime.  Deliberately *excluded* from
     #: :meth:`to_dict` so ``repro lint --json`` is byte-stable across
-    #: runs; the CLI reports it on stderr and BENCH_lint.json records it.
+    #: runs; the CLI reports it on stderr.
     duration_seconds: float = 0.0
 
     def ok(self, strict: bool = False) -> bool:

@@ -30,6 +30,8 @@ from repro.common.constants import (
 
 _MINOR_FIELD_BYTES = CACHE_LINE_SIZE - MAJOR_COUNTER_BYTES
 _MAJOR_MAX = (1 << (8 * MAJOR_COUNTER_BYTES)) - 1
+#: Bit offset of each block's minor counter in the packed field.
+_SHIFTS = tuple(i * MINOR_COUNTER_BITS for i in range(BLOCKS_PER_PAGE))
 
 
 class CounterLine:
@@ -44,9 +46,8 @@ class CounterLine:
             minors = [0] * BLOCKS_PER_PAGE
         if len(minors) != BLOCKS_PER_PAGE:
             raise ValueError(f"expected {BLOCKS_PER_PAGE} minor counters")
-        for m in minors:
-            if not 0 <= m <= MINOR_COUNTER_MAX:
-                raise ValueError("minor counter out of range")
+        if min(minors) < 0 or max(minors) > MINOR_COUNTER_MAX:
+            raise ValueError("minor counter out of range")
         self.major = major
         self.minors = list(minors)
 
@@ -55,8 +56,9 @@ class CounterLine:
     def encode(self) -> bytes:
         """Serialize to the 64 B NVM line format."""
         packed = 0
-        for i, minor in enumerate(self.minors):
-            packed |= minor << (i * MINOR_COUNTER_BITS)
+        for shift, minor in zip(_SHIFTS, self.minors):
+            if minor:
+                packed |= minor << shift
         return self.major.to_bytes(MAJOR_COUNTER_BYTES, "little") + packed.to_bytes(
             _MINOR_FIELD_BYTES, "little"
         )
@@ -66,13 +68,12 @@ class CounterLine:
         """Parse a 64 B NVM line back into a :class:`CounterLine`."""
         if len(raw) != CACHE_LINE_SIZE:
             raise ValueError("counter lines are exactly one cache line")
-        major = int.from_bytes(raw[:MAJOR_COUNTER_BYTES], "little")
         packed = int.from_bytes(raw[MAJOR_COUNTER_BYTES:], "little")
-        minors = [
-            (packed >> (i * MINOR_COUNTER_BITS)) & MINOR_COUNTER_MAX
-            for i in range(BLOCKS_PER_PAGE)
-        ]
-        return cls(major, minors)
+        # Both fields are in range by construction: skip __init__'s checks.
+        line = cls.__new__(cls)
+        line.major = int.from_bytes(raw[:MAJOR_COUNTER_BYTES], "little")
+        line.minors = [(packed >> shift) & MINOR_COUNTER_MAX for shift in _SHIFTS]
+        return line
 
     # -- counter semantics ----------------------------------------------------
 

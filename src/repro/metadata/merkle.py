@@ -16,7 +16,10 @@ device — with its 12-level tree — directly simulable.
 
 The *runtime* incremental path (cached verification, deferred spreading)
 lives with the meta cache in :mod:`repro.metadata.metacache`; both share
-the slot-manipulation helpers defined here.
+the slot-manipulation helpers defined here.  Only recovery and the crash
+checks run the whole-image operations, and they rehash the same stored
+nodes state after state, so their node HMACs go through the engine's
+recovery memo (:meth:`~repro.crypto.hmac_engine.HmacEngine.recovery_counter_hmac`).
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class MerkleTree:
         addr = self.layout.merkle_node_addr(child)
         if not self.nvm.is_touched(addr):
             return self.genesis.node_hmac(child.level)
-        return self.engine.counter_hmac(self.nvm.peek(addr))
+        return self.engine.recovery_counter_hmac(self.nvm.peek(addr))
 
     # -- sparse touched-node bookkeeping ------------------------------------------
 
@@ -127,7 +130,7 @@ class MerkleTree:
                     child_val = current.get(child_idx)
                     if child_val is not None:
                         node = write_slot(
-                            node, slot, self.engine.counter_hmac(child_val)
+                            node, slot, self.engine.recovery_counter_hmac(child_val)
                         )
                 parents[parent_idx] = node
                 if poke and level < layout.root_level:

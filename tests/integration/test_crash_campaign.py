@@ -175,3 +175,52 @@ class TestDifferentialContract:
             "osiris_plus": {"FALSE_ALARM": 712, "RECOVERED": 347},
             "sc": {"FALSE_ALARM": 336, "RECOVERED": 673},
         }
+
+
+class TestTraceSharing:
+    """A worker records each cell's trace once; shards must not mutate it."""
+
+    CFG = CrashCampaignConfig(
+        schemes=("ccnvm",), profiles=("hotset",), steps=24, shards=2
+    )
+
+    @staticmethod
+    def snapshot(trace):
+        return (
+            [unit.to_dict() for unit in trace.units],
+            trace.op_count,
+            dict(trace.initial_lines),
+            dict(trace.annotations),
+            dict(trace.counters),
+            repr(trace.initial_registers),
+        )
+
+    def test_shards_share_one_unchanged_trace(self):
+        import repro.crashsim.explore as explore_mod
+
+        specs = campaign_specs(self.CFG)
+        spec = specs[0]
+        key = (
+            spec.scheme,
+            spec.params["steps"],
+            spec.seed,
+            spec.params["data_capacity"],
+            "hotset",
+        )
+        trace = explore_mod._record_trace(*key)
+        before = self.snapshot(trace)
+        for shard_spec in specs:
+            explore_mod.run_enumerate_cell(shard_spec)
+        assert explore_mod._record_trace(*key) is trace
+        assert self.snapshot(trace) == before
+
+    @pytest.mark.parametrize("field", range(5))
+    def test_any_key_change_records_a_new_trace(self, field):
+        import repro.crashsim.explore as explore_mod
+
+        key = ["ccnvm", 24, 7, 1 << 16, "hotset"]
+        trace = explore_mod._record_trace(*key)
+        key[field] = ["sc", 16, 8, 1 << 17, "lbm"][field]
+        other = explore_mod._record_trace(*key)
+        assert other is not trace
+        assert explore_mod._record_trace(*key) is other

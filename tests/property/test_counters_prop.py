@@ -1,5 +1,6 @@
 """Property-based tests for the split-counter codec."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,3 +87,23 @@ def test_decode_never_crashes_on_arbitrary_lines(raw):
     assert all(0 <= m <= MINOR_COUNTER_MAX for m in line.minors)
     # Canonical re-encode reproduces the same decoded state.
     assert CounterLine.decode(line.encode()) == line
+
+
+@pytest.mark.parametrize("value", [0, MINOR_COUNTER_MAX])
+@pytest.mark.parametrize("block", range(BLOCKS_PER_PAGE))
+def test_every_slot_round_trips_at_the_field_bounds(block, value):
+    ms = [0] * BLOCKS_PER_PAGE
+    ms[block] = value
+    line = CounterLine(5, ms)
+    decoded = CounterLine.decode(line.encode())
+    assert decoded == line
+    assert decoded.counter_pair(block) == (5, value)
+
+
+@pytest.mark.parametrize("value", [-1, MINOR_COUNTER_MAX + 1])
+@pytest.mark.parametrize("block", [0, BLOCKS_PER_PAGE - 1])
+def test_out_of_range_minors_still_raise(block, value):
+    ms = [0] * BLOCKS_PER_PAGE
+    ms[block] = value
+    with pytest.raises(ValueError, match="minor counter out of range"):
+        CounterLine(0, ms)

@@ -15,7 +15,7 @@ from repro.crypto.cme import (
     make_seed,
     xor_bytes,
 )
-from repro.crypto.hmac_engine import HmacEngine
+from repro.crypto.hmac_engine import RECOVERY_MEMO_ENTRIES, HmacEngine
 from repro.crypto.prf import SecretKey, keyed_hash, prf
 from repro.metadata import genesis
 from repro.metadata.genesis import LINE_MEMO_ENTRIES, GenesisImage
@@ -109,6 +109,27 @@ def test_data_hmac_address_binding(data, addr_a, addr_b, major, minor):
         )
 
 
+@given(
+    lines,
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+    st.integers(min_value=0, max_value=(1 << 16) - 1),
+)
+def test_hmac_engine_layout_equals_keyed_hash(data, addr, major, minor):
+    """The engine's inlined message layout is keyed_hash's, byte for byte."""
+    reference = keyed_hash(
+        KEY,
+        data,
+        addr.to_bytes(8, "little"),
+        major.to_bytes(8, "little"),
+        minor.to_bytes(2, "little"),
+    )
+    assert ENGINE.data_hmac(data, addr, major, minor) == reference
+    assert ENGINE.recovery_data_hmac(data, addr, major, minor) == reference
+    assert ENGINE.counter_hmac(data) == keyed_hash(KEY, data)
+    assert ENGINE.recovery_counter_hmac(data) == keyed_hash(KEY, data)
+
+
 @given(st.binary(max_size=96), st.binary(max_size=96))
 @settings(max_examples=60)
 def test_keyed_hash_collision_freedom_on_distinct_messages(a, b):
@@ -180,6 +201,28 @@ def test_pad_memo_stays_bounded_and_recomputes_identically():
     assert seeds[0] not in key.pad_memo  # evicted by the time the loop ended
     for seed in seeds:
         assert generate_otp(key, *seed) == pads[seed] == prf(key, make_seed(*seed))
+
+
+def test_recovery_memo_stays_bounded_and_counts_every_call():
+    engine = HmacEngine(SecretKey.from_seed("recovery-memo"))
+    block = bytes(range(CACHE_LINE_SIZE))
+    inputs = [(i * CACHE_LINE_SIZE, 0, i % 3) for i in range(RECOVERY_MEMO_ENTRIES + 1)]
+    codes = {}
+    for addr, major, minor in inputs:
+        codes[addr, major, minor] = engine.recovery_data_hmac(block, addr, major, minor)
+        assert len(engine.recovery_memo) <= RECOVERY_MEMO_ENTRIES
+    assert len(engine.recovery_memo) < RECOVERY_MEMO_ENTRIES  # emptied once
+    node_code = engine.recovery_counter_hmac(block)
+    for addr, major, minor in inputs:
+        assert (
+            engine.recovery_data_hmac(block, addr, major, minor)
+            == codes[addr, major, minor]
+            == engine.data_hmac(block, addr, major, minor)
+        )
+    assert engine.recovery_counter_hmac(block) == node_code == engine.counter_hmac(block)
+    # Hits and misses alike count as computations.
+    assert engine.data_hmac_count == 3 * len(inputs)
+    assert engine.counter_hmac_count == 3
 
 
 def test_genesis_line_memo_stays_bounded_and_recomputes_identically():

@@ -94,3 +94,30 @@ class TestNestedSchedules:
             "recovery.after_counters", "recovery.mid_rebuild",
         )
         assert verdict.ok, verdict.problems
+
+
+class TestRecoveryMemo:
+    def test_repeat_evaluations_count_every_hmac(self, trace):
+        """Memo hits still count: each evaluation of one state raises the
+        HMAC counters exactly as much as a fresh oracle's first one."""
+        from repro.crypto.hmac_engine import RECOVERY_MEMO_ENTRIES
+
+        state = state_at(trace, len(trace.units) // 2)
+
+        def deltas(oracle):
+            engine = oracle.scheme.hmac
+            before = (engine.data_hmac_count, engine.counter_hmac_count)
+            verdict = oracle.evaluate(state)
+            assert len(engine.recovery_memo) <= RECOVERY_MEMO_ENTRIES
+            return (
+                engine.data_hmac_count - before[0],
+                engine.counter_hmac_count - before[1],
+                verdict.to_dict(),
+            )
+
+        fresh = deltas(RecoveryOracle("ccnvm", data_capacity=TINY_CAPACITY, seed=SEED))
+        reused = RecoveryOracle("ccnvm", data_capacity=TINY_CAPACITY, seed=SEED)
+        assert deltas(reused) == fresh
+        assert reused.scheme.hmac.recovery_memo  # the second run can hit
+        assert deltas(reused) == fresh
+        assert fresh[0] > 0 and fresh[1] > 0

@@ -2,6 +2,9 @@
 independent of any scheme (the schemes' integration behaviour is covered
 in tests/integration/)."""
 
+import pytest
+
+from repro.core.attacks import Attacker
 from repro.core.recovery import (
     AttackFinding,
     RecoveryManager,
@@ -15,7 +18,7 @@ from repro.crypto.prf import SecretKey
 from repro.mem.nvm import NVMDevice
 from repro.metadata.counters import CounterLine
 from repro.metadata.genesis import GenesisImage
-from repro.metadata.layout import MemoryLayout
+from repro.metadata.layout import MemoryLayout, MerkleNodeId
 from repro.metadata.merkle import MerkleTree
 
 
@@ -130,8 +133,6 @@ class TestPolicyKnobs:
     def test_tree_check_skipped_when_not_requested(self):
         bench = Bench()
         # Corrupt an internal node: with no tree check, no tree finding.
-        from repro.metadata.layout import MerkleNodeId
-
         addr = bench.layout.merkle_node_addr(MerkleNodeId(1, 0))
         bench.nvm.poke(addr, bytes(64))
         policy = RecoveryPolicy(check_tree_against=(), retry_limit=4)
@@ -169,3 +170,106 @@ class TestReportMechanics:
         b = RecoveryReport(scheme="b")
         a.add(AttackFinding("data_tampering", address=0))
         assert b.findings == []
+
+
+# -- the recovery HMAC memo never masks tampering ------------------------------
+
+ADDR = 0x1000
+
+
+def stale_bench():
+    """v1 committed at minor 1, then v3 persisted at minor 3 (Nwb = 2).
+
+    Returns the bench and an attacker snapshot taken before the commit.
+    """
+    bench = Bench()
+    snapshot = Attacker(bench.nvm).record()
+    bench.write_block(ADDR, b"v1".ljust(64), 0, 1)
+    bench.commit_counters({ADDR: 1})
+    bench.write_block(ADDR, b"v3".ljust(64), 0, 3)
+    bench.tcb.nwb = 2
+    return bench, snapshot
+
+
+def committed_v1_snapshot():
+    """Attacker snapshot of the image right after v1's commit."""
+    bench = Bench()
+    bench.write_block(ADDR, b"v1".ljust(64), 0, 1)
+    bench.commit_counters({ADDR: 1})
+    return Attacker(bench.nvm).record()
+
+
+def report_key(report):
+    return (
+        report.success,
+        report.findings,
+        report.unrecoverable_blocks,
+        report.potential_replay_detected,
+        report.total_retries,
+        report.matched_root,
+    )
+
+
+ATTACKS = {
+    "spoof_data": lambda attacker, pre, v1: attacker.spoof_data(ADDR),
+    "spoof_data_hmac": lambda attacker, pre, v1: attacker.spoof_data_hmac(ADDR),
+    "replay_data": lambda attacker, pre, v1: attacker.replay_data(v1, ADDR),
+    "replay_counter_line": lambda attacker, pre, v1: attacker.replay_counter_line(
+        pre, ADDR
+    ),
+}
+
+
+class TestMemoNeverMasksTampering:
+    @pytest.mark.parametrize("attack", sorted(ATTACKS))
+    def test_warm_memo_reports_what_a_fresh_bench_reports(self, attack):
+        v1 = committed_v1_snapshot()
+        bench, pre = stale_bench()
+        image, registers = bench.nvm.snapshot(), bench.tcb.registers_snapshot()
+        clean = bench.recover(NWB_POLICY)
+        assert clean.success and clean.total_retries == 2
+        # The memo now holds every code the clean recovery computed.
+        assert bench.hmac.recovery_memo
+        bench.nvm.restore(image)
+        bench.tcb.restore_registers(registers)
+        ATTACKS[attack](Attacker(bench.nvm), pre, v1)
+        warm = bench.recover(NWB_POLICY)
+
+        fresh_bench, fresh_pre = stale_bench()
+        ATTACKS[attack](Attacker(fresh_bench.nvm), fresh_pre, v1)
+        fresh = fresh_bench.recover(NWB_POLICY)
+
+        assert report_key(warm) == report_key(fresh)
+        assert not warm.success
+        kinds = {(f.kind, f.address, f.node) for f in warm.findings}
+        leaf = MerkleNodeId(0, bench.layout.counter_leaf_index(ADDR))
+        expected = {
+            "spoof_data": ("data_tampering", ADDR, None),
+            "spoof_data_hmac": ("data_tampering", ADDR, None),
+            # v1 authenticates at the stored counter with no retries:
+            # Nretry 0 != Nwb 2 (detected, not locatable).
+            "replay_data": ("potential_replay", None, None),
+            # The rolled-back leaf disagrees with its stored parent slot.
+            "replay_counter_line": ("tree_tampering", None, leaf),
+        }[attack]
+        assert expected in kinds
+
+
+class TestHmacCountParity:
+    def test_memo_hits_count_like_computations(self):
+        bench, _ = stale_bench()
+        image, registers = bench.nvm.snapshot(), bench.tcb.registers_snapshot()
+        counts = []
+        for _ in range(2):
+            before = (bench.hmac.data_hmac_count, bench.hmac.counter_hmac_count)
+            bench.recover(NWB_POLICY)
+            counts.append(
+                (
+                    bench.hmac.data_hmac_count - before[0],
+                    bench.hmac.counter_hmac_count - before[1],
+                )
+            )
+            bench.nvm.restore(image)
+            bench.tcb.restore_registers(registers)
+        assert counts[0] == counts[1]
+        assert counts[0][0] > 0 and counts[0][1] > 0
