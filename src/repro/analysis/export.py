@@ -14,6 +14,7 @@ import json
 from dataclasses import asdict, fields
 
 from repro.analysis.report import FigureTable, SensitivitySeries
+from repro.common.jsondoc import dumps_sorted
 from repro.core.schemes import SCHEME_LABELS
 from repro.sim.runner import SimulationResult
 
@@ -56,7 +57,7 @@ def result_from_dict(data: dict) -> SimulationResult:
 
 def result_to_json(result: SimulationResult) -> str:
     """Canonical JSON document for one simulation result."""
-    return json.dumps(result_to_dict(result), indent=2, sort_keys=True)
+    return dumps_sorted(result_to_dict(result), 2)
 
 
 def result_from_json(text: str) -> SimulationResult:
@@ -97,9 +98,7 @@ def fig5_bench_document(comparisons, run_meta: dict | None = None) -> dict:
 
 def fig5_bench_to_json(comparisons, run_meta: dict | None = None) -> str:
     """Serialized :func:`fig5_bench_document` (the committed artifact)."""
-    return json.dumps(
-        fig5_bench_document(comparisons, run_meta), indent=2, sort_keys=True
-    )
+    return dumps_sorted(fig5_bench_document(comparisons, run_meta), 2)
 
 
 def fig5_bench_from_json(text: str) -> dict:
@@ -164,7 +163,7 @@ def table_to_csv(table: FigureTable) -> str:
 
 def table_to_json(table: FigureTable) -> str:
     """JSON document with rows, averages and display labels."""
-    return json.dumps(
+    return dumps_sorted(
         {
             "title": table.title,
             "schemes": list(table.schemes),
@@ -172,8 +171,7 @@ def table_to_json(table: FigureTable) -> str:
             "rows": table.rows,
             "averages": table.averages(),
         },
-        indent=2,
-        sort_keys=True,
+        2,
     )
 
 
@@ -194,14 +192,13 @@ def series_to_csv(series: SensitivitySeries) -> str:
 
 def series_to_json(series: SensitivitySeries) -> str:
     """JSON document with the swept points per design."""
-    return json.dumps(
+    return dumps_sorted(
         {
             "title": series.title,
             "parameter": series.parameter,
             "points": {str(v): m for v, m in sorted(series.points.items())},
         },
-        indent=2,
-        sort_keys=True,
+        2,
     )
 
 
@@ -214,12 +211,12 @@ def campaign_summary_to_json(summary: dict) -> str:
     timings, no cache counters), so serial, pooled and warm-cache runs
     of the same campaign serialize byte-identically.
     """
-    return json.dumps(summary, indent=2, sort_keys=True)
+    return dumps_sorted(summary, 2)
 
 
 def reproducer_to_json(repro) -> str:
     """JSON artifact for one minimized crash reproducer (``Reproducer``)."""
-    return json.dumps(repro.to_dict(), indent=2, sort_keys=True)
+    return dumps_sorted(repro.to_dict(), 2)
 
 
 def reproducer_from_json(text: str):
@@ -237,7 +234,7 @@ def lint_to_json(report) -> str:
     stale baseline keys.  Byte-stable for identical trees: findings are
     sorted, keys are sorted, and wall-clock runtime is excluded.
     """
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    return dumps_sorted(report.to_dict(), 2)
 
 
 def lint_from_json(text: str):

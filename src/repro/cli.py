@@ -167,10 +167,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print()
         print(render_report(result.stats))
     if args.stats_json:
-        import json
+        from repro.common.jsondoc import dumps_sorted
 
         with open(args.stats_json, "w") as f:
-            json.dump(result.stats, f, indent=2, sort_keys=True)
+            f.write(dumps_sorted(result.stats, 2))
             f.write("\n")
         print(f"wrote statistics JSON to {args.stats_json}")
     return 0
@@ -316,8 +316,9 @@ def cmd_crash_campaign(args: argparse.Namespace) -> int:
             f.write(campaign_summary_to_json(summary))
         print(f"wrote campaign summary to {args.json}")
     if args.reproducers:
-        import json
         import os
+
+        from repro.common.jsondoc import dumps_sorted
 
         os.makedirs(args.reproducers, exist_ok=True)
         written = 0
@@ -331,7 +332,7 @@ def cmd_crash_campaign(args: argparse.Namespace) -> int:
                         args.reproducers, f"{scheme}_{profile}_{name}.json"
                     )
                     with open(path, "w") as f:
-                        json.dump(v["reproducer"], f, indent=2, sort_keys=True)
+                        f.write(dumps_sorted(v["reproducer"], 2))
                     written += 1
         print(f"wrote {written} minimized reproducer(s) to {args.reproducers}/")
     problems = _campaign_gate(summary)
@@ -478,14 +479,13 @@ def cmd_traffic_ace(args: argparse.Namespace) -> int:
 
 
 def cmd_runs_status(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.common.jsondoc import dumps_sorted
     from repro.runs import ResultCache
 
     cache = ResultCache(args.root)
     status = cache.status()
     if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
+        print(dumps_sorted(status, 2))
         return 0
     print(f"result cache at {status['root']} "
           f"(current code fingerprint {status['fingerprint']})")
@@ -557,8 +557,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     exit_code = 0 if report.ok(strict=args.strict) else 1
 
     if args.cross_check:
-        import json
-
+        from repro.common.jsondoc import dumps_sorted
         from repro.lint.crosscheck import cross_check
         from repro.lint.model import build_model
 
@@ -568,7 +567,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         if args.cross_check_out:
             out = Path(args.cross_check_out)
             out.write_text(
-                json.dumps(xcheck.to_dict(), indent=2, sort_keys=True) + "\n",
+                dumps_sorted(xcheck.to_dict(), 2) + "\n",
                 encoding="utf-8",
             )
             print(f"cross-check site diff written to {out}", file=sys.stderr)

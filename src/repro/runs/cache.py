@@ -26,6 +26,7 @@ import os
 import tempfile
 from pathlib import Path
 
+from repro.common.jsondoc import dumps_sorted
 from repro.common.persistence import persistence
 from repro.runs.spec import RunSpec
 
@@ -37,6 +38,20 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 CACHE_FORMAT = 1
 
 _FINGERPRINTS: dict[str, str] = {}
+
+#: The counters ``stats.json`` persists.
+_STAT_COUNTERS = (
+    "hits", "misses", "stores", "flushes",
+    "gc_runs", "gc_removed", "gc_reclaimed_bytes",
+)
+
+
+def _counter(value) -> int:
+    """One persisted counter as an int; anything unreadable counts as 0."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        return 0
 
 
 def default_cache_root() -> Path:
@@ -112,6 +127,9 @@ class ResultCache:
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_root()
         self.fingerprint = fingerprint or code_fingerprint()
+        # Neither root nor fingerprint changes after construction, so the
+        # generation directory is joined once, not on every lookup.
+        self._generation_dir = self.results_dir / self.fingerprint
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -133,18 +151,18 @@ class ResultCache:
 
     def path_for(self, spec: RunSpec) -> Path:
         """Where this spec's result lives (for the current fingerprint)."""
-        return self.results_dir / self.fingerprint / f"{spec.spec_hash()}.json"
+        return self._generation_dir / f"{spec.spec_hash()}.json"
 
     # -- the store ---------------------------------------------------------
 
     def get(self, spec: RunSpec):
         """The cached payload for *spec*, or ``None`` on a miss.
 
-        A hit requires the entry to exist, parse, carry the current
-        format version and fingerprint, and name *spec*'s own hash;
-        anything less is a miss.  An unreadable entry, or one filed under
-        another spec's hash (misplaced or copied), is removed rather than
-        trusted.
+        A hit requires the entry to exist, parse as a JSON object, carry
+        the current format version and fingerprint, and name *spec*'s own
+        hash; anything less is a miss.  An unreadable entry (not UTF-8,
+        not JSON, not an object), or one filed under another spec's hash
+        (misplaced or copied), is removed rather than trusted.
         """
         path = self.path_for(spec)
         try:
@@ -152,7 +170,10 @@ class ResultCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
+            # ValueError covers both UnicodeDecodeError and JSONDecodeError.
+            return self._discard(path)
+        if not isinstance(envelope, dict):
             return self._discard(path)
         if (
             envelope.get("format") != CACHE_FORMAT
@@ -186,7 +207,7 @@ class ResultCache:
             "spec": spec.to_dict(),
             "payload": payload,
         }
-        text = json.dumps(envelope, sort_keys=True, indent=1)
+        text = dumps_sorted(envelope, 1)
         try:
             _atomic_write_text(path, text)
         except FileNotFoundError:
@@ -200,19 +221,14 @@ class ResultCache:
     # -- persistent statistics ---------------------------------------------
 
     def _read_stats(self) -> dict:
+        """``stats.json``'s counters; a corrupt file or counter reads as 0."""
         try:
             data = json.loads(self.stats_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             data = {}
-        return {
-            "hits": int(data.get("hits", 0)),
-            "misses": int(data.get("misses", 0)),
-            "stores": int(data.get("stores", 0)),
-            "flushes": int(data.get("flushes", 0)),
-            "gc_runs": int(data.get("gc_runs", 0)),
-            "gc_removed": int(data.get("gc_removed", 0)),
-            "gc_reclaimed_bytes": int(data.get("gc_reclaimed_bytes", 0)),
-        }
+        if not isinstance(data, dict):
+            data = {}
+        return {name: _counter(data.get(name, 0)) for name in _STAT_COUNTERS}
 
     def flush_stats(self) -> dict:
         """Merge this session's counters into ``stats.json`` and reset them.
@@ -229,7 +245,7 @@ class ResultCache:
         current["stores"] += self.stores
         current["flushes"] += 1
         self.root.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(self.stats_path, json.dumps(current, sort_keys=True, indent=1))
+        _atomic_write_text(self.stats_path, dumps_sorted(current, 1))
         self.cumulative = current
         self.hits = self.misses = self.stores = 0
         return current
@@ -329,8 +345,6 @@ class ResultCache:
             stats["gc_removed"] += removed
             stats["gc_reclaimed_bytes"] += reclaimed
             self.root.mkdir(parents=True, exist_ok=True)
-            _atomic_write_text(
-                self.stats_path, json.dumps(stats, sort_keys=True, indent=1)
-            )
+            _atomic_write_text(self.stats_path, dumps_sorted(stats, 1))
             self.cumulative = stats
         return {"removed": removed, "kept": kept, "reclaimed_bytes": reclaimed}

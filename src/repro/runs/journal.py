@@ -97,8 +97,10 @@ class RunJournal:
                 break  # torn trailing record from an interrupted append
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or not UTF-8
                 break
+            if not isinstance(record, dict):
+                break  # parses, but as no record or header: torn as well
             if not header_seen:
                 if (
                     record.get("format") != JOURNAL_FORMAT

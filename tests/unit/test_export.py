@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 from repro.analysis.export import (
     ascii_bars,
@@ -13,6 +14,8 @@ from repro.analysis.export import (
 )
 from repro.analysis.report import FigureTable, SensitivitySeries
 
+#: The committed Figure 5 artifact at the repository root.
+BENCH_FIG5 = Path(__file__).resolve().parents[2] / "BENCH_fig5.json"
 
 def sample_table():
     table = FigureTable("Figure X", ["sc", "ccnvm"])
@@ -228,6 +231,23 @@ class TestFig5BenchArtifact:
         doc["workloads"] = ["soplex", "gcc"]
         with pytest.raises(ValueError, match="workloads"):
             fig5_bench_from_json(json.dumps(doc))
+
+
+    def test_committed_artifact_rerenders_byte_for_byte(self):
+        # No simulation: parse the committed document, rebuild its
+        # comparisons in the recorded workload order and render it again.
+        # Any drift in the writer or the document builder shows here.
+        from repro.analysis.export import fig5_bench_from_json, fig5_bench_to_json
+        from repro.sim.runner import DesignComparison
+
+        text = BENCH_FIG5.read_text(encoding="utf-8")
+        document = json.loads(text)
+        results = fig5_bench_from_json(text)
+        comparisons = {
+            workload: DesignComparison(workload=workload, results=results[workload])
+            for workload in document["workloads"]
+        }
+        assert fig5_bench_to_json(comparisons, document["run"]) == text
 
 
 class TestLintJson:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.runs.cache import ResultCache, code_fingerprint
 from repro.runs.spec import simulation_spec
 
@@ -40,6 +42,26 @@ class TestStore:
         path.write_text("{torn")
         assert cache.get(SPEC) is None
         assert not path.exists()
+
+    def test_non_utf8_entry_is_a_miss_and_removed(self, tmp_path):
+        cache = make_cache(tmp_path)
+        path = cache.put(SPEC, {"x": 1})
+        path.write_bytes(b'{"format": "\xff\xfe"}')
+        assert cache.get(SPEC) is None
+        assert cache.misses == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", "null"])
+    def test_non_object_entry_is_a_miss_and_removed(self, tmp_path, text):
+        cache = make_cache(tmp_path)
+        path = cache.put(SPEC, {"x": 1})
+        path.write_text(text)
+        assert cache.get(SPEC) is None
+        assert cache.misses == 1
+        assert not path.exists()
+        # the slot is usable again
+        cache.put(SPEC, {"x": 2})
+        assert cache.get(SPEC) == {"x": 2}
 
     def test_entry_filed_under_another_spec_is_a_miss_and_removed(self, tmp_path):
         cache = make_cache(tmp_path)
@@ -81,6 +103,41 @@ class TestStats:
         assert status["generations"]["a" * 16]["entries"] == 1
         assert not status["generations"]["a" * 16]["current"]
         assert status["stats"]["stores"] == 1
+
+
+class TestCorruptStats:
+    """A damaged ``stats.json`` reads as empty; it never stops the cache."""
+
+    def write_stats(self, tmp_path, raw: bytes) -> None:
+        (tmp_path / "cache").mkdir(exist_ok=True)
+        (tmp_path / "cache" / "stats.json").write_bytes(raw)
+
+    def test_non_utf8_stats_read_as_empty(self, tmp_path):
+        self.write_stats(tmp_path, b'{"hits": 3, "x": "\xff"}')
+        cache = make_cache(tmp_path)
+        assert set(cache.cumulative.values()) == {0}
+
+    @pytest.mark.parametrize("raw", [b"[1, 2]", b"5", b"null"])
+    def test_non_object_stats_read_as_empty(self, tmp_path, raw):
+        self.write_stats(tmp_path, raw)
+        cache = make_cache(tmp_path)
+        assert set(cache.cumulative.values()) == {0}
+
+    @pytest.mark.parametrize("bad", ['"many"', "null", "[3]", "Infinity"])
+    def test_bad_counter_reads_as_zero(self, tmp_path, bad):
+        self.write_stats(tmp_path, f'{{"hits": {bad}, "stores": 4}}'.encode())
+        cache = make_cache(tmp_path)
+        assert cache.cumulative["hits"] == 0
+        assert cache.cumulative["stores"] == 4
+
+    def test_flush_over_corrupt_stats_rewrites_them(self, tmp_path):
+        self.write_stats(tmp_path, b'{"hits": "many"}')
+        cache = make_cache(tmp_path)
+        cache.put(SPEC, {"x": 1})
+        assert cache.get(SPEC) == {"x": 1}
+        stats = cache.flush_stats()
+        assert (stats["hits"], stats["stores"], stats["flushes"]) == (1, 1, 1)
+        assert make_cache(tmp_path).cumulative == stats
 
 
 class TestGc:

@@ -1,5 +1,7 @@
 """Unit tests for the JSONL run journal (resume-after-interrupt)."""
 
+import pytest
+
 from repro.runs.journal import RunJournal
 from repro.runs.spec import simulation_spec
 
@@ -54,6 +56,39 @@ class TestJournal:
         path.write_text("not json at all\n")
         with RunJournal(path, FP) as journal:
             assert journal.records == {}
+            journal.record(SPEC_A, "done", {"ipc": 1.0})
+        with RunJournal(path, FP) as journal:
+            assert journal.resumed == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        [b'{"spec_hash": "\xff\xfe"}\n', b"5\n", b"[1]\n", b"null\n"],
+        ids=["non-utf8", "int", "list", "null"],
+    )
+    def test_corrupt_record_line_ends_the_intact_prefix(self, tmp_path, line):
+        path = tmp_path / "sweep.jsonl"
+        with RunJournal(path, FP) as journal:
+            journal.record(SPEC_A, "done", {"ipc": 1.0})
+        intact = path.stat().st_size
+        with open(path, "ab") as handle:
+            handle.write(line)
+        with RunJournal(path, FP) as journal:
+            assert journal.resumed == 1
+            assert journal.completed(SPEC_A.spec_hash()) is not None
+            assert path.stat().st_size == intact
+            journal.record(SPEC_B, "done", {"ipc": 2.0})
+        with RunJournal(path, FP) as journal:
+            assert journal.resumed == 2
+
+    @pytest.mark.parametrize(
+        "header", [b"\xff\xfe\n", b"[1]\n", b"5\n"], ids=["non-utf8", "list", "int"]
+    )
+    def test_corrupt_header_restarts_the_journal(self, tmp_path, header):
+        path = tmp_path / "sweep.jsonl"
+        path.write_bytes(header)
+        with RunJournal(path, FP) as journal:
+            assert journal.records == {}
+            assert journal.resumed == 0
             journal.record(SPEC_A, "done", {"ipc": 1.0})
         with RunJournal(path, FP) as journal:
             assert journal.resumed == 1
