@@ -576,6 +576,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return exit_code
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (exit 2 otherwise)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="cc-NVM (DAC 2019) reproduction"
@@ -587,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_run_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
+        p.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                        help="worker processes for the sweep (default 1)")
         p.add_argument("--no-cache", action="store_true",
                        help="always re-execute; skip the on-disk result cache")
@@ -597,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="suppress per-spec progress lines")
 
     evaluate = sub.add_parser("evaluate", help="regenerate Figure 5")
-    evaluate.add_argument("--length", type=int, default=4000)
+    evaluate.add_argument("--length", type=positive_int, default=4000)
     evaluate.add_argument("--seed", type=int, default=1)
     evaluate.add_argument("--export", metavar="DIR", default=None,
                           help="also write CSV/JSON figure data into DIR")
@@ -607,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.set_defaults(func=cmd_evaluate)
 
     sweep = sub.add_parser("sweep", help="regenerate Figure 6")
-    sweep.add_argument("--length", type=int, default=3000)
+    sweep.add_argument("--length", type=positive_int, default=3000)
     sweep.add_argument("--seed", type=int, default=1)
     add_run_options(sweep)
     sweep.set_defaults(func=cmd_sweep)
@@ -615,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run one workload on one design")
     simulate.add_argument("workload", choices=SPEC_ORDER)
     simulate.add_argument("--scheme", default="ccnvm", choices=sorted(SCHEME_LABELS))
-    simulate.add_argument("--length", type=int, default=4000)
+    simulate.add_argument("--length", type=positive_int, default=4000)
     simulate.add_argument("--seed", type=int, default=1)
     simulate.add_argument("--report", action="store_true",
                           help="print the full nested statistics report")

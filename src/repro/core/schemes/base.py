@@ -100,7 +100,7 @@ class SecureNVMScheme(ABC):
         self.wpq = self.controller.wpq
         self.tcb = TCB(encryption_key, hmac_key, self.genesis.root_register())
         self.hmac = HmacEngine(hmac_key, self.stats.group("hmac"))
-        self.cipher = CounterModeCipher(encryption_key)
+        self.cipher = CounterModeCipher(encryption_key, pristine=self.genesis.line)
         self.engine = EncryptionEngine(
             self.cipher,
             self.hmac,
@@ -293,27 +293,21 @@ class SecureNVMScheme(ABC):
         way.  Every updated node is left dirty in the meta cache.  This is
         the per-write-back work of SC, Osiris Plus and cc-NVM w/o DS.
         """
-        layout = self.layout
         cycles = 0
-        node = layout.node_of_addr(counter_addr)
         child_line = self.meta.probe(counter_addr)
-        while True:
+        for parent_addr, slot in self.layout.tree_path(counter_addr):
             child_hmac = self.hmac.counter_hmac(self.meta.encoded(child_line))
             cycles += self._hmac_cycles
-            slot = layout.slot_in_parent(node)
-            parent = layout.parent_of(node)
-            if parent.level == layout.root_level:
-                self.tcb.update_root_new(slot, child_hmac)
-                return cycles
-            result = self.meta.load_node(parent)
-            cycles += result.cycles
-            parent_addr = layout.merkle_node_addr(parent)
+            if parent_addr is None:
+                break
+            cycles += self.meta.load_verified(parent_addr).cycles
             parent_line = self.meta.probe(parent_addr)
             parent_line.data = write_slot(bytes(parent_line.data), slot, child_hmac)
             parent_line.dirty = True
             parent_line.update_count += 1
-            node = parent
             child_line = parent_line
+        self.tcb.update_root_new(slot, child_hmac)
+        return cycles
 
     def _lazy_propagate_and_write(self, victim: CacheLine) -> None:
         """Conventional dirty-eviction handling (w/o CC's lazy BMT).
@@ -353,18 +347,14 @@ class SecureNVMScheme(ABC):
 
     def _propagate_one(self, addr: int, encoded: bytes) -> None:
         """Persist one evicted line and fold its HMAC into its parent."""
-        layout = self.layout
-        node = layout.node_of_addr(addr)
+        parent_addr, slot = self.layout.tree_path(addr)[0]
         self.wpq.write(addr, encoded)
         child_hmac = self.hmac.counter_hmac(encoded)
-        slot = layout.slot_in_parent(node)
-        parent = layout.parent_of(node)
-        if parent.level == layout.root_level:
+        if parent_addr is None:
             self.tcb.update_root_new(slot, child_hmac)
         else:
-            parent_addr = layout.merkle_node_addr(parent)
             while True:
-                self.meta.load_node(parent)
+                self.meta.load_verified(parent_addr)
                 parent_line = self.meta.probe(parent_addr)
                 if parent_line is not None:
                     break

@@ -139,34 +139,27 @@ class CcNVM(SecureNVMScheme):
         be updated, which is where cc-NVM's residual write-back cost
         comes from on metadata-cache-unfriendly workloads.
         """
-        layout = self.layout
         cycles = 0
-        node = layout.node_of_addr(counter_addr)
         child_line = self.meta.probe(counter_addr)
-        while True:
-            slot = layout.slot_in_parent(node)
-            parent = layout.parent_of(node)
-            if parent.level == layout.root_level:
-                # Nothing cached all the way up: the walk reaches the TCB.
-                child_hmac = self.hmac.counter_hmac(self.meta.encoded(child_line))
-                cycles += self._hmac_cycles
-                self.tcb.update_root_new(slot, child_hmac)
-                return cycles
-            parent_addr = layout.merkle_node_addr(parent)
-            parent_line = self.meta.probe(parent_addr)
-            if parent_line is not None:
+        for parent_addr, slot in self.layout.tree_path(counter_addr):
+            if parent_addr is None:
+                break
+            if self.meta.probe(parent_addr) is not None:
                 # Cached (trusted) ancestor: stop — the drain finishes the
                 # spread once per epoch.
                 return cycles
-            result = self.meta.load_node(parent)
-            cycles += result.cycles
+            cycles += self.meta.load_verified(parent_addr).cycles
             child_hmac = self.hmac.counter_hmac(self.meta.encoded(child_line))
             cycles += self._hmac_cycles
             parent_line = self.meta.probe(parent_addr)
             parent_line.data = write_slot(bytes(parent_line.data), slot, child_hmac)
             parent_line.dirty = True
-            node = parent
             child_line = parent_line
+        # Nothing cached all the way up: the walk reaches the TCB.
+        child_hmac = self.hmac.counter_hmac(self.meta.encoded(child_line))
+        cycles += self._hmac_cycles
+        self.tcb.update_root_new(slot, child_hmac)
+        return cycles
 
     def _count_writeback_extras(self, counter_addr: int) -> None:
         # The extension-register bump must land atomically with the data
@@ -306,29 +299,20 @@ class CcNVM(SecureNVMScheme):
         top internal level).  Nodes that were reserved but never brought
         on-chip are fetched (with verification) on the way.
         """
-        layout = self.layout
         cycles = 0
-        by_level = sorted(addrs, key=lambda a: layout.node_of_addr(a).level)
-        for addr in by_level:
+        for addr in sorted(addrs, key=self.layout.level_of_addr):
+            if self.meta.probe(addr) is None:
+                cycles += self.meta.load_verified(addr).cycles
             line = self.meta.probe(addr)
-            if line is None:
-                result = self.meta.load_verified(addr)
-                cycles += result.cycles
-                line = self.meta.probe(addr)
-            node = layout.node_of_addr(addr)
+            parent_addr, slot = self.layout.tree_path(addr)[0]
             child_hmac = self.hmac.counter_hmac(self.meta.encoded(line))
             cycles += self._hmac_cycles
-            slot = layout.slot_in_parent(node)
-            parent = layout.parent_of(node)
-            if parent.level == layout.root_level:
+            if parent_addr is None:
                 self.tcb.update_root_new(slot, child_hmac)
                 continue
-            parent_addr = layout.merkle_node_addr(parent)
+            if self.meta.probe(parent_addr) is None:
+                cycles += self.meta.load_verified(parent_addr).cycles
             parent_line = self.meta.probe(parent_addr)
-            if parent_line is None:
-                result = self.meta.load_verified(parent_addr)
-                cycles += result.cycles
-                parent_line = self.meta.probe(parent_addr)
             parent_line.data = write_slot(bytes(parent_line.data), slot, child_hmac)
             parent_line.dirty = True
         return cycles

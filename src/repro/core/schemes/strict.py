@@ -43,13 +43,7 @@ class StrictConsistency(SecureNVMScheme):
         # Atomically flush the whole metadata path (counter + internal
         # nodes); the persistent root registers commit with it.
         path = [counter_addr]
-        node = self.layout.node_of_addr(counter_addr)
-        while True:
-            parent = self.layout.parent_of(node)
-            if parent.level == self.layout.root_level:
-                break
-            path.append(self.layout.merkle_node_addr(parent))
-            node = parent
+        path += [addr for addr, _ in self.layout.tree_path(counter_addr)[:-1]]
 
         self.wpq.begin_atomic()
         flushed = 0

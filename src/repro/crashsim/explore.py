@@ -244,10 +244,10 @@ class CrashCampaignConfig:
     def __post_init__(self) -> None:
         from repro.trafficgen.ace import is_ace_profile, parse_profile
 
-        if self.shards < 1:
-            raise ValueError(f"shards must be at least 1, got {self.shards}")
-        if self.spot < 0:
-            raise ValueError(f"spot must be at least 0, got {self.spot}")
+        for name, floor in (("steps", 1), ("window", 0), ("shards", 1), ("spot", 0)):
+            value = getattr(self, name)
+            if value < floor:
+                raise ValueError(f"{name} must be at least {floor}, got {value}")
         known = set(workload_profiles())
         for profile in self.profiles:
             if is_ace_profile(profile):

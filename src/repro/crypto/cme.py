@@ -43,9 +43,9 @@ def make_seed(address: int, major: int, minor: int) -> bytes:
 
 
 #: Pads remembered per key (``SecretKey.pad_memo``); the memo is emptied
-#: when full.  A first-touch read derives the pad of ``(addr, 0, 0)`` up to
-#: three times (genesis data line, genesis HMAC line, decrypt), all within
-#: a few accesses, so a small memo catches the repeats.
+#: when full.  A first-touch read derives the pad of ``(addr, 0, 0)`` twice
+#: (genesis data line, genesis HMAC line) within a few accesses, so a small
+#: memo catches the repeat.
 PAD_MEMO_ENTRIES = 256
 
 
@@ -81,8 +81,10 @@ class CounterModeCipher:
     is still in flight from memory.
     """
 
-    def __init__(self, key: SecretKey) -> None:
+    def __init__(self, key: SecretKey, pristine=None) -> None:
         self._key = key
+        #: Optional ``address -> bytes`` pristine data line (see decrypt).
+        self._pristine = pristine
 
     @property
     def key(self) -> SecretKey:
@@ -96,7 +98,14 @@ class CounterModeCipher:
         return xor_bytes(plaintext, generate_otp(self._key, address, major, minor))
 
     def decrypt(self, ciphertext: bytes, address: int, major: int, minor: int) -> bytes:
-        """Decrypt one 64 B block; inverse of :meth:`encrypt`."""
+        """Decrypt one 64 B block; inverse of :meth:`encrypt`.
+
+        The pristine data line encrypts zero plaintext under counter
+        (0, 0), so it *is* that pair's pad: with a *pristine* source
+        that pair reads its pad there instead of deriving it.
+        """
         if len(ciphertext) != CACHE_LINE_SIZE:
             raise ValueError("CME operates on whole cache lines")
+        if major == minor == 0 and self._pristine is not None:
+            return xor_bytes(ciphertext, self._pristine(address))
         return xor_bytes(ciphertext, generate_otp(self._key, address, major, minor))

@@ -73,6 +73,7 @@ class Cache:
         return self._stats
 
     def _set_of(self, addr: int) -> OrderedDict[int, CacheLine]:
+        # probe, access and fill inline this: they run on every reference.
         if addr & _LINE_OFFSET_MASK:
             raise ValueError(f"cache access not line-aligned: {addr:#x}")
         index = addr >> CACHE_LINE_BITS
@@ -84,11 +85,21 @@ class Cache:
 
     def probe(self, addr: int) -> CacheLine | None:
         """Presence check without touching LRU state or statistics."""
-        return self._set_of(addr).get(addr)
+        if addr & _LINE_OFFSET_MASK:
+            raise ValueError(f"cache access not line-aligned: {addr:#x}")
+        index = addr >> CACHE_LINE_BITS
+        if self._hashed_sets:
+            index ^= (index >> 8) ^ (index >> 16) ^ (index >> 24)
+        return self._sets[index & self._set_mask].get(addr)
 
     def access(self, addr: int) -> CacheLine | None:
         """LRU-updating lookup; counts a hit or a miss."""
-        cache_set = self._set_of(addr)
+        if addr & _LINE_OFFSET_MASK:
+            raise ValueError(f"cache access not line-aligned: {addr:#x}")
+        index = addr >> CACHE_LINE_BITS
+        if self._hashed_sets:
+            index ^= (index >> 8) ^ (index >> 16) ^ (index >> 24)
+        cache_set = self._sets[index & self._set_mask]
         line = cache_set.get(addr)
         if line is None:
             self._misses.inc()
@@ -105,7 +116,12 @@ class Cache:
         If the line is already resident its data/dirty state is updated in
         place and no eviction occurs.
         """
-        cache_set = self._set_of(addr)
+        if addr & _LINE_OFFSET_MASK:
+            raise ValueError(f"cache access not line-aligned: {addr:#x}")
+        index = addr >> CACHE_LINE_BITS
+        if self._hashed_sets:
+            index ^= (index >> 8) ^ (index >> 16) ^ (index >> 24)
+        cache_set = self._sets[index & self._set_mask]
         line = cache_set.get(addr)
         if line is not None:
             if data is not None:

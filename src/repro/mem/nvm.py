@@ -15,10 +15,12 @@ attacks NVM lifetime, the motivation of Section 5.2).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.persistence import persistence
-from repro.common.stats import StatGroup
-from repro.metadata.layout import MemoryLayout
+from repro.common.stats import Counter, StatGroup
+from repro.metadata.layout import REGIONS, MemoryLayout
 
 _ZERO_LINE = bytes(CACHE_LINE_SIZE)
 _LINE_OFFSET_MASK = CACHE_LINE_SIZE - 1
@@ -89,6 +91,10 @@ class NVMDevice:
         self._stats = stats if stats is not None else StatGroup("nvm")
         self._reads = self._stats.group("reads")
         self._writes = self._stats.group("writes")
+        # Per-region counters by ``REGIONS`` index, each bound on first
+        # use so the stats tree keeps listing regions in first-use order.
+        self._region_reads: list[Counter | None] = [None] * len(REGIONS)
+        self._region_writes: list[Counter | None] = [None] * len(REGIONS)
         self._read_total = self._stats.counter("read_total", "total line reads")
         self._write_total = self._stats.counter("write_total", "total line writes")
 
@@ -108,10 +114,6 @@ class NVMDevice:
     def _virgin(self, addr: int) -> bytes:
         return self._initializer(addr) if self._initializer is not None else _ZERO_LINE
 
-    def set_initializer(self, initializer) -> None:
-        """Install the ``addr -> bytes`` provider for never-written lines."""
-        self._initializer = initializer
-
     def set_media_model(self, media) -> None:
         """Install (or with ``None`` remove) a media-fault model.
 
@@ -123,6 +125,13 @@ class NVMDevice:
         """
         self._media = media
 
+    def _region_counter(self, bound: list, group: StatGroup, addr: int) -> Counter:
+        region = bisect_right(self.layout.region_bounds, addr)
+        counter = bound[region]
+        if counter is None:
+            counter = bound[region] = group.counter(REGIONS[region])
+        return counter
+
     def read_line(self, addr: int) -> bytes:
         """Read one 64 B line (the genesis image if never written).
 
@@ -133,7 +142,7 @@ class NVMDevice:
         """
         self._check(addr)
         self._read_total.inc()
-        self._reads.counter(self.layout.region_of(addr)).inc()
+        self._region_counter(self._region_reads, self._reads, addr).inc()
         line = self._lines.get(addr)
         if line is None:
             line = self._virgin(addr)
@@ -151,7 +160,7 @@ class NVMDevice:
         if len(data) != CACHE_LINE_SIZE:
             raise ValueError("NVM writes are whole lines")
         self._write_total.inc()
-        self._writes.counter(self.layout.region_of(addr)).inc()
+        self._region_counter(self._region_writes, self._writes, addr).inc()
         self._lines[addr] = bytes(data)
         self._write_counts[addr] = self._write_counts.get(addr, 0) + 1
 
@@ -164,9 +173,7 @@ class NVMDevice:
         self._check(addr)
         if offset < 0 or offset + len(data) > CACHE_LINE_SIZE:
             raise ValueError("partial write exceeds the line")
-        old = self._lines.get(addr)
-        if old is None:
-            old = self._virgin(addr)
+        old = self.peek(addr)
         merged = old[:offset] + bytes(data) + old[offset + len(data):]
         self.write_line(addr, merged)
 

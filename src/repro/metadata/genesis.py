@@ -174,11 +174,9 @@ class GenesisImage:
         region = self.layout.region_of(addr)
         if region == "data":
             value = self.data_line(addr)
-        elif region == "counter":
-            return zero_counter_line()
         elif region == "data_hmac":
             value = self.hmac_line(addr)
-        else:
-            return self.node(self.layout.node_of_addr(addr).level)
+        else:  # a tree node: the counter leaves are level 0
+            return self.node(self.layout.level_of_addr(addr))
         _memo.store(self._lines, addr, value)
         return value

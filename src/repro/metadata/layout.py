@@ -34,11 +34,19 @@ from dataclasses import dataclass
 
 from repro.common.address import block_in_page, line_align, page_index
 from repro.common.constants import (
+    CACHE_LINE_BITS,
     CACHE_LINE_SIZE,
     HMAC_SIZE,
     MERKLE_ARITY,
     PAGE_SIZE,
 )
+
+#: A node's parent index is ``index >> _ARITY_BITS``, its slot there
+#: ``index & _SLOT_MASK``.
+_ARITY_BITS = MERKLE_ARITY.bit_length() - 1
+_SLOT_MASK = MERKLE_ARITY - 1
+#: Region names in address order (see :meth:`MemoryLayout.region_of`).
+REGIONS = ("data", "counter", "data_hmac", "merkle")
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,8 @@ class MemoryLayout:
         # Round the HMAC region up to a whole line.
         hmac_bytes = (hmac_bytes + CACHE_LINE_SIZE - 1) & ~(CACHE_LINE_SIZE - 1)
         self.merkle_base = self.hmac_base + hmac_bytes
+        #: First address of every region but the data region.
+        self.region_bounds = (self.counter_base, self.hmac_base, self.merkle_base)
 
         # Tree geometry: level_counts[k] = number of nodes at level k.
         counts = [self.num_pages]
@@ -82,16 +92,14 @@ class MemoryLayout:
         #: Level number of the root node (``num_levels - 1``).
         self.root_level = len(counts) - 1
 
-        # NVM offsets for internal levels 1 .. root_level-1 (leaves live in
-        # the counter region; the root lives in the TCB).
-        offsets: dict[int, int] = {}
+        # First address of each NVM-resident tree level: the counter leaves,
+        # then internal levels 1 .. root_level-1 (the root lives in the TCB).
+        starts = [self.counter_base]
         cursor = self.merkle_base
         for level in range(1, self.root_level):
-            offsets[level] = cursor
+            starts.append(cursor)
             cursor += self.level_counts[level] * CACHE_LINE_SIZE
-        self._level_offsets = offsets
-        # First address of each NVM-resident tree level, level 0 first.
-        self._level_starts = (self.counter_base, *offsets.values())
+        self._level_starts = tuple(starts)
         self.total_capacity = cursor
 
     # -- tree geometry -----------------------------------------------------
@@ -126,12 +134,33 @@ class MemoryLayout:
         """All ancestors of counter leaf *leaf_index*, bottom-up, root last."""
         if not 0 <= leaf_index < self.num_pages:
             raise ValueError(f"leaf index {leaf_index} out of range")
-        nodes = []
-        node = MerkleNodeId(0, leaf_index)
-        while node.level < self.root_level:
-            node = self.parent_of(node)
-            nodes.append(node)
-        return nodes
+        return [
+            MerkleNodeId(level, leaf_index >> (_ARITY_BITS * level))
+            for level in range(1, self.num_levels)
+        ]
+
+    def tree_path(self, addr: int) -> list[tuple[int | None, int]]:
+        """The Merkle path above tree node *addr*, bottom-up, as integers.
+
+        One ``(parent address, slot in that parent)`` pair per level; the
+        last pair's address is ``None``: the root lives in the TCB.  The
+        same walk as :meth:`parent_of`, :meth:`slot_in_parent` and
+        :meth:`merkle_node_addr` from ``node_of_addr(addr)``, without a
+        node id per level, for the runtime tree walks.
+        """
+        starts = self._level_starts
+        level = bisect_right(starts, addr) - 1
+        index = (addr - starts[level]) >> CACHE_LINE_BITS
+        if level < 0 or index >= self.level_counts[level]:
+            raise ValueError(f"address {addr:#x} is not a tree-node address")
+        if level == self.root_level:
+            raise ValueError("the root has no parent")
+        path: list[tuple[int | None, int]] = []
+        for start in starts[level + 1:]:
+            path.append((start + (index >> _ARITY_BITS << CACHE_LINE_BITS), index & _SLOT_MASK))
+            index >>= _ARITY_BITS
+        path.append((None, index & _SLOT_MASK))
+        return path
 
     # -- address mappings ----------------------------------------------------
 
@@ -177,17 +206,13 @@ class MemoryLayout:
         Valid for leaves (counter region) and internal levels; the root has
         no NVM address (it lives in the TCB) and raises.
         """
-        if node.level == 0:
-            if not 0 <= node.index < self.num_pages:
-                raise ValueError(f"leaf index {node.index} out of range")
-            return self.counter_base + node.index * CACHE_LINE_SIZE
-        if node.level == self.root_level:
+        if 0 < node.level == self.root_level:
             raise ValueError("the root is stored in the TCB, not in NVM")
-        if not 0 < node.level < self.root_level:
+        if not 0 <= node.level < len(self._level_starts):
             raise ValueError(f"no such tree level: {node.level}")
         if not 0 <= node.index < self.level_counts[node.level]:
             raise ValueError(f"node index {node.index} out of range at level {node.level}")
-        return self._level_offsets[node.level] + node.index * CACHE_LINE_SIZE
+        return self._level_starts[node.level] + node.index * CACHE_LINE_SIZE
 
     def node_of_addr(self, addr: int) -> MerkleNodeId:
         """Inverse of :meth:`merkle_node_addr` for counter/Merkle addresses."""
@@ -212,13 +237,7 @@ class MemoryLayout:
         """Region name ('data' | 'counter' | 'data_hmac' | 'merkle') of *addr*."""
         if addr < 0 or addr >= self.total_capacity:
             raise ValueError(f"address {addr:#x} outside the device")
-        if addr < self.counter_base:
-            return "data"
-        if addr < self.hmac_base:
-            return "counter"
-        if addr < self.merkle_base:
-            return "data_hmac"
-        return "merkle"
+        return REGIONS[bisect_right(self.region_bounds, addr)]
 
     def metadata_addresses_for_writeback(self, data_addr: int) -> list[int]:
         """Every metadata line a write-back to *data_addr* can dirty.
@@ -229,9 +248,5 @@ class MemoryLayout:
         on its Merkle path (the root is in the TCB).  The data HMAC line is
         excluded — data HMACs bypass the meta cache.
         """
-        leaf = self.counter_leaf_index(data_addr)
-        addrs = [self.counter_line_addr(data_addr)]
-        for node in self.ancestors_of_leaf(leaf):
-            if node.level < self.root_level:
-                addrs.append(self.merkle_node_addr(node))
-        return addrs
+        counter_addr = self.counter_line_addr(data_addr)
+        return [counter_addr, *(a for a, _ in self.tree_path(counter_addr)[:-1])]

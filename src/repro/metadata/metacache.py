@@ -155,9 +155,16 @@ class MetadataStore:
     # -- raw NVM decode ---------------------------------------------------------------
 
     def _decode(self, addr: int, raw: bytes) -> object:
-        if self.layout.region_of(addr) == "counter":
-            return CounterLine.decode(raw)
-        return raw
+        # Tree addresses only: the counter region lies below the others.
+        return CounterLine.decode(raw) if addr < self.layout.hmac_base else raw
+
+    def _adopt_overlay(self, addr: int) -> CacheLine | None:
+        """Install *addr*'s overlay value, if any, as a trusted dirty line:
+        it originated on-chip, and its NVM copy stays stale until the commit."""
+        pending = self.overlay.pop(addr, None)
+        if pending is None:
+            return None
+        return self.install(addr, self._decode(addr, pending), dirty=True, verified=True)
 
     # -- verified loads ----------------------------------------------------------------
 
@@ -175,85 +182,57 @@ class MetadataStore:
         if line is not None:
             return AccessResult(line.data, self._hit_latency, True)
 
-        pending = self.overlay.pop(addr, None)
-        if pending is not None:
-            installed = self.install(
-                addr, self._decode(addr, pending), dirty=True, verified=True
-            )
+        installed = self._adopt_overlay(addr)
+        if installed is not None:
             return AccessResult(installed.data, self._hit_latency, False)
 
-        layout = self.layout
-        target = layout.node_of_addr(addr)
         self.walk_depth += 1
         try:
-            return self._walk_and_verify(addr, target)
+            return self._walk_and_verify(addr)
         finally:
             self.walk_depth -= 1
 
-    def _walk_and_verify(self, addr: int, target: MerkleNodeId) -> AccessResult:
-        layout = self.layout
-        # Collect the uncached suffix of the path: target first, upward.
-        chain: list[tuple[MerkleNodeId, int, bytes]] = []
-        node = target
+    def _walk_and_verify(self, addr: int) -> AccessResult:
+        # Collect the uncached suffix of the path, target first, upward:
+        # (address, NVM bytes, slot in the parent) per fetched node.
+        chain: list[tuple[int, bytes, int]] = []
         node_addr = addr
+        trusted = None  # the topmost fetched node verifies against root_new
         cycles = self._hit_latency  # the lookup that missed
-        while True:
+        for parent_addr, slot in self.layout.tree_path(addr):
             raw = self._read_line(node_addr)
             cycles += self._read_cycles
-            chain.append((node, node_addr, raw))
-            if node.level + 1 == layout.num_levels:
-                trusted_slot_source = None  # verify topmost against TCB root
+            chain.append((node_addr, raw, slot))
+            if parent_addr is None:
                 break
-            parent = layout.parent_of(node)
-            if parent.level == layout.root_level:
-                trusted_slot_source = None
-                break
-            parent_addr = layout.merkle_node_addr(parent)
             parent_line = self.cache.access(parent_addr)
             if parent_line is not None:
                 cycles += self._hit_latency
-                trusted_slot_source = parent_line.data
+                trusted = parent_line.data
                 break
-            pending = self.overlay.pop(parent_addr, None)
-            if pending is not None:
-                # The parent's newest value was evicted into the overlay
-                # (its commit is still pending).  It originated on-chip,
-                # so it is trusted exactly like a cached ancestor; its
-                # stale NVM copy must not be read instead.
-                installed = self.install(
-                    parent_addr,
-                    self._decode(parent_addr, pending),
-                    dirty=True,
-                    verified=True,
-                )
+            installed = self._adopt_overlay(parent_addr)
+            if installed is not None:
                 cycles += self._hit_latency
-                trusted_slot_source = installed.data
+                trusted = installed.data
                 break
-            node = parent
             node_addr = parent_addr
         self._verify_walks.sample(len(chain))
 
         # Verify top-down: the topmost fetched node against the trusted
         # source, then each fetched node against the one above it.
-        for i in range(len(chain) - 1, -1, -1):
-            node, node_addr, raw = chain[i]
-            slot = layout.slot_in_parent(node)
-            if i == len(chain) - 1:
-                if trusted_slot_source is None:
-                    stored = read_slot(self.tcb.root_new, slot)
-                else:
-                    stored = read_slot(bytes(trusted_slot_source), slot)
-            else:
-                stored = read_slot(chain[i + 1][2], slot)
+        above = self.tcb.root_new if trusted is None else bytes(trusted)
+        for node_addr, raw, slot in reversed(chain):
             computed = self.engine.counter_hmac(raw)
             cycles += self._hmac_cycles
-            if not self.engine.verify(stored, computed):
+            if not self.engine.verify(read_slot(above, slot), computed):
                 self._integrity_failures.inc()
+                node = self.layout.node_of_addr(node_addr)
                 raise IntegrityError(
                     f"counter HMAC mismatch at level {node.level}, "
                     f"index {node.index} (addr {node_addr:#x})",
                     node=node,
                 )
+            above = raw
             existing = self.cache.probe(node_addr)
             if existing is not None:
                 # A nested eviction's lazy propagation (re)installed —

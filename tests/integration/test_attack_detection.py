@@ -92,6 +92,30 @@ class TestRuntimeDetection:
             t += 500
 
 
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", CONSISTENT_SCHEMES)
+    def test_tampered_ancestor_located_by_writeback_tree_walk(
+        self, scheme, config, level
+    ):
+        # The counter line stays cached, so only the write-back's own tree
+        # walk (spread to the root, or deferred spreading's climb to the
+        # first cached ancestor) fetches the uncached levels 1..level.
+        s, attacker = machine(scheme, config)
+        addr = 201 * 4096 + 0x40  # non-zero index and slot on every level
+        t = write_and_flush(s, [addr])
+        s.meta.crash()
+        s.meta.load_counter(addr)
+        node = MerkleNodeId(level, 201 >> (2 * level))
+        for lower in range(1, level + 1):
+            s.meta.cache.invalidate(
+                s.layout.merkle_node_addr(MerkleNodeId(lower, 201 >> (2 * lower)))
+            )
+        attacker.spoof_tree_node(node)
+        with pytest.raises(IntegrityError) as exc:
+            s.writeback(t, addr, payload(9))
+        assert exc.value.node == node
+
+
 class TestPostCrashLocation:
     """Recovery-time detection AND location (cc-NVM's headline)."""
 

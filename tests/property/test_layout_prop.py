@@ -1,5 +1,6 @@
 """Property-based tests for the address map and tree geometry."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -109,3 +110,115 @@ def test_distinct_metadata_addresses_for_distinct_pages(capacity, data):
         assert layout.counter_line_addr(a * PAGE_SIZE) != layout.counter_line_addr(
             b * PAGE_SIZE
         )
+
+
+# -- integer Merkle paths ------------------------------------------------------
+
+
+def node_id_path(layout, addr):
+    """``tree_path`` spelled with the node-id API it replaces."""
+    node = layout.node_of_addr(addr)
+    path = []
+    while True:
+        parent = layout.parent_of(node)
+        slot = layout.slot_in_parent(node)
+        if parent.level == layout.root_level:
+            path.append((None, slot))
+            return path
+        path.append((layout.merkle_node_addr(parent), slot))
+        node = parent
+
+
+def node_id_writeback_set(layout, data_addr):
+    """``metadata_addresses_for_writeback`` as the node-id walk computed it."""
+    leaf = layout.counter_leaf_index(data_addr)
+    addrs = [layout.counter_line_addr(data_addr)]
+    for node in layout.ancestors_of_leaf(leaf):
+        if node.level < layout.root_level:
+            addrs.append(layout.merkle_node_addr(node))
+    return addrs
+
+
+def tree_nodes(layout):
+    for level in range(layout.root_level):
+        for index in range(layout.level_counts[level]):
+            yield MerkleNodeId(level, index)
+
+
+#: Two pages up to a few hundred: powers of four and the odd geometries
+#: between them, whose partial nodes leave dangling slots.
+small_page_counts = st.one_of(
+    st.sampled_from([2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 255, 256, 257]),
+    st.integers(min_value=2, max_value=400),
+)
+
+
+@given(small_page_counts)
+def test_tree_path_equals_node_id_walk_for_every_node(pages):
+    layout = MemoryLayout(pages * PAGE_SIZE)
+    for node in tree_nodes(layout):
+        addr = layout.merkle_node_addr(node)
+        assert layout.tree_path(addr) == node_id_path(layout, addr)
+
+
+@given(small_page_counts)
+def test_writeback_set_unchanged_on_small_layouts(pages):
+    layout = MemoryLayout(pages * PAGE_SIZE)
+    for page in range(pages):
+        for offset in (0, PAGE_SIZE - CACHE_LINE_SIZE):
+            addr = page * PAGE_SIZE + offset
+            assert layout.metadata_addresses_for_writeback(addr) == (
+                node_id_writeback_set(layout, addr)
+            )
+
+
+@given(capacities, st.data())
+def test_tree_path_equals_node_id_walk_on_sampled_nodes(capacity, data):
+    layout = LAYOUTS[capacity]
+    level = data.draw(st.integers(min_value=0, max_value=layout.root_level - 1))
+    index = data.draw(
+        st.one_of(
+            st.sampled_from([0, layout.level_counts[level] - 1]),
+            st.integers(min_value=0, max_value=layout.level_counts[level] - 1),
+        )
+    )
+    addr = layout.merkle_node_addr(MerkleNodeId(level, index))
+    path = layout.tree_path(addr)
+    assert path == node_id_path(layout, addr)
+    assert len(path) == layout.root_level - level
+
+
+@given(layout_and_addr())
+def test_writeback_set_unchanged_on_sampled_addresses(args):
+    layout, addr = args
+    assert layout.metadata_addresses_for_writeback(addr) == (
+        node_id_writeback_set(layout, addr)
+    )
+
+
+def test_sixteen_gb_extremes():
+    layout = LAYOUTS[16 << 30]
+    for addr in (0, layout.data_capacity - CACHE_LINE_SIZE):
+        assert layout.metadata_addresses_for_writeback(addr) == (
+            node_id_writeback_set(layout, addr)
+        )
+        counter = layout.counter_line_addr(addr)
+        assert layout.tree_path(counter) == node_id_path(layout, counter)
+        # 10 internal path nodes, then the TCB root (Section 5.2).
+        assert len(layout.tree_path(counter)) == 11
+
+
+@given(capacities, st.data())
+def test_tree_path_rejects_what_node_of_addr_rejects(capacity, data):
+    layout = LAYOUTS[capacity]
+    addr = data.draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=layout.counter_base - 1),
+            st.integers(min_value=layout.hmac_base, max_value=layout.merkle_base - 1),
+            st.integers(min_value=layout.total_capacity, max_value=layout.total_capacity * 2),
+        )
+    )
+    with pytest.raises(ValueError):
+        layout.node_of_addr(addr)
+    with pytest.raises(ValueError):
+        layout.tree_path(addr)

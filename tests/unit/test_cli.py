@@ -179,6 +179,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("flag", [
         ["--shards", "0"], ["--spot", "-1"], ["--profiles", "nosuch"],
+        ["--steps", "-3"], ["--steps", "0"], ["--window", "-1"],
     ])
     def test_crash_rejects_shapes_that_cover_nothing(self, capsys, flag):
         assert main(["crash", "campaign", "--quiet", "--no-cache", *flag]) == 2
@@ -302,6 +303,62 @@ class TestCommands:
         monkeypatch.chdir(tmp_path)
         assert main(["runs", "gc", "--all"]) == 0
         assert "all generations" in capsys.readouterr().out
+
+    def test_crash_rejects_empty_workload_before_any_shard(self, capsys, monkeypatch):
+        import repro.crashsim.explore as explore_mod
+
+        def never(spec):
+            raise AssertionError("a shard ran")
+
+        monkeypatch.setattr(explore_mod, "run_enumerate_cell", never)
+        assert main([
+            "crash", "campaign", "--steps", "-3", "--schemes", "sc",
+            "--profiles", "lbm", "--no-cache",
+        ]) == 2
+        assert main([
+            "crash", "campaign", "--steps", "0", "--profiles", "hotset",
+            "--no-cache",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "campaign ok" not in captured.out
+        assert "steps must be at least 1, got -3" in captured.err
+        assert "steps must be at least 1, got 0" in captured.err
+
+    def test_crash_rejects_negative_window_before_any_shard(self, capsys, monkeypatch):
+        import repro.crashsim.explore as explore_mod
+
+        def never(spec):
+            raise AssertionError("a shard ran")
+
+        monkeypatch.setattr(explore_mod, "run_enumerate_cell", never)
+        assert main([
+            "crash", "campaign", "--window", "-1", "--schemes", "ccnvm",
+            "--profiles", "hotset", "--no-cache",
+        ]) == 2
+        assert "window must be at least 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--length", "0"],
+        ["evaluate", "--length", "-5"],
+        ["sweep", "--length", "0"],
+        ["simulate", "gcc", "--length", "0"],
+        ["simulate", "gcc", "--length", "-1"],
+        ["evaluate", "--jobs", "0"],
+        ["sweep", "--jobs", "-1"],
+        ["crash", "campaign", "--jobs", "0"],
+        ["traffic", "ace", "--campaign", "--jobs", "0"],
+    ])
+    def test_non_positive_length_and_jobs_exit_2_at_parse_time(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_positive_length_and_jobs_parse(self):
+        args = build_parser().parse_args(["simulate", "gcc", "--length", "1"])
+        assert args.length == 1
+        args = build_parser().parse_args(["evaluate", "--length", "7", "--jobs", "3"])
+        assert (args.length, args.jobs) == (7, 3)
 
     def test_run_option_defaults(self):
         args = build_parser().parse_args(["evaluate"])

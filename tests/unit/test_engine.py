@@ -8,7 +8,7 @@ from repro.common.constants import (
     HMAC_SIZE,
 )
 from repro.core.engine import EncryptionEngine
-from repro.crypto.cme import CounterModeCipher
+from repro.crypto.cme import CounterModeCipher, generate_otp
 from repro.crypto.hmac_engine import HmacEngine
 from repro.crypto.prf import SecretKey
 from repro.mem.nvm import NVMDevice
@@ -144,3 +144,66 @@ class TestPageReencryption:
         engine.reencrypt_page(0, old, new, skip_block=0)
         # 63 data lines + 63 HMAC-line merges.
         assert engine.nvm.total_writes - before == 2 * (BLOCKS_PER_PAGE - 1)
+
+
+class TestPristinePads:
+    """Fills under counter (0, 0) take their pad from the genesis image."""
+
+    @staticmethod
+    def make(pristine_calls):
+        layout = MemoryLayout(1 << 20)
+        genesis = GenesisImage(layout, ENC, MAC)
+
+        def pristine(addr):
+            pristine_calls.append(addr)
+            return genesis.line(addr)
+
+        nvm = NVMDevice(layout, initializer=genesis.line)
+        wpq = WritePendingQueue(nvm, entries=64)
+        cipher = CounterModeCipher(ENC, pristine=pristine)
+        return EncryptionEngine(cipher, HmacEngine(MAC), nvm, wpq)
+
+    @pytest.mark.parametrize("capacity", [1 << 20, 16 << 30])
+    def test_pristine_data_line_is_the_pad(self, capacity):
+        genesis = GenesisImage(MemoryLayout(capacity), ENC, MAC)
+        last = capacity - CACHE_LINE_SIZE
+        for addr in (0, CACHE_LINE_SIZE, 0x12340, capacity // 2, last):
+            assert genesis.data_line(addr) == generate_otp(ENC, addr, 0, 0)
+            assert genesis.line(addr) == generate_otp(ENC, addr, 0, 0)
+
+    def test_pristine_fill_decrypts_to_zero_through_the_image(self):
+        calls = []
+        engine = self.make(calls)
+        last = engine.layout.data_capacity - CACHE_LINE_SIZE
+        for addr in (0, last):
+            assert engine.read_data_block(addr, CounterLine()) == bytes(CACHE_LINE_SIZE)
+        assert calls == [0, last]
+
+    def test_pristine_fill_with_tampered_ciphertext_still_fails(self):
+        calls = []
+        engine = self.make(calls)
+        raw = engine.nvm.peek(0x80)
+        engine.nvm.poke(0x80, bytes([raw[0] ^ 1]) + raw[1:])
+        with pytest.raises(IntegrityError):
+            engine.read_data_block(0x80, CounterLine())
+        assert calls == []  # the HMAC check runs before any decrypt
+
+    def test_fill_after_writeback_derives_its_pad(self):
+        calls = []
+        engine = self.make(calls)
+        counters = CounterLine()
+        counters.increment(1)  # minor 1
+        engine.write_data_block(64, PLAINTEXT, counters)
+        assert engine.read_data_block(64, counters) == PLAINTEXT
+        assert calls == []
+
+    def test_decrypt_is_the_same_with_and_without_the_image(self):
+        calls = []
+        engine = self.make(calls)
+        plain = CounterModeCipher(ENC)
+        ciphertext = bytes(range(1, 65))
+        for major, minor in ((0, 0), (0, 1), (1, 0)):
+            assert engine.cipher.decrypt(ciphertext, 0xC0, major, minor) == (
+                plain.decrypt(ciphertext, 0xC0, major, minor)
+            )
+        assert calls == [0xC0]

@@ -119,6 +119,24 @@ class TestVerification:
         assert exc.value.node == node
         assert store.stats.counter("integrity_failures").value == 1
 
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_tampered_node_at_each_level_is_located(self, level):
+        # Leaf 201's ancestors sit at non-zero indices and slots on every
+        # level, so a wrong parent address or slot on the integer path
+        # would verify the wrong bytes or blame the wrong node.
+        store = make_store()
+        leaf = 201
+        commit_counter(store, leaf=leaf)
+        node = MerkleNodeId(level, leaf >> (2 * level))
+        assert node.index != 0
+        addr = store.layout.merkle_node_addr(node)
+        raw = store.nvm.peek(addr)
+        store.nvm.poke(addr, raw[:-1] + bytes([raw[-1] ^ 0x80]))
+        with pytest.raises(IntegrityError) as exc:
+            store.load_counter(leaf * 4096)
+        assert exc.value.node == node
+        assert f"level {level}, index {node.index}" in str(exc.value)
+
     def test_cached_lines_bypass_verification(self):
         store = make_store()
         addr = commit_counter(store, leaf=3)
