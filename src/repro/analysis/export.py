@@ -237,40 +237,6 @@ def lint_to_json(report) -> str:
     return dumps_sorted(report.to_dict(), 2)
 
 
-def lint_from_json(text: str):
-    """Inverse of :func:`lint_to_json` (schema-checked).
-
-    Rebuilds a ``LintReport`` whose :func:`lint_to_json` rendering is
-    byte-identical to *text* — the round trip CI and tooling rely on.
-    Rejects documents from a different schema version rather than
-    guessing at field meanings.
-    """
-    from repro.lint.findings import Finding, sort_findings
-    from repro.lint.runner import SCHEMA_VERSION, LintReport
-
-    document = json.loads(text)
-    version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"lint report schema {version!r} is not the supported "
-            f"{SCHEMA_VERSION!r}"
-        )
-    new = [Finding.from_dict(d) for d in document["findings"]]
-    baselined = [Finding.from_dict(d) for d in document["baselined_findings"]]
-    counts = document["counts"]
-    if counts["new"] != len(new) or counts["baselined"] != len(baselined):
-        raise ValueError("lint report counts disagree with its findings")
-    return LintReport(
-        root=document["root"],
-        findings=sort_findings(new + baselined),
-        new=new,
-        baselined=baselined,
-        stale_baseline=list(document["stale_baseline"]),
-        baseline_path=document["baseline"],
-        files_analyzed=document["files_analyzed"],
-    )
-
-
 def ascii_bars(table: FigureTable, width: int = 40, ceiling: float | None = None) -> str:
     """A grouped horizontal bar chart, one group per workload.
 

@@ -31,30 +31,20 @@ Classes annotate themselves with the :func:`persistence` decorator::
 * ``mutators`` — the class's sanctioned write-path methods, quoted in
   lint messages as the suggested fix for a direct store.
 
-Four further fields declare the **ordering-point model** the
-interprocedural analyzer (rules P6/P7) reasons over:
+Two further fields declare the **trace domain** that lint rule P7 and
+the static/dynamic cross-check (``repro lint --cross-check``) read:
 
-* ``stores`` — mutators that accept a *droppable* persistent store:
-  under ADR a normal WPQ write is durable once accepted, but the
-  controller may still lose it behind later in-flight traffic at a
-  power failure (the osiris_plus stop-loss bug class).  Declared on the
-  WPQ (``write``, ``write_partial``).
-* ``fences`` — mutators that *order* every earlier accepted store
-  before themselves: a batch commit (ADR flushes the whole batch and
-  the batch owns the WPQ end to end) and an epoch root commit (the
-  drain blocks until the WPQ is empty).  Declared on the WPQ
-  (``commit_atomic``) and the TCB (``commit_root``, ``set_roots``).
-* ``ordered`` — *seam* methods whose persistent stores uphold a
-  recovery bound and must therefore be fenced before the method
-  returns.  Declared on the scheme base for the write-back seams
-  (``_pre_accept``, ``_update_tree``, ``_post_writeback``): any
-  droppable store still pending at such a seam's exit can be lost
-  behind the very write-backs whose staleness it was meant to bound.
+* ``stores`` — the WPQ's normal store micro-ops (``write``,
+  ``write_partial``).  Declaring any puts the class in the trace
+  domain: every declared mutator must call the persist-trace hook, and
+  the cross-check counts these ops (plus ``write_atomic``) as store
+  sites.
 * ``grouped`` — register micro-ops that must execute inside a
   ``begin_combined``/``end_combined`` controller transaction so the
   persist-trace recorder (and ADR) sees them share fate with the data
   write they describe.  Declared on the TCB (``count_writeback``,
-  ``log_counter_update``).
+  ``log_counter_update``); it also makes every TCB mutator a
+  cross-check register site.
 
 The decorator arguments must be **literal** tuples/lists of strings: the
 analyzer reads them from the AST without importing the code (importing
@@ -86,8 +76,6 @@ class DomainDeclaration:
     aka: tuple[str, ...] = ()
     mutators: tuple[str, ...] = ()
     stores: tuple[str, ...] = ()
-    fences: tuple[str, ...] = ()
-    ordered: tuple[str, ...] = ()
     grouped: tuple[str, ...] = ()
 
 
@@ -102,8 +90,6 @@ def persistence(
     aka: tuple[str, ...] = (),
     mutators: tuple[str, ...] = (),
     stores: tuple[str, ...] = (),
-    fences: tuple[str, ...] = (),
-    ordered: tuple[str, ...] = (),
     grouped: tuple[str, ...] = (),
 ):
     """Class decorator declaring which attributes persist across a crash."""
@@ -121,8 +107,6 @@ def persistence(
             tuple(aka),
             tuple(mutators),
             tuple(stores),
-            tuple(fences),
-            tuple(ordered),
             tuple(grouped),
         )
         setattr(cls, DECLARATION_ATTR, decl)

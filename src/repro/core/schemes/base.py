@@ -62,14 +62,6 @@ from repro.metadata.metacache import MetadataStore
         "_propagating",
     ),
     aka=("scheme",),
-    # Ordering obligation (lint rule P6): persistent stores issued by the
-    # write-back seams uphold a recovery bound (SC's path flush, Osiris
-    # Plus's stop-loss counter, cc-NVM's epoch commit), so every droppable
-    # store must be fenced before the seam returns — an unfenced store can
-    # be lost behind the very write-backs whose staleness it bounds.  The
-    # lazy paths (_on_dirty_meta_evict, w/o CC's flush) are deliberately
-    # NOT listed: their writes are best-effort by design.
-    ordered=("_pre_accept", "_update_tree", "_post_writeback"),
 )
 class SecureNVMScheme(ABC):
     """Base of the five designs: w/o CC, SC, Osiris Plus, cc-NVM (±DS)."""

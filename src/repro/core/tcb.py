@@ -42,11 +42,9 @@ from repro.crypto.prf import SecretKey
         "begin_recovery",
         "restore_registers",
     ),
-    # Ordering-point model (lint rules P6/P7): an epoch/root commit only
-    # happens after the drain emptied the WPQ, so it orders every earlier
-    # store; the per-write-back register bumps must share a controller
-    # transaction (combined group) with the data write they describe.
-    fences=("commit_root", "set_roots"),
+    # Lint rule P7: the per-write-back register bumps must share a
+    # controller transaction (combined group) with the data write they
+    # describe.
     grouped=("count_writeback", "log_counter_update"),
 )
 class TCB:

@@ -1,15 +1,17 @@
 """Persistence-domain static analyzer (``repro lint``).
 
 Checks the cc-NVM simulator's write-ordering discipline without running
-it: persistent-domain stores (P1), crash-site registry coherence and
-persist-point coverage (P2), atomic-batch bracketing (P3), volatile
-reads on recovery paths (P4), the scheme contract (P5), interprocedural
-persist-order dataflow (P6), trace-seam coherence (P7), determinism of
-spec-hashed paths (D0-D2) and baseline justification anchors (B0).
-``--cross-check`` additionally replays a smoke persist trace and diffs
-the dynamically observed persist sites against the statically derived
-set in both directions.  See DESIGN.md's persistence-domain section for
-the rule rationale and the baseline workflow.
+it: readable declarations (P0), persistent-domain stores (P1),
+crash-site registry coherence and persist-point coverage (P2), volatile
+reads on recovery paths (P4), trace-seam coherence (P7), set-order
+determinism of spec-hashed paths (D1) and baseline justification
+anchors (B0).  ``--cross-check`` additionally replays a smoke persist
+trace and diffs the dynamically observed persist sites against the
+statically derived set in both directions.  Each rule is kept because
+a mutant in ``tests/mutation/corpus.py`` shows a catch no other rule or
+tier-1 test makes, or because a baseline depends on it; see DESIGN.md's
+persistence-domain section for the audit table, the rule rationale and
+the baseline workflow.
 """
 
 from repro.lint.callgraph import CallGraph, CallSite, build_callgraph
@@ -21,7 +23,7 @@ from repro.lint.crosscheck import (
 )
 from repro.lint.findings import RULES, Baseline, Finding, sort_findings
 from repro.lint.model import CodeModel, build_model
-from repro.lint.ordering import FlowAnalysis, OrderingOps, Summary
+from repro.lint.ordering import OrderingOps
 from repro.lint.runner import (
     SCHEMA_VERSION,
     LintConfig,
@@ -39,11 +41,9 @@ __all__ = [
     "CodeModel",
     "CrossCheckReport",
     "Finding",
-    "FlowAnalysis",
     "LintConfig",
     "LintReport",
     "OrderingOps",
-    "Summary",
     "build_callgraph",
     "build_model",
     "cross_check",

@@ -1,12 +1,11 @@
 """Interprocedural call graph over the static code model.
 
-The persist-order dataflow rules (P6/P7) and the determinism rules
-(D0-D2) need to reason *across* functions: a seam method's ordering
-obligation is discharged by a fence inside a callee, a register bump is
-bracketed by its caller's combined group, and a spec-hashed entry point
-reaches nondeterminism three calls deep.  This module derives the call
-graph the same way the rest of the analyzer works — from the AST alone,
-never importing the analyzed tree.
+Rule P7, rule D1 and the cross-check's static side reason *across*
+functions: a register bump is bracketed by its caller's combined group,
+a spec-hashed entry point reaches a set iteration three calls deep, and
+a scheme seam reaches its persist micro-ops through helpers.  This
+module derives the call graph the same way the rest of the analyzer
+works — from the AST alone, never importing the analyzed tree.
 
 Resolution is deliberately the same receiver-name scheme the structural
 rules use (no type inference):
@@ -19,8 +18,7 @@ rules use (no type inference):
 * a bare ``f(...)`` resolves to a module-level function of the same
   module.
 
-Unresolved calls (stdlib, unknown receivers) keep their dotted name so
-the D-rules can still match ``time.time(...)`` by name.
+Unresolved calls (stdlib, unknown receivers) keep an empty target set.
 """
 
 from __future__ import annotations
@@ -36,18 +34,6 @@ def scope_key(scope: Scope) -> str:
     return f"{scope.path}::{scope.symbol}"
 
 
-def dotted_name(func: ast.AST) -> str:
-    """Best-effort dotted rendering of a call target (``time.time``)."""
-    parts: list[str] = []
-    node = func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 @dataclass(frozen=True)
 class CallSite:
     """One call expression inside one function scope."""
@@ -57,7 +43,6 @@ class CallSite:
     col: int
     name: str              # called method/function name
     receiver: str | None   # last identifier of the receiver, if any
-    dotted: str            # full dotted rendering for name-based matching
     targets: tuple[str, ...]   # resolved callee scope keys (virtual set)
 
 
@@ -126,7 +111,6 @@ def build_callgraph(model: CodeModel) -> CallGraph:
                 col=node.col_offset,
                 name=name,
                 receiver=recv,
-                dotted=dotted_name(node.func),
                 targets=targets,
             )
             sites.append(site)

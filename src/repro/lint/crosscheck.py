@@ -1,7 +1,9 @@
 """Static ↔ dynamic persist-site cross-check (``repro lint --cross-check``).
 
-The P6/P7 dataflow and crashsim's crash-state exploration describe the
-same persist micro-op surface from two independent directions:
+The static model (the call graph plus the ``stores=``/``grouped=``
+trace-domain declarations) and crashsim's crash-state exploration
+describe the same persist micro-op surface from two independent
+directions:
 
 * **statically**, the call graph reaches every WPQ store / atomic-batch
   write / TCB register op from the scheme seams (``writeback``,
@@ -18,7 +20,11 @@ micro-op)`` and diffed in both directions:
   verdict about that path vacuous;
 * a *dynamic-only* site means the recorder observed a micro-op the
   static model cannot derive — an undeclared store/mutator that every
-  static rule (P1, P6, P7) is silently blind to.
+  static rule (P1, P7) is silently blind to.
+
+A scheme whose smoke recording raises (an unbalanced combined group, a
+scheme that no longer instantiates) is reported as a failed check that
+names the scheme, never as a traceback.
 
 The static side never imports the analyzed tree; the dynamic side runs
 the *installed* ``repro`` package, so the cross-check is only meaningful
@@ -27,7 +33,9 @@ when both point at the same source (the default for CI and the CLI).
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.lint.model import CodeModel, Scope
 from repro.lint.ordering import analysis_for
@@ -56,10 +64,12 @@ class CrossCheckReport:
     dynamic_sites: list[tuple[str, str]] = field(default_factory=list)
     static_only: list[tuple[str, str]] = field(default_factory=list)
     dynamic_only: list[tuple[str, str]] = field(default_factory=list)
+    #: ``(scheme, error)`` for every scheme whose smoke recording raised.
+    errors: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.static_only and not self.dynamic_only
+        return not self.static_only and not self.dynamic_only and not self.errors
 
     def to_dict(self) -> dict:
         return {
@@ -70,6 +80,7 @@ class CrossCheckReport:
             "dynamic_sites": [list(s) for s in self.dynamic_sites],
             "static_only": [list(s) for s in self.static_only],
             "dynamic_only": [list(s) for s in self.dynamic_only],
+            "errors": [list(e) for e in self.errors],
             "ok": self.ok,
         }
 
@@ -89,6 +100,11 @@ class CrossCheckReport:
             lines.append(
                 f"  dynamic-only: {owner}.{op} — recorded in the trace but "
                 "invisible to the static model (undeclared micro-op)"
+            )
+        for scheme, error in self.errors:
+            lines.append(
+                f"  recording failed: {scheme} — {error} (its persist sites "
+                "are missing from the dynamic side)"
             )
         if self.ok:
             lines.append("  static and dynamic persist sites agree")
@@ -141,9 +157,7 @@ def _micro_op(model, ops, scope: Scope, name: str, recv) -> tuple[str, str] | No
             if ops._internal(scope, owner_name):
                 return None
             return (owner_name, name)
-        register_like = bool(
-            model.effective(cls, "fences") or model.effective(cls, "grouped")
-        )
+        register_like = bool(model.effective(cls, "grouped"))
         if (
             not store_like
             and register_like
@@ -167,15 +181,31 @@ def dynamic_persist_sites(
     steps: int = SMOKE_STEPS,
     seed: int = SMOKE_SEED,
     data_capacity: int = SMOKE_DATA_CAPACITY,
-) -> set[tuple[str, str]]:
-    """Persist sites observed by recording one smoke workload per scheme."""
+) -> tuple[set[tuple[str, str]], list[tuple[str, str]]]:
+    """Persist sites observed by recording one smoke workload per scheme.
+
+    Returns ``(sites, errors)``.  A scheme whose construction or
+    recording raises contributes no sites and one ``(scheme, error)``
+    entry naming the exception and its innermost frame, so a broken
+    tree fails the check with a report instead of a traceback.
+    """
     from repro.core.schemes import create_scheme
     from repro.crashsim.workload import record_workload
 
     sites: set[tuple[str, str]] = set()
+    errors: list[tuple[str, str]] = []
     for name in schemes:
-        scheme = create_scheme(name, data_capacity=data_capacity, seed=seed)
-        trace = record_workload(scheme, steps, seed)
+        try:
+            scheme = create_scheme(name, data_capacity=data_capacity, seed=seed)
+            trace = record_workload(scheme, steps, seed)
+        except Exception as err:
+            where = traceback.extract_tb(err.__traceback__)[-1]
+            errors.append((
+                name,
+                f"{type(err).__name__}: {err} "
+                f"(at {Path(where.filename).name}:{where.lineno})",
+            ))
+            continue
         tcb_owner = type(scheme.tcb).__name__
         for unit in trace.units:
             for op in unit.ops:
@@ -183,7 +213,7 @@ def dynamic_persist_sites(
                     sites.add((tcb_owner, op.mutator))
                 else:
                     sites.add((op.owner, op.kind))
-    return sites
+    return sites, errors
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +234,7 @@ def cross_check(
 
         schemes = tuple(sorted(SCHEMES))
     static = static_persist_sites(model, config)
-    dynamic = dynamic_persist_sites(schemes, steps=steps, seed=seed)
+    dynamic, errors = dynamic_persist_sites(schemes, steps=steps, seed=seed)
     return CrossCheckReport(
         schemes=tuple(schemes),
         steps=steps,
@@ -213,4 +243,5 @@ def cross_check(
         dynamic_sites=sorted(dynamic),
         static_only=sorted(static - dynamic),
         dynamic_only=sorted(dynamic - static),
+        errors=errors,
     )

@@ -13,28 +13,22 @@ from dataclasses import dataclass, field
 #: Rule identifiers and their one-line charters, in severity-free
 #: reporting order.  ``P0`` covers defects of the declaration layer
 #: itself (the analyzer cannot trust its model if declarations are
-#: malformed); ``P1``-``P5`` are the persist-order rules proper.
+#: malformed); ``P1``, ``P2``, ``P4`` and ``P7`` are the persist-order
+#: rules proper.  Baseline keys embed the id, so ids of deleted rules
+#: (P3, P5, P6) are never reused.
 RULES: dict[str, str] = {
     "P0": "persistence declarations must be statically readable literals",
     "P1": "persistent attributes are assigned only inside the owning class "
           "(all other mutation goes through its sanctioned methods or the WPQ)",
     "P2": "fault sites in code and the faults/plan.py registry must agree, "
           "and every persist point needs crash-site coverage",
-    "P3": "atomic batches open, fill and commit within one function "
-          "(never split, never unbalanced)",
     "P4": "recovery-path code reads no volatile-domain state "
           "(only the NVM image and persistent TCB registers survive)",
-    "P5": "every scheme subclass implements the full SecureNVMScheme contract",
-    "P6": "ordered seams leave no droppable store pending at exit "
-          "(every persistent store is fenced or batched before a "
-          "dependent persist can follow)",
     "P7": "every persist micro-op is visible to the trace seams "
           "(mutators call the trace hook; grouped register ops run "
           "inside balanced combined brackets)",
-    "D0": "spec-hashed paths call no wall-clock/entropy sources",
     "D1": "spec-hashed paths do not iterate unordered sets "
           "whose order can escape",
-    "D2": "spec-hashed paths serialize dicts with sort_keys=True",
     "B0": "every baseline entry cites a DESIGN.md justification anchor",
 }
 
@@ -81,32 +75,6 @@ class Finding:
             "token": self.token,
             "key": self.key,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Finding":
-        """Inverse of :meth:`to_dict` (the derived ``key`` is checked)."""
-        known = {
-            "rule", "path", "line", "col", "symbol",
-            "message", "suggestion", "token", "key",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown finding fields: {sorted(unknown)}")
-        finding = cls(
-            rule=d["rule"],
-            path=d["path"],
-            line=d["line"],
-            col=d["col"],
-            symbol=d["symbol"],
-            message=d["message"],
-            suggestion=d.get("suggestion", ""),
-            token=d.get("token", ""),
-        )
-        if "key" in d and d["key"] != finding.key:
-            raise ValueError(
-                f"finding key mismatch: {d['key']!r} != {finding.key!r}"
-            )
-        return finding
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:

@@ -38,7 +38,7 @@ TRACE_CALL_NAMES = ("_trace", "trace_hook")
 #: Keyword arguments the persistence decorator accepts.
 _DECL_KWARGS = (
     "persistent", "volatile", "aka", "mutators",
-    "stores", "fences", "ordered", "grouped",
+    "stores", "grouped",
 )
 
 
@@ -51,14 +51,11 @@ class StaticDeclaration:
     volatile: tuple[str, ...] = ()
     aka: tuple[str, ...] = ()
     mutators: tuple[str, ...] = ()
-    #: Droppable persistent-store micro-ops (may be lost behind later
-    #: in-flight writes at a power failure).
+    #: Store micro-ops of the WPQ; declaring any puts the class in the
+    #: P7 trace domain and makes it a cross-check store site owner.
     stores: tuple[str, ...] = ()
-    #: Ordering points: micro-ops that order all earlier stores.
-    fences: tuple[str, ...] = ()
-    #: Seam methods whose stores must be fenced before they return (P6).
-    ordered: tuple[str, ...] = ()
-    #: Register micro-ops that must run inside a combined group (P7).
+    #: Register micro-ops that must run inside a combined group (P7);
+    #: declaring any makes every mutator a cross-check register site.
     grouped: tuple[str, ...] = ()
 
 
@@ -75,8 +72,6 @@ class ClassInfo:
     #: Method names whose bodies contain a fault-site call — calling one
     #: of these *is* crash-site coverage (the callee instruments itself).
     instrumented_methods: frozenset[str] = frozenset()
-    #: Method names carrying an ``@abstractmethod`` decorator.
-    abstract_methods: frozenset[str] = frozenset()
     #: Method names whose bodies contain a persist-trace call — these
     #: micro-ops are visible to the crashsim recorder (rule P7).
     traced_methods: frozenset[str] = frozenset()
@@ -225,15 +220,6 @@ class CodeModel:
                 for n in ast.walk(fn)
             )
         )
-        abstract = frozenset(
-            name
-            for name, fn in methods.items()
-            if any(
-                (isinstance(d, ast.Name) and d.id == "abstractmethod")
-                or (isinstance(d, ast.Attribute) and d.attr == "abstractmethod")
-                for d in fn.decorator_list
-            )
-        )
         traced = frozenset(
             name
             for name, fn in methods.items()
@@ -252,7 +238,6 @@ class CodeModel:
             decl=decl,
             methods=methods,
             instrumented_methods=instrumented,
-            abstract_methods=abstract,
             traced_methods=traced,
         )
         if node.name in self.classes:

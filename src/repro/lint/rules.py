@@ -1,4 +1,4 @@
-"""The persist-order rule passes (P0-P5).
+"""The structural rule passes (P0, P1, P2, P4).
 
 Each pass is a pure function of the :class:`~repro.lint.model.CodeModel`
 and the run configuration, returning :class:`~repro.lint.findings.Finding`
@@ -13,14 +13,9 @@ objects.  The rules encode cc-NVM's write-ordering discipline
   both directions, and every persist point (atomic-batch signals, TCB
   root commits) executes under crash-site coverage so the fault
   injector can actually crash around it.
-* **P3** — an atomic batch opens, fills and commits within a single
-  function: no split batches, no unbalanced ``begin``/``commit``.
 * **P4** — recovery-path code never reads volatile-domain attributes;
   after a crash only the NVM image and the persistent TCB registers
   exist, so consulting volatile state is a latent use-of-lost-state bug.
-* **P5** — every scheme subclass implements the full
-  ``SecureNVMScheme`` contract (the abstract write/evict/flush/recover
-  seams).
 """
 
 from __future__ import annotations
@@ -39,9 +34,6 @@ from repro.lint.model import (
 #: Calls that advance persistent state wholesale — each must run under
 #: crash-site coverage (rule P2) so the injector can crash around it.
 PERSIST_POINTS = ("begin_atomic", "commit_atomic", "commit_root", "set_roots")
-
-#: The atomic draining protocol's WPQ signals (rule P3).
-ATOMIC_OPS = ("begin_atomic", "write_atomic", "commit_atomic")
 
 
 def _assign_targets(node: ast.AST):
@@ -233,66 +225,6 @@ def _callee_self_instrumented(
 
 
 # ---------------------------------------------------------------------------
-# P3 — atomic-batch bracketing
-# ---------------------------------------------------------------------------
-
-def rule_p3(model: CodeModel, config) -> list[Finding]:
-    findings = []
-    for scope in _function_scopes(model):
-        calls: dict[str, list[ast.Call]] = {op: [] for op in ATOMIC_OPS}
-        for node in scope.walk_own():
-            if isinstance(node, ast.Call):
-                name = call_name(node.func)
-                if name in calls:
-                    calls[name].append(node)
-        if scope.class_name is not None and any(
-            scope.node.name == op for op in ATOMIC_OPS
-        ):
-            continue  # the WPQ's own protocol methods
-        begins, writes, commits = (
-            calls["begin_atomic"], calls["write_atomic"], calls["commit_atomic"]
-        )
-        if writes and (not begins or not commits):
-            first = writes[0]
-            findings.append(
-                Finding(
-                    "P3", scope.path, first.lineno, first.col_offset, scope.symbol,
-                    "write_atomic() without begin_atomic()+commit_atomic() in "
-                    "the same function — atomic batches must not be split "
-                    "across functions, or a crash can persist half an epoch",
-                    suggestion="bracket the writes with begin_atomic()/"
-                    "commit_atomic() locally, or use a single wpq.write()",
-                    token="split-batch",
-                )
-            )
-        if begins and len(begins) != len(commits):
-            first = begins[0]
-            findings.append(
-                Finding(
-                    "P3", scope.path, first.lineno, first.col_offset, scope.symbol,
-                    f"unbalanced atomic batch: {len(begins)} begin_atomic() vs "
-                    f"{len(commits)} commit_atomic() in this function — an "
-                    "un-ended batch is silently dropped at the next crash",
-                    suggestion="every begin_atomic() needs exactly one "
-                    "commit_atomic() on every control-flow path",
-                    token="unbalanced",
-                )
-            )
-        elif commits and not begins and not writes:
-            first = commits[0]
-            findings.append(
-                Finding(
-                    "P3", scope.path, first.lineno, first.col_offset, scope.symbol,
-                    "commit_atomic() without a begin_atomic() in this function "
-                    "— the end signal is owned by whoever opened the batch",
-                    suggestion="commit the batch in the function that began it",
-                    token="stray-commit",
-                )
-            )
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # P4 — recovery-path volatile reads
 # ---------------------------------------------------------------------------
 
@@ -351,56 +283,16 @@ def _volatile_owner(model: CodeModel, scope: Scope, recv, attr: str) -> str | No
     return None
 
 
-# ---------------------------------------------------------------------------
-# P5 — the scheme contract
-# ---------------------------------------------------------------------------
-
-def rule_p5(model: CodeModel, config) -> list[Finding]:
-    root = model.classes.get(config.scheme_root)
-    if root is None:
-        return []
-    findings = []
-    for sub in model.subclasses_of(config.scheme_root):
-        for method in sorted(root.abstract_methods):
-            resolved = model.resolve_method(sub.name, method)
-            if resolved is None or (
-                resolved.name == root.name and method in root.abstract_methods
-            ):
-                findings.append(
-                    Finding(
-                        "P5", sub.path, sub.line, 0, sub.name,
-                        f"scheme {sub.name} does not implement {method}() — "
-                        f"the {config.scheme_root} contract (write path, "
-                        "eviction, flush, recovery) must be complete",
-                        suggestion=f"implement {method}() or inherit it from a "
-                        "concrete ancestor",
-                        token=f"missing:{method}",
-                    )
-                )
-    return findings
-
-
-#: The full pass list, in reporting order.  The interprocedural
-#: dataflow rules (P6/P7) and the determinism rules (D0-D2) live in
-#: :mod:`repro.lint.ordering`; they share one call-graph build per run.
-from repro.lint.ordering import (  # noqa: E402  (grouped with the list)
-    rule_d0,
-    rule_d1,
-    rule_d2,
-    rule_p6,
-    rule_p7,
-)
+#: The full pass list, in reporting order.  The call-graph rules (P7
+#: and the determinism rule D1) live in :mod:`repro.lint.ordering`;
+#: they share one call-graph build per run.
+from repro.lint.ordering import rule_d1, rule_p7  # noqa: E402
 
 ALL_RULES = (
     rule_p0,
     rule_p1,
     rule_p2,
-    rule_p3,
     rule_p4,
-    rule_p5,
-    rule_p6,
     rule_p7,
-    rule_d0,
     rule_d1,
-    rule_d2,
 )

@@ -36,10 +36,11 @@ class LintConfig:
     site_registry: tuple[str, ...] | None = None
     #: Path suffixes whose every function is recovery-path code (P4).
     recovery_files: tuple[str, ...] = ("core/recovery.py",)
-    #: Root class of the scheme contract (P4 recover methods, P5).
+    #: Root class of the scheme contract (P4 recover methods, cross-check
+    #: seams).
     scheme_root: str = "SecureNVMScheme"
     #: ``path-suffix::symbol-prefix`` entry patterns for the determinism
-    #: rules (D0-D2); empty disables them.
+    #: rule (D1); empty disables it.
     deterministic_entries: tuple[str, ...] = DEFAULT_DETERMINISTIC_ENTRIES
     #: Scheme seam names used as static entries by ``--cross-check``.
     cross_check_entries: tuple[str, ...] = (

@@ -41,11 +41,9 @@ class AtomicBatchError(RuntimeError):
         "commit_atomic",
         "power_failure",
     ),
-    # Ordering-point model (lint rules P6/P7): normal writes are durable
-    # once accepted but *droppable* behind later in-flight traffic at a
-    # power failure; a batch commit owns the WPQ end to end and is a fence.
+    # Trace domain (lint rule P7 and the cross-check): the normal store
+    # micro-ops; write_atomic is a store site too.
     stores=("write", "write_partial"),
-    fences=("commit_atomic",),
 )
 class WritePendingQueue:
     """The ADR-protected write queue in front of the NVM device."""

@@ -1,16 +1,5 @@
-"""True negatives for D0/D1/D2: deterministic twins of every
-``determinism_tp`` pattern, plus the documented exemptions."""
-
-
-def spec_key(params):
-    # sort_keys pins the byte order.
-    return json.dumps(params, sort_keys=True)
-
-
-def seeded_stream(seed, steps):
-    # A *seeded* generator is the sanctioned randomness (exempt in D0).
-    rng = random.Random(f"stream/{seed}")
-    return [rng.random() for _ in range(steps)]
+"""True negatives for D1: deterministic twins of every
+``determinism_tp`` pattern, plus the documented exemption."""
 
 
 def fold_addresses(addrs):
@@ -21,13 +10,12 @@ def fold_addresses(addrs):
     return out
 
 
+def profile_names(patterns):
+    unique = set(patterns)
+    return [f"ace-{p}" for p in sorted(unique)]
+
+
 def count_unqueued(addrs, queue):
     # Order-insensitive reduction over a set: sum absorbs the order
     # (the drainer's real dedup-count idiom).
     return sum(1 for a in set(addrs) if a not in queue)
-
-
-def render_report(doc):
-    # json.dumps *off* the hashed path would be fine too, but even on
-    # it, sort_keys keeps the bytes canonical.
-    return json.dumps(doc, indent=2, sort_keys=True)

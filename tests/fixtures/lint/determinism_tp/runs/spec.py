@@ -1,34 +1,17 @@
-"""True positives for D0/D1/D2: this file's path suffix (``runs/spec.py``)
+"""True positives for D1: this file's path suffix (``runs/spec.py``)
 makes every function here a spec-hashed entry point."""
 
 
-def spec_key(params):
-    # D2: dict insertion order leaks into the hashed bytes.
-    return json.dumps(params)
-
-
-def stamp_spec(params):
-    # D0, direct: wall clock on a hashed path.
-    params["created"] = time.time()
-    return params
-
-
-def jitter(params):
-    # D0, two calls deep: the helper chain ends in entropy.
-    return _derive(params)
-
-
-def _derive(params):
-    return _entropy() + len(params)
-
-
-def _entropy():
-    return random.random()
-
-
 def fold_addresses(addrs):
-    # D1: set order escapes into the returned list.
+    # Set order escapes into the returned list.
     out = []
     for addr in set(addrs):
         out.append(addr)
     return out
+
+
+def profile_names(patterns):
+    # A name bound to a set still carries the set's order into the
+    # comprehension (the shape of an enumeration that dedups first).
+    unique = set(patterns)
+    return [f"ace-{p}" for p in unique]

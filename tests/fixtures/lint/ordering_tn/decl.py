@@ -1,4 +1,4 @@
-"""Ordering-model declarations shared by the true-negative package.
+"""Trace-domain declarations shared by the true-negative package.
 
 Identical to ``ordering_tp/decl.py`` except every declared mutator
 calls the trace hook — the declaration layer itself is clean.
@@ -18,7 +18,6 @@ calls the trace hook — the declaration layer itself is clean.
         "end_combined",
     ),
     stores=("write", "write_partial"),
-    fences=("commit_atomic",),
 )
 class FakeWPQ:
     def write(self, addr, data):
@@ -55,7 +54,6 @@ class FakeWPQ:
     persistent=("root_old", "nwb"),
     aka=("tcb",),
     mutators=("commit_root", "count_writeback"),
-    fences=("commit_root",),
     grouped=("count_writeback",),
 )
 class FakeTCB:

@@ -1,26 +1,22 @@
 """True negatives: the corrected twin of every ``ordering_tp`` pattern.
 
-Each seam discharges its ordering obligation on every path — the
-analyzer must stay silent on all of P6/P7 here.
+The analyzer must stay silent here.  ``OrderedScheme`` also serves the
+cross-check tests as a miniature scheme root whose seams reach a WPQ
+store, an atomic-batch write and a register commit.
 """
 
 
 @persistence(
     volatile=("_dirty",),
     aka=("scheme",),
-    ordered=("_post_writeback", "_update_tree"),
 )
 class OrderedScheme:
-    # Direct fix: the store rides a one-line atomic batch (the PR-4
-    # Osiris Plus stop-loss fix, distilled).
     def _post_writeback(self, counter_addr, line):
         self.wpq.begin_atomic()
         self.wpq.write_atomic(counter_addr, line)
         self.wpq.commit_atomic()
         return 0
 
-    # Interprocedural fix: the helper stores, the callee fence orders it
-    # before the seam returns.
     def _update_tree(self, now, counter_addr):
         self._persist_counter(counter_addr)
         self._commit()
@@ -31,27 +27,6 @@ class OrderedScheme:
 
     def _commit(self):
         self.tcb.commit_root()
-
-
-class BranchFencedScheme(OrderedScheme):
-    # Both branches fence before returning — the may-analysis finds no
-    # unfenced path.
-    def _post_writeback(self, counter_addr, line):
-        self.wpq.write(counter_addr, line)
-        if line:
-            self.wpq.begin_atomic()
-            self.wpq.write_atomic(counter_addr, line)
-            self.wpq.commit_atomic()
-        else:
-            self.tcb.commit_root()
-        return 0
-
-    # Loop-carried fix: the fence follows the loop's stores.
-    def _update_tree(self, now, counter_addr):
-        for addr in (counter_addr, counter_addr + 64):
-            self.wpq.write(addr, b"node")
-        self.tcb.commit_root()
-        return 0
 
 
 class BracketedCounting:

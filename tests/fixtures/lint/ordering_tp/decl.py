@@ -1,8 +1,8 @@
-"""Ordering-model declarations shared by the true-positive package.
+"""Trace-domain declarations shared by the true-positive package.
 
-A minimal WPQ (droppable stores, one batch fence) and TCB (root-commit
-fence, one grouped register op) so the violations in the sibling files
-classify exactly like the real tree's micro-ops.
+A minimal WPQ (store micro-ops) and TCB (one grouped register op) so
+the violations in the sibling files classify exactly like the real
+tree's micro-ops.
 """
 
 
@@ -19,7 +19,6 @@ classify exactly like the real tree's micro-ops.
         "end_combined",
     ),
     stores=("write", "write_partial"),
-    fences=("commit_atomic",),
 )
 class FakeWPQ:
     def write(self, addr, data):
@@ -56,7 +55,6 @@ class FakeWPQ:
     persistent=("root_old", "nwb"),
     aka=("tcb",),
     mutators=("commit_root", "count_writeback", "silent_bump"),
-    fences=("commit_root",),
     grouped=("count_writeback",),
 )
 class FakeTCB:

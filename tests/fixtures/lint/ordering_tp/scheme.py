@@ -1,48 +1,8 @@
-"""True positives for the persist-order dataflow rules.
+"""True positives for the trace-seam coherence rule (P7).
 
-Every seam below violates P6 (a droppable store may still be pending at
-seam exit) or P7 (a grouped op outside its combined bracket, an
-unbalanced bracket) in a different control-flow shape.
+A grouped register op outside its combined bracket, and an unbalanced
+bracket; ``decl.py`` adds an untraced mutator.
 """
-
-
-@persistence(
-    volatile=("_dirty",),
-    aka=("scheme",),
-    ordered=("_post_writeback", "_update_tree"),
-)
-class LeakyScheme:
-    # Direct: the store trails the seam's return with no ordering point.
-    def _post_writeback(self, counter_addr, line):
-        self.wpq.write(counter_addr, line)
-        return 0
-
-    # Interprocedural: the pending store hides one call deep.
-    def _update_tree(self, now, counter_addr):
-        self._persist_counter(counter_addr)
-        return 0
-
-    def _persist_counter(self, counter_addr):
-        self.wpq.write(counter_addr, b"counter")
-
-
-class BranchyScheme(LeakyScheme):
-    # Path-sensitive: one branch fences, the other leaks — a
-    # may-analysis must flag the unfenced path.
-    def _post_writeback(self, counter_addr, line):
-        self.wpq.write(counter_addr, line)
-        if line:
-            self.wpq.begin_atomic()
-            self.wpq.write_atomic(counter_addr, line)
-            self.wpq.commit_atomic()
-        return 0
-
-    # Loop-carried: the fence runs before the loop, the store inside it.
-    def _update_tree(self, now, counter_addr):
-        self.tcb.commit_root()
-        for addr in (counter_addr, counter_addr + 64):
-            self.wpq.write(addr, b"node")
-        return 0
 
 
 class UnbracketedCounting:

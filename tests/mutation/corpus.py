@@ -1,0 +1,310 @@
+"""The mutation corpus behind DESIGN.md's lint audit table.
+
+Each :class:`Mutant` is one contiguous edit (``before`` -> ``after``,
+``before`` occurring exactly once in ``path``) that plants a bug of the
+kind one ``repro lint`` charter exists to catch.  ``mutate.py`` applies
+them one at a time to a scratch copy of the repository; nothing here is
+collected by pytest (no ``test_`` prefix).
+
+Per mutant the corpus records what the audit measured:
+
+* ``lint`` — the rules of the *current* analyzer that fire on it
+  (``XC`` = the static/dynamic cross-check fails);
+* ``catchers`` — non-lint tier-1 node ids that fail on it (the fastest
+  few of all the failures; DESIGN.md gives the full counts);
+* ``hashseeds`` — the ``PYTHONHASHSEED`` values every catch must hold
+  under (set-order mutants list two);
+* ``escaped`` — the ROADMAP item that owns a mutant nothing catches.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Mutant:
+    id: str
+    #: The lint charter the planted bug belongs to (``XC`` = cross-check).
+    charter: str
+    title: str
+    #: File to edit, relative to the repository root.
+    path: str
+    before: str
+    after: str
+    lint: tuple[str, ...] = ()
+    catchers: tuple[str, ...] = ()
+    hashseeds: tuple[int, ...] = (0,)
+    escaped: str = ""
+
+
+OSIRIS = "src/repro/core/schemes/osiris.py"
+CCNVM = "src/repro/core/schemes/ccnvm.py"
+STRICT = "src/repro/core/schemes/strict.py"
+BASE = "src/repro/core/schemes/base.py"
+TCB = "src/repro/core/tcb.py"
+RECOVERY = "src/repro/core/recovery.py"
+WPQ = "src/repro/mem/wpq.py"
+SPEC = "src/repro/runs/spec.py"
+
+MUTANTS: tuple[Mutant, ...] = (
+    Mutant(
+        "M01", "P6", "Osiris Plus stop-loss counter persist unfenced",
+        OSIRIS,
+        "            self.wpq.begin_atomic()\n"
+        "            self.wpq.write_atomic(counter_addr, self.meta.encoded(line))\n"
+        "            self.wpq.commit_atomic()\n",
+        "            self.wpq.write(counter_addr, self.meta.encoded(line))\n",
+        catchers=(
+            "tests/integration/test_crash_campaign.py::TestDifferentialContract::test_hotset_outcomes_per_design",
+        ),
+    ),
+    Mutant(
+        "M02", "P6", "Osiris Plus flush unfenced",
+        OSIRIS,
+        "            self.wpq.begin_atomic()\n"
+        "            self.wpq.write_atomic(line.addr, self.meta.encoded(line))\n"
+        "            self.wpq.commit_atomic()\n",
+        "            self.wpq.write(line.addr, self.meta.encoded(line))\n",
+        catchers=(
+            "tests/integration/test_trafficgen.py::TestAceCampaign::test_k3_exhaustive_on_all_six_schemes_zero_violations",
+        ),
+    ),
+    Mutant(
+        "M03", "D2", "canonical_json without sort_keys",
+        SPEC,
+        'return json.dumps(obj, sort_keys=True, separators=(",", ":"))',
+        'return json.dumps(obj, separators=(",", ":"))',
+        catchers=(
+            "tests/unit/test_runs_spec.py::TestSpecHash::test_canonical_json_is_order_insensitive",
+        ),
+    ),
+    Mutant(
+        "M04", "P6", "cc-NVM drain: write instead of write_atomic",
+        CCNVM,
+        "            self.wpq.write_atomic(addr, value)\n",
+        "            self.wpq.write(addr, value)\n",
+        catchers=(
+            "tests/integration/test_crash_campaign.py::TestCampaignSmoke::test_no_violations_no_mismatches",
+        ),
+    ),
+    Mutant(
+        "M05", "P6", "cc-NVM commit_root moved ahead of the batch",
+        CCNVM,
+        "        # start signal: metadata cachelines are blocked inside the WPQ.\n"
+        "        self.wpq.begin_atomic()\n",
+        "        self.tcb.commit_root()\n"
+        "        # start signal: metadata cachelines are blocked inside the WPQ.\n"
+        "        self.wpq.begin_atomic()\n",
+        catchers=(
+            "tests/integration/test_crash_campaign.py::TestCampaignSmoke::test_no_violations_no_mismatches",
+        ),
+    ),
+    Mutant(
+        "M06", "P6", "SC path flush: write instead of write_atomic",
+        STRICT,
+        "            self.wpq.write_atomic(addr, value)\n",
+        "            self.wpq.write(addr, value)\n",
+        catchers=(
+            "tests/integration/test_crash_campaign.py::TestCampaignSmoke::test_no_violations_no_mismatches",
+        ),
+    ),
+    Mutant(
+        "M07", "P7", "count_writeback moved after end_combined",
+        BASE,
+        "        self.tcb.count_writeback()\n"
+        "        self._count_writeback_extras(counter_addr)\n"
+        "        self.wpq.end_combined()\n",
+        "        self._count_writeback_extras(counter_addr)\n"
+        "        self.wpq.end_combined()\n"
+        "        self.tcb.count_writeback()\n",
+        lint=("P7",),
+        catchers=(
+            "tests/integration/test_crash_campaign.py::TestCampaignSmoke::test_no_violations_no_mismatches",
+        ),
+    ),
+    Mutant(
+        "M08", "P7", "TCB.count_writeback skips _trace",
+        TCB,
+        "        self.nwb += 1\n"
+        '        self._trace("count_writeback")\n',
+        "        self.nwb += 1\n",
+        lint=("P7", "XC"),
+        catchers=(
+            "tests/integration/test_fault_campaign.py::TestSmokeCampaign::test_every_crash_image_is_an_enumerated_state",
+        ),
+    ),
+    Mutant(
+        "M09", "P7", "begin_combined dropped",
+        BASE,
+        "        self.wpq.begin_combined()\n",
+        "",
+        lint=("P7", "XC"),
+        catchers=(
+            "tests/integration/test_crash_campaign.py::TestDifferentialContract::test_hotset_outcomes_per_design",
+        ),
+    ),
+    Mutant(
+        "M10", "P1", "recovery sets tcb.recovery_pending directly",
+        RECOVERY,
+        "        self.tcb.begin_recovery()\n",
+        "        self.tcb.recovery_pending = True\n",
+        lint=("P1",),
+    ),
+    Mutant(
+        "M11", "P4", "CcNVM.recover reads len(self.meta.overlay)",
+        CCNVM,
+        "            retry_limit=self.config.epoch.update_limit,\n"
+        '            freshness_check="nwb",\n',
+        "            retry_limit=self.config.epoch.update_limit + len(self.meta.overlay),\n"
+        '            freshness_check="nwb",\n',
+        lint=("P4",),
+    ),
+    Mutant(
+        "M12", "P5", "Osiris Plus _on_dirty_meta_evict renamed away",
+        OSIRIS,
+        "    def _on_dirty_meta_evict(self, victim: CacheLine) -> None:\n",
+        "    def _on_dirty_meta_evicted(self, victim: CacheLine) -> None:\n",
+        lint=("XC",),
+        catchers=(
+            "tests/integration/test_attack_detection.py::TestOsirisDetectsButCannotLocate::test_replay_detected_not_located",
+        ),
+    ),
+    Mutant(
+        "M13", "D0", "time.time() into simulation_spec params",
+        SPEC,
+        '    params = {} if data_capacity is None else {"data_capacity": data_capacity}\n',
+        "    import time\n"
+        "\n"
+        '    params = {} if data_capacity is None else {"data_capacity": data_capacity}\n'
+        '    params["created"] = time.time()\n',
+        catchers=(
+            "tests/unit/test_runs_spec.py::TestSpecHash::test_pinned_hashes",
+        ),
+    ),
+    Mutant(
+        "M14", "D1", "canonical_value iterates register names as a set",
+        "src/repro/crashsim/enumerate.py",
+        "        return tuple(sorted((k, canonical_value(v)) for k, v in value.items()))\n",
+        "        return tuple((k, canonical_value(value[k])) for k in set(value))\n",
+        hashseeds=(0, 1),
+        lint=("D1",),
+        catchers=(
+            "tests/integration/test_campaign_digests.py::test_every_campaign_shard_matches_its_golden_digest",
+        ),
+    ),
+    Mutant(
+        "M15", "P3", "Osiris Plus flush leaves its atomic batch open",
+        OSIRIS,
+        "            self.wpq.write_atomic(line.addr, self.meta.encoded(line))\n"
+        "            self.wpq.commit_atomic()\n",
+        "            self.wpq.write_atomic(line.addr, self.meta.encoded(line))\n",
+        catchers=(
+            "tests/integration/test_cross_scheme.py::TestImageEquivalence::test_reads_agree_everywhere",
+        ),
+    ),
+    Mutant(
+        "M16", "P6", "recovery re-key pokes the HMAC before the data",
+        RECOVERY,
+        "            self.nvm.poke(addr, ciphertext)\n"
+        "            self._poke_data_hmac(\n"
+        "                addr, self.hmac.data_hmac(ciphertext, addr, target_major, 0)\n"
+        "            )\n",
+        "            self._poke_data_hmac(\n"
+        "                addr, self.hmac.data_hmac(ciphertext, addr, target_major, 0)\n"
+        "            )\n"
+        "            self.nvm.poke(addr, ciphertext)\n",
+        escaped="ROADMAP item 8(a)",
+    ),
+    Mutant(
+        "M17", "D2", "image_hash serializes registers with json.dumps",
+        "src/repro/crashsim/enumerate.py",
+        "        regs = registers_to_dict(self.registers)\n"
+        "        h.update(repr(canonical_value(regs)).encode())\n",
+        "        import json\n"
+        "\n"
+        "        regs = registers_to_dict(self.registers)\n"
+        "        h.update(json.dumps(regs).encode())\n",
+        catchers=(
+            "tests/unit/test_crashsim_reduce.py::TestImageHashCanonicalization::test_counter_log_order_does_not_change_identity",
+        ),
+    ),
+    Mutant(
+        "M18", "P1", "recovery writes the root registers directly",
+        RECOVERY,
+        "        self.tcb.set_roots(root)\n",
+        "        self.tcb.root_new = self.tcb.root_old = root\n"
+        "        self.tcb.nwb = 0\n",
+        lint=("P1",),
+        catchers=(
+            "tests/integration/test_fault_campaign.py::TestSmokeCampaign::test_double_crash_runs_are_marked",
+        ),
+    ),
+    Mutant(
+        "M19", "P4", "CcNVM.recover consults the volatile dirty queue",
+        CCNVM,
+        "            use_counter_log=self.locate_registers,\n",
+        "            use_counter_log=self.locate_registers and len(self.queue) > 0,\n",
+        lint=("P4",),
+        catchers=(
+            "tests/unit/test_extension_locate.py::TestReplayLocation::test_in_epoch_replay_located_at_page",
+        ),
+    ),
+    Mutant(
+        "M20", "P5", "w/o CC flush renamed away",
+        "src/repro/core/schemes/no_cc.py",
+        "    def flush(self) -> None:\n",
+        "    def flush_all(self) -> None:\n",
+        lint=("XC",),
+        catchers=(
+            "tests/integration/test_end_to_end.py::TestRoundTrips::test_flush_then_graceful_restart[no_cc]",
+        ),
+    ),
+    Mutant(
+        "M21", "P3", "cc-NVM drain drops begin_atomic",
+        CCNVM,
+        "        self.wpq.begin_atomic()\n"
+        "        flushed = 0\n",
+        "        flushed = 0\n",
+        lint=("XC",),
+        catchers=(
+            "tests/integration/test_attack_detection.py::TestConfidentiality::test_observed_nvm_carries_no_plaintext",
+        ),
+    ),
+    Mutant(
+        "M22", "D0", "wall-clock time in the simulation result payload",
+        "src/repro/runs/pool.py",
+        "    return result_to_dict(result)\n",
+        "    payload = result_to_dict(result)\n"
+        '    payload["host_seconds"] = time.perf_counter()\n'
+        "    return payload\n",
+        catchers=(
+            "tests/integration/test_orchestrator.py::TestDeterminism::test_serial_and_pooled_results_are_byte_identical",
+        ),
+    ),
+    Mutant(
+        "M23", "D1", "ACE enumeration iterates growth strings as a set",
+        "src/repro/trafficgen/ace.py",
+        "    for pattern in growth_strings(k):\n",
+        "    for pattern in set(growth_strings(k)):\n",
+        hashseeds=(0, 1),
+        lint=("D1",),
+    ),
+    Mutant(
+        "M24", "XC", "WPQ write_partial dropped from the stores= declaration",
+        WPQ,
+        '    stores=("write", "write_partial"),\n',
+        '    stores=("write",),\n',
+        lint=("XC",),
+    ),
+    Mutant(
+        "M25", "XC", "WPQ write_partial traced under the write kind",
+        WPQ,
+        '        self._trace("write_partial", addr)\n',
+        '        self._trace("write", addr)\n',
+        lint=("XC",),
+        catchers=(
+            "tests/unit/test_crashsim_trace.py::TestTraceStructure::test_writeback_group_is_one_unit",
+        ),
+    ),
+)

@@ -242,8 +242,7 @@ class TestCommands:
         assert set(doc) >= {"counts", "findings", "rules", "root",
                             "schema_version"}
         assert set(doc["rules"]) == {
-            "P0", "P1", "P2", "P3", "P4", "P5", "P6", "P7",
-            "D0", "D1", "D2", "B0",
+            "P0", "P1", "P2", "P4", "P7", "D1", "B0",
         }
 
     def test_lint_update_baseline_writes_file(self, capsys, monkeypatch,

@@ -274,32 +274,3 @@ class TestLintJson:
         assert finding["rule"] == "P1"
         assert finding["path"] == "pkg/evil.py"
         assert finding["key"] == "P1|pkg/evil.py|smash|t.r"
-
-    def test_lint_from_json_inverts_lint_to_json(self, tmp_path):
-        from repro.analysis.export import lint_from_json, lint_to_json
-        from repro.lint import LintConfig, run_lint
-
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "evil.py").write_text(
-            '@persistence(persistent=("r",), aka=("t",))\n'
-            "class Owner:\n"
-            "    pass\n"
-            "\n"
-            "def smash(t):\n"
-            "    t.r = 1\n",
-            encoding="utf-8",
-        )
-        report = run_lint(LintConfig(root=pkg, base_dir=tmp_path))
-        text = lint_to_json(report)
-        rebuilt = lint_from_json(text)
-        assert lint_to_json(rebuilt) == text
-        assert [f.key for f in rebuilt.new] == [f.key for f in report.new]
-
-    def test_lint_from_json_rejects_wrong_schema(self):
-        import pytest
-
-        from repro.analysis.export import lint_from_json
-
-        with pytest.raises(ValueError, match="schema"):
-            lint_from_json(json.dumps({"schema_version": 0}))

@@ -6,11 +6,15 @@ plus the real source tree must lint clean against the checked-in
 baseline.
 """
 
+import shutil
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.lint import LintConfig, RULES, run_lint, write_baseline
+from tests.mutation.corpus import MUTANTS
 
 REPO_SRC = Path(repro.__file__).resolve().parent
 REPO_BASELINE = REPO_SRC.parents[1] / "lint-baseline.txt"
@@ -178,33 +182,6 @@ class TestSeededViolations:
         uncovered = [f for f in report.new if f.token == "uncovered:commit_root"]
         assert [f.symbol for f in uncovered] == ["Drainer.uncovered"]
 
-    def test_p3_batch_bracketing(self, tmp_path):
-        report = lint(tmp_path, {"drain.py": """
-            class Drainer:
-                def split(self, wpq):
-                    wpq.write_atomic(0, b"")
-
-                def unbalanced(self, wpq):
-                    wpq.begin_atomic()
-                    wpq.write_atomic(0, b"")
-
-                def stray(self, wpq):
-                    wpq.commit_atomic()
-
-                def good(self, wpq):
-                    wpq.begin_atomic()
-                    wpq.write_atomic(0, b"")
-                    wpq.commit_atomic()
-        """})
-        by_symbol = {}
-        for f in report.new:
-            if f.rule == "P3":
-                by_symbol.setdefault(f.symbol, set()).add(f.token)
-        assert by_symbol["Drainer.split"] == {"split-batch"}
-        assert "unbalanced" in by_symbol["Drainer.unbalanced"]
-        assert by_symbol["Drainer.stray"] == {"stray-commit"}
-        assert "Drainer.good" not in by_symbol
-
     def test_p4_volatile_read_on_recovery_path(self, tmp_path):
         report = lint(tmp_path, {
             "decl.py": DECLARATIONS,
@@ -244,37 +221,9 @@ class TestSeededViolations:
         })
         assert not [f for f in report.new if f.rule == "P4"]
 
-    def test_p5_incomplete_scheme_contract(self, tmp_path):
-        report = lint(tmp_path, {"schemes.py": """
-            class SecureNVMScheme:
-                @abstractmethod
-                def flush(self):
-                    ...
-
-                @abstractmethod
-                def recover(self):
-                    ...
-
-            class Complete(SecureNVMScheme):
-                def flush(self):
-                    pass
-
-                def recover(self):
-                    pass
-
-            class ViaInheritance(Complete):
-                pass
-
-            class Incomplete(SecureNVMScheme):
-                def flush(self):
-                    pass
-        """})
-        p5 = {(f.symbol, f.token) for f in report.new if f.rule == "P5"}
-        assert p5 == {("Incomplete", "missing:recover")}
-
     def test_all_rule_classes_detectable(self, tmp_path):
-        """The analyzer distinguishes at least five rule classes."""
-        assert set(RULES) >= {"P1", "P2", "P3", "P4", "P5"}
+        """The analyzer distinguishes the persist-order rule classes."""
+        assert set(RULES) >= {"P1", "P2", "P4", "P7"}
 
 
 class TestBaseline:
@@ -366,3 +315,31 @@ class TestRealTree:
                 f"baseline anchor #{anchor} has no {{#{anchor}}} heading "
                 "in DESIGN.md"
             )
+
+
+class TestRealTreeMutants:
+    """Corpus mutants only the analyzer catches, replayed on a copy of
+    the real tree: tier-1's semantic tests pass on both."""
+
+    @pytest.mark.parametrize("mutant_id, expected", [
+        # The bug the analyzer found when first run: recovery set the
+        # persistent flag directly instead of via TCB.begin_recovery().
+        ("M10", {("P1", "RecoveryManager.run", "tcb.recovery_pending")}),
+        ("M11", {("P4", "CcNVM.recover", "self.meta"),
+                 ("P4", "CcNVM.recover", "meta.overlay")}),
+    ])
+    def test_mutant_is_flagged(self, tmp_path, mutant_id, expected):
+        [mutant] = [m for m in MUTANTS if m.id == mutant_id]
+        scratch = tmp_path / "repro"
+        shutil.copytree(REPO_SRC, scratch,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = scratch / Path(mutant.path).relative_to("src/repro")
+        source = target.read_text(encoding="utf-8")
+        assert source.count(mutant.before) == 1, f"{mutant_id} no longer applies"
+        target.write_text(source.replace(mutant.before, mutant.after),
+                          encoding="utf-8")
+
+        report = run_lint(LintConfig(
+            root=scratch, base_dir=tmp_path, baseline_path=REPO_BASELINE
+        ))
+        assert {(f.rule, f.symbol, f.token) for f in report.new} == expected

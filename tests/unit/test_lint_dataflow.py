@@ -1,14 +1,12 @@
-"""Unit tests for the interprocedural persist-order dataflow analyzer.
+"""Unit tests for the call-graph rules of ``repro lint``.
 
-Covers the call graph, the happens-before summaries behind P6, the
-trace-seam coherence checks (P7), the determinism rules (D0-D2), the
-baseline justification anchors (B0) and the static/dynamic persist-site
-cross-check — against the committed fixture corpora in
-``tests/fixtures/lint/`` and against the real tree.
+Covers the call graph, the trace-seam coherence checks (P7), the
+set-order determinism rule (D1), the baseline justification anchors (B0) and
+the static/dynamic persist-site cross-check — against the committed
+fixture corpora in ``tests/fixtures/lint/`` and against the real tree.
 """
 
 import json
-import shutil
 import textwrap
 import time
 from pathlib import Path
@@ -49,80 +47,6 @@ def rules_fired(report):
     return {f.rule for f in report.new}
 
 
-class TestP6Fixtures:
-    def test_true_positives_fire_in_every_control_flow_shape(self):
-        report = lint_fixture("ordering_tp")
-        found = tokens(report)
-        # direct store trailing the seam's return
-        assert ("P6", "LeakyScheme._post_writeback",
-                "unfenced:self.wpq.write") in found
-        # pending store one call deep, attributed to the helper's store site
-        assert ("P6", "LeakyScheme._persist_counter",
-                "unfenced:self.wpq.write") in found
-        # one branch fences, the other leaks (may-analysis)
-        assert ("P6", "BranchyScheme._post_writeback",
-                "unfenced:self.wpq.write") in found
-        # fence before the loop does not order stores inside it
-        assert ("P6", "BranchyScheme._update_tree",
-                "unfenced:self.wpq.write") in found
-
-    def test_true_negatives_stay_silent(self):
-        report = lint_fixture("ordering_tn")
-        assert rules_fired(report) == set(), [f.render() for f in report.new]
-
-    def test_findings_point_at_the_store_not_the_seam(self):
-        report = lint_fixture("ordering_tp")
-        helper = [f for f in report.new
-                  if f.symbol == "LeakyScheme._persist_counter"]
-        assert len(helper) == 1
-        assert "LeakyScheme._update_tree" in helper[0].message
-        assert "atomic batch" in helper[0].suggestion
-
-
-class TestOsirisStopLossFixture:
-    """The PR-4 bug class: P0-P5 miss it, P6 catches it."""
-
-    def test_only_p6_catches_the_distilled_bug(self):
-        report = lint_fixture("osiris_stoploss")
-        assert rules_fired(report) == {"P6"}
-        [finding] = report.new
-        assert finding.symbol == "OsirisStopLoss._post_writeback"
-        assert finding.token == "unfenced:self.wpq.write"
-
-    def test_reverting_the_real_fix_is_flagged(self, tmp_path):
-        """Undo the one-line atomic-batch fix in a scratch copy of the
-        real tree: P6 must flag exactly the stop-loss write."""
-        scratch = tmp_path / "repro"
-        shutil.copytree(REPO_SRC, scratch)
-        osiris = scratch / "core" / "schemes" / "osiris.py"
-        src = osiris.read_text(encoding="utf-8")
-        fixed = (
-            "            self.wpq.begin_atomic()\n"
-            "            self.wpq.write_atomic(counter_addr, "
-            "self.meta.encoded(line))\n"
-            "            self.wpq.commit_atomic()\n"
-            '            self._fault("writeback.after_stoploss")\n'
-        )
-        assert fixed in src, "osiris stop-loss fix changed shape"
-        reverted = src.replace(
-            fixed,
-            "            self.wpq.write(counter_addr, "
-            "self.meta.encoded(line))\n",
-        )
-        osiris.write_text(reverted, encoding="utf-8")
-
-        report = run_lint(LintConfig(root=scratch, base_dir=tmp_path))
-        p6 = [f for f in report.new if f.rule == "P6"]
-        assert len(p6) == 1
-        assert p6[0].symbol == "OsirisPlus._post_writeback"
-        assert p6[0].token == "unfenced:self.wpq.write"
-        # and the structural rules alone would have shipped it
-        assert not [
-            f for f in report.new
-            if f.rule < "P6" and "osiris" in f.path
-        ]
-
-
 class TestP7Fixtures:
     def test_untraced_mutator_unbalanced_group_unbracketed_op(self):
         report = lint_fixture("ordering_tp")
@@ -134,19 +58,17 @@ class TestP7Fixtures:
 
     def test_bracketed_helper_and_direct_use_stay_silent(self):
         report = lint_fixture("ordering_tn")
-        assert not [f for f in report.new if f.rule == "P7"]
+        assert rules_fired(report) == set(), [f.render() for f in report.new]
 
 
 class TestDeterminismFixtures:
     # These trees declare no fault sites at all.
     def test_true_positives(self):
         report = lint_fixture("determinism_tp", site_registry=())
-        found = tokens(report)
-        assert ("D0", "stamp_spec", "nondet:time.time") in found
-        # two calls deep through the same-module call graph
-        assert ("D0", "_entropy", "nondet:random.random") in found
-        assert ("D1", "fold_addresses", "set-iteration") in found
-        assert ("D2", "spec_key", "unsorted-json") in found
+        assert tokens(report) == {
+            ("D1", "fold_addresses", "set-iteration"),
+            ("D1", "profile_names", "set-iteration"),
+        }
 
     def test_true_negatives_including_exemptions(self):
         report = lint_fixture("determinism_tn", site_registry=())
@@ -166,7 +88,7 @@ class TestDeterminismFixtures:
             site_registry=(),
             deterministic_entries=("runs/spec.py::fold_addresses",),
         )
-        assert rules_fired(report) == {"D1"}
+        assert {f.symbol for f in report.new} == {"fold_addresses"}
 
 
 class TestCallGraph:
@@ -267,6 +189,44 @@ class TestCrossCheck:
         doc = report.to_dict()
         assert doc["ok"] is False
         assert doc["static_only"] and doc["dynamic_only"]
+
+    @staticmethod
+    def break_recorder(monkeypatch):
+        """Make every smoke recording raise like an unbalanced group does."""
+        from repro.crashsim import workload
+
+        def broken(scheme, steps, seed):
+            raise RuntimeError("end_combined without begin_combined")
+
+        monkeypatch.setattr(workload, "record_workload", broken)
+
+    def test_recorder_failure_is_reported_per_scheme(self, monkeypatch):
+        self.break_recorder(monkeypatch)
+        model = build_model(REPO_SRC, REPO_SRC.parent)
+        config = LintConfig(root=REPO_SRC, base_dir=REPO_SRC.parent)
+        report = cross_check(model, config, schemes=("no_cc", "sc"), steps=10)
+        assert not report.ok
+        assert [scheme for scheme, _ in report.errors] == ["no_cc", "sc"]
+        for _, error in report.errors:
+            assert error.startswith(
+                "RuntimeError: end_combined without begin_combined (at "
+            )
+        assert "recording failed: no_cc" in report.render_text()
+        assert report.to_dict()["errors"][1][0] == "sc"
+
+    def test_cli_writes_the_diff_and_fails_on_a_recorder_error(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        self.break_recorder(monkeypatch)
+        out = tmp_path / "xcheck.json"
+        monkeypatch.chdir(REPO_SRC.parents[1])
+        assert main(["lint", "--cross-check", "--cross-check-out", str(out)]) == 1
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["ok"] is False
+        assert [scheme for scheme, _ in doc["errors"]] == doc["schemes"]
+        assert "recording failed" in capsys.readouterr().out
 
 
 class TestBaselineAnchors:
@@ -379,9 +339,7 @@ class TestRealTreeDataflow:
 
     def test_determinism_rules_have_zero_false_positives(self):
         report = run_lint(self.config())
-        assert not [
-            f for f in report.new if f.rule in ("D0", "D1", "D2")
-        ]
+        assert not [f for f in report.new if f.rule == "D1"]
 
     def test_analyzer_runtime_stays_under_budget(self):
         started = time.perf_counter()
@@ -393,8 +351,8 @@ class TestRealTreeDataflow:
 
 
 class TestDeterministicJson:
-    def test_json_is_byte_stable_and_round_trips(self):
-        from repro.analysis.export import lint_from_json, lint_to_json
+    def test_json_is_byte_stable(self):
+        from repro.analysis.export import lint_to_json
 
         config = LintConfig(
             root=REPO_SRC,
@@ -407,11 +365,3 @@ class TestDeterministicJson:
         doc = json.loads(first)
         assert doc["schema_version"] == 1
         assert "duration" not in first  # wall clock must not leak in
-        rebuilt = lint_from_json(first)
-        assert lint_to_json(rebuilt) == first
-
-    def test_schema_mismatch_is_rejected(self):
-        from repro.analysis.export import lint_from_json
-
-        with pytest.raises(ValueError, match="schema"):
-            lint_from_json(json.dumps({"schema_version": 999}))
