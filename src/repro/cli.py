@@ -7,7 +7,6 @@ Commands:
 * ``sweep`` — the Figure 6 sensitivity panels;
 * ``demo`` — a one-minute crash/attack/recovery walk-through;
 * ``simulate`` — run one workload on one design and dump statistics;
-* ``faults sites`` — the catalogue of instrumented crash sites;
 * ``crash campaign`` — enumerate every crash state ADR semantics permit
   for each scheme x workload cell of a grid, judge each equivalence
   class's recovery once, and gate on exhaustive coverage; ``crash
@@ -18,7 +17,7 @@ Commands:
   deduped) with ``--campaign`` running the whole set through the crash
   campaign;
 * ``lint`` — the persistence-domain static analyzer (persist-order
-  rules P0-P5, crash-site coverage, scheme contract);
+  rules P0, P1, P4, P7, determinism rule D1);
 * ``runs status`` / ``runs gc`` — inspect and prune the content-addressed
   result cache the orchestrated commands share.
 
@@ -195,37 +194,6 @@ def cmd_demo(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_faults_sites(args: argparse.Namespace) -> int:
-    from repro.faults import SITES, sites_for_scheme
-
-    sites = SITES
-    if args.scheme:
-        reachable = set(sites_for_scheme(args.scheme))
-        sites = tuple(s for s in SITES if s.name in reachable)
-    if args.json:
-        import json
-
-        print(json.dumps(
-            [
-                {
-                    "name": s.name,
-                    "component": s.component,
-                    "description": s.description,
-                    "schemes": list(s.schemes),
-                }
-                for s in sites
-            ],
-            indent=2,
-        ))
-        return 0
-    scope = f" reachable by {args.scheme}" if args.scheme else ""
-    print(f"instrumented crash sites (component.step){scope}:")
-    for s in sites:
-        print(f"  {s.name:26s} [{s.component:8s}] {s.description}")
-        print(f"  {'':26s} reached by: {', '.join(s.schemes)}")
-    return 0
-
-
 def _validated(command: str, build, **fields):
     """``build(**fields)``, or report its rejection and return None."""
     try:
@@ -348,17 +316,20 @@ def cmd_crash_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_reproducer(path: str):
+def _load_reproducer(command: str, path: str):
+    """The artifact at *path*, or report why it is unusable and return None."""
     from repro.analysis.export import reproducer_from_json
 
     with open(path) as f:
-        return reproducer_from_json(f.read())
+        return _validated(command, reproducer_from_json, text=f.read())
 
 
 def cmd_crash_replay(args: argparse.Namespace) -> int:
     from repro.crashsim import replay
 
-    repro_artifact = _load_reproducer(args.file)
+    repro_artifact = _load_reproducer("crash replay", args.file)
+    if repro_artifact is None:
+        return 2
     print(f"replaying: {repro_artifact.description}")
     print(f"  scheme {repro_artifact.scheme}, {len(repro_artifact.ops)} persist "
           f"micro-op(s), schedule {repro_artifact.schedule or 'none'}")
@@ -382,7 +353,9 @@ def cmd_crash_minimize(args: argparse.Namespace) -> int:
         rebuild_trace,
     )
 
-    repro_artifact = _load_reproducer(args.file)
+    repro_artifact = _load_reproducer("crash minimize", args.file)
+    if repro_artifact is None:
+        return 2
     trace = rebuild_trace(repro_artifact)
     oracle = RecoveryOracle(
         repro_artifact.scheme,
@@ -635,15 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_demo
     )
 
-    faults = sub.add_parser("faults", help="the fault-injection crash sites")
-    fsub = faults.add_subparsers(dest="faults_command", required=True)
-    fsites = fsub.add_parser("sites", help="list the instrumented crash sites")
-    fsites.add_argument("--scheme", default=None, choices=sorted(SCHEME_LABELS),
-                        help="only the sites this design's execution can reach")
-    fsites.add_argument("--json", action="store_true",
-                        help="emit the machine-readable catalogue")
-    fsites.set_defaults(func=cmd_faults_sites)
-
     crash = sub.add_parser(
         "crash", help="systematic crash-state exploration (ADR semantics)"
     )
@@ -659,7 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
     ccampaign.add_argument("--profiles", nargs="+", metavar="PROFILE",
                            default=None,
                            help="grid columns (default: hotset plus every "
-                                "Figure-5 surrogate)")
+                                "Figure-5 surrogate; rekey and ace-k<k>-... "
+                                "names on request)")
     ccampaign.add_argument("--steps", type=int, default=None,
                            help="write-backs per recorded workload "
                                 "(default: the smoke budget)")

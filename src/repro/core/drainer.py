@@ -56,9 +56,6 @@ class DirtyAddressQueue:
             raise ValueError("dirty address queue needs at least one entry")
         self.entries = entries
         self._queue: OrderedDict[int, None] = OrderedDict()
-        #: Optional fault-injection callback (see :mod:`repro.faults`):
-        #: called with a dotted site name at instrumented micro-steps.
-        self.fault_hook = None
         self._stats = stats if stats is not None else StatGroup("drainer")
         self._writebacks_this_epoch = 0
         self._drains = {
@@ -77,10 +74,6 @@ class DirtyAddressQueue:
     def stats(self) -> StatGroup:
         """Trigger and epoch-length statistics."""
         return self._stats
-
-    def _fault(self, site: str) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook(site)
 
     def __contains__(self, addr: int) -> bool:
         return addr in self._queue
@@ -111,7 +104,6 @@ class DirtyAddressQueue:
                     raise OverflowError("dirty address queue overflow")
                 self._queue[addr] = None
                 self._reservations.inc()
-        self._fault("daq.after_reserve")
 
     def addresses(self) -> list[int]:
         """Queued addresses in reservation order."""
@@ -130,7 +122,6 @@ class DirtyAddressQueue:
         caller (the cc-NVM scheme) performs the actual recompute/flush
         around this call.
         """
-        self._fault("daq.before_commit")
         addrs = self.addresses()
         self._drains[trigger].inc()
         self._epoch_writebacks.sample(self._writebacks_this_epoch)

@@ -123,7 +123,6 @@ class RecoveryManager:
         merkle: MerkleTree,
         policy: RecoveryPolicy,
         scheme_name: str,
-        fault_hook=None,
     ) -> None:
         self.nvm = nvm
         self.layout = nvm.layout
@@ -133,14 +132,6 @@ class RecoveryManager:
         self.scheme_name = scheme_name
         self.hmac: HmacEngine = merkle.engine
         self.cipher = CounterModeCipher(tcb.encryption_key)
-        #: Optional fault-injection callback (see :mod:`repro.faults`);
-        #: lets campaigns crash recovery itself mid-run, exercising the
-        #: restartable (crash-during-recovery) path.
-        self.fault_hook = fault_hook
-
-    def _fault(self, site: str) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook(site)
 
     # -- image access helpers (peek/poke: recovery is not runtime traffic) ------
 
@@ -186,7 +177,7 @@ class RecoveryManager:
     # -- step 2 ------------------------------------------------------------------
 
     def _recover_block(
-        self, addr: int, stored: CounterLine
+        self, addr: int, stored: CounterLine, resumed: bool
     ) -> tuple[tuple[int, int] | None, int, bool]:
         """Roll one block's counter forward via data-HMAC retry.
 
@@ -194,6 +185,8 @@ class RecoveryManager:
         minor), how many forward steps it took within its major, and
         whether the match was found past a major-counter bump.  ``pair``
         is ``None`` when nothing matches within the bound (tampering).
+        A *resumed* run also finishes a re-encryption the interrupted run
+        left torn (:meth:`_finish_torn_reencryption`).
         """
         block = self.layout.block_slot(addr)
         major, minor = stored.counter_pair(block)
@@ -212,10 +205,43 @@ class RecoveryManager:
         for k in range(limit + 1):
             if self.hmac.verify(code, data_hmac(ciphertext, addr, major + 1, k)):
                 return (major + 1, k), k, True
+        if resumed and self._finish_torn_reencryption(
+            addr, ciphertext, code, major, minor
+        ):
+            return (major + 1, 0), 0, True
         return None, 0, False
 
+    def _finish_torn_reencryption(
+        self, addr: int, ciphertext: bytes, code: bytes, major: int, minor: int
+    ) -> bool:
+        """Complete a block re-encryption an interrupted recovery left torn.
+
+        :meth:`_normalize_page` pokes a block's ciphertext under
+        ``(major + 1, 0)`` before the matching HMAC, and the counter line
+        only later, so a crash between the two pokes leaves the new
+        ciphertext beside the code of the old one while the stored line
+        still holds the old major.  If the plaintext, re-encrypted under
+        the old major within the retry bound, authenticates against the
+        stored code, the block is intact: poke the code the re-encryption
+        owed it and report success.  Only a run resuming over
+        ``recovery_pending`` can meet this state.
+        """
+        plaintext = self.cipher.decrypt(ciphertext, addr, major + 1, 0)
+        for k in range(self.policy.retry_limit + 1):
+            if minor + k > MINOR_COUNTER_MAX:
+                break
+            old = self.cipher.encrypt(plaintext, addr, major, minor + k)
+            if self.hmac.verify(
+                code, self.hmac.recovery_data_hmac(old, addr, major, minor + k)
+            ):
+                self._poke_data_hmac(
+                    addr, self.hmac.data_hmac(ciphertext, addr, major + 1, 0)
+                )
+                return True
+        return False
+
     def _recover_counters(
-        self, report: RecoveryReport
+        self, report: RecoveryReport, resumed: bool
     ) -> tuple[dict[int, CounterLine], dict[int, int], set[int]]:
         """Recover every touched page's counter line.
 
@@ -229,10 +255,11 @@ class RecoveryManager:
             counter_addr = self.layout.merkle_node_addr(MerkleNodeId(0, leaf))
             stored = CounterLine.decode(self.nvm.peek(counter_addr))
             pairs: dict[int, tuple[int, int]] = {}
+            written_off: set[int] = set()
             rolled = False
             leaf_retries[leaf] = 0
             for addr in sorted(addrs):
-                pair, retries, major_rolled = self._recover_block(addr, stored)
+                pair, retries, major_rolled = self._recover_block(addr, stored, resumed)
                 if pair is None:
                     report.add(
                         AttackFinding(
@@ -245,6 +272,7 @@ class RecoveryManager:
                         )
                     )
                     report.unrecoverable_blocks.append(addr)
+                    written_off.add(addr)
                     continue
                 pairs[self.layout.block_slot(addr)] = pair
                 report.total_retries += retries
@@ -258,7 +286,7 @@ class RecoveryManager:
                 rolled = True
                 # After normalization every block of the page has a pair
                 # under the target major.
-                self._normalize_page(leaf, stored, pairs, target_major)
+                self._normalize_page(leaf, stored, pairs, target_major, written_off)
                 line = CounterLine(
                     target_major, [pairs[b][1] for b in range(BLOCKS_PER_PAGE)]
                 )
@@ -277,21 +305,28 @@ class RecoveryManager:
         stored: CounterLine,
         pairs: dict[int, tuple[int, int]],
         target_major: int,
+        written_off: set[int],
     ) -> None:
         """Finish an interrupted page re-encryption at recovery time.
 
         Blocks still encrypted under the previous major are decrypted with
         their recovered (or stored) pair and re-encrypted under
         ``(target_major, 0)``, completing the roll-forward the crash
-        interrupted.
+        interrupted.  *written_off* blocks have no recovered pair: they
+        keep their stale data and code, which no pair under the target
+        major authenticates, so they stay unreadable instead of being
+        laundered into a wrong plaintext under a fresh code.
         """
         page_addr = leaf * PAGE_SIZE
         for block in range(BLOCKS_PER_PAGE):
+            addr = page_addr + block * CACHE_LINE_SIZE
+            if addr in written_off:
+                pairs[block] = (target_major, 0)
+                continue
             pair = pairs.get(block, stored.counter_pair(block))
             if pair[0] >= target_major:
                 pairs[block] = pair
                 continue
-            addr = page_addr + block * CACHE_LINE_SIZE
             plaintext = self.cipher.decrypt(self.nvm.peek(addr), addr, *pair)
             ciphertext = self.cipher.encrypt(plaintext, addr, target_major, 0)
             self.nvm.poke(addr, ciphertext)
@@ -307,9 +342,7 @@ class RecoveryManager:
             self.nvm.poke(
                 self.layout.merkle_node_addr(MerkleNodeId(0, leaf)), line.encode()
             )
-        self._fault("recovery.mid_rebuild")
-        root = self.merkle.build()
-        return root
+        return self.merkle.build()
 
     def _check_counter_log(
         self,
@@ -380,8 +413,9 @@ class RecoveryManager:
             self._check_tree(report)
 
         self.tcb.begin_recovery()
-        recovered, leaf_retries, rolled_leaves = self._recover_counters(report)
-        self._fault("recovery.after_counters")
+        recovered, leaf_retries, rolled_leaves = self._recover_counters(
+            report, resumed
+        )
         root = self._apply(recovered)
 
         located_by_log = False
@@ -446,7 +480,6 @@ class RecoveryManager:
                     )
                 )
 
-        self._fault("recovery.before_root_set")
         self.tcb.set_roots(root)
         report.success = (
             not report.unrecoverable_blocks

@@ -114,10 +114,6 @@ class SecureNVMScheme(ABC):
         self.meta.on_dirty_evict = self._on_dirty_meta_evict
         self.merkle = MerkleTree(self.nvm, self.hmac, self.genesis)
 
-        #: Optional fault-injection callback (see :mod:`repro.faults`):
-        #: called with a dotted site name at instrumented micro-steps of
-        #: the write-back / drain / recovery paths.
-        self.fault_hook = None
         #: Cycle before which the scheme cannot accept new traffic
         #: (drains block subsequent evictions until finished).
         self.busy_until = 0
@@ -134,10 +130,6 @@ class SecureNVMScheme(ABC):
             "read_latency_cycles", "demand-fill latency"
         )
         self._crashes = self.stats.counter("crashes")
-
-    def _fault(self, site: str) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook(site)
 
     # ------------------------------------------------------------------
     # subclass seams
@@ -228,7 +220,6 @@ class SecureNVMScheme(ABC):
         # baseline), so it compresses *relative* gaps exactly as a real
         # pipeline would.
         cycles += self.config.aes_cycles + self._hmac_cycles
-        self._fault("writeback.before_data")
         # The data/HMAC write and the persistent Nwb bump form one atomic
         # micro-op: the write's WPQ acceptance (durable under ADR) and the
         # TCB register update happen in the same controller transaction,
@@ -240,7 +231,6 @@ class SecureNVMScheme(ABC):
         self.tcb.count_writeback()
         self._count_writeback_extras(counter_addr)
         self.wpq.end_combined()
-        self._fault("writeback.after_data")
         cycles += self.controller.post_writes(now + cycles, 2)
 
         cycles += self._update_tree(now + cycles, counter_addr)

@@ -243,10 +243,8 @@ class CcNVM(SecureNVMScheme):
         self._draining = True
         cycles = 0
 
-        self._fault("drain.before_recompute")
         if self.deferred_spreading:
             cycles += self._spread_recorded(addrs)
-        self._fault("drain.after_recompute")
 
         # start signal: metadata cachelines are blocked inside the WPQ.
         self.wpq.begin_atomic()
@@ -280,9 +278,7 @@ class CcNVM(SecureNVMScheme):
 
         for addr in addrs:
             self.meta.cache.clean(addr)
-        self._fault("drain.before_root_commit")
         self.tcb.commit_root()  # root_old catches up; Nwb resets
-        self._fault("drain.after_root_commit")
 
         self._draining = False
         self._drain_cycles.sample(cycles)
@@ -352,8 +348,7 @@ class CcNVM(SecureNVMScheme):
             use_counter_log=self.locate_registers,
         )
         return RecoveryManager(
-            self.nvm, self.tcb, self.merkle, policy, self.name,
-            fault_hook=self.fault_hook,
+            self.nvm, self.tcb, self.merkle, policy, self.name
         ).run()
 
 

@@ -54,8 +54,7 @@ class WithoutCrashConsistency(SecureNVMScheme):
             freshness_check=None,
         )
         report = RecoveryManager(
-            self.nvm, self.tcb, self.merkle, policy, self.name,
-            fault_hook=self.fault_hook,
+            self.nvm, self.tcb, self.merkle, policy, self.name
         ).run()
         report.notes.append(
             "w/o CC provides no crash consistency: recovery is best-effort "

@@ -53,7 +53,6 @@ class OsirisPlus(SecureNVMScheme):
             self.wpq.begin_atomic()
             self.wpq.write_atomic(counter_addr, self.meta.encoded(line))
             self.wpq.commit_atomic()
-            self._fault("writeback.after_stoploss")
             self.meta.cache.clean(counter_addr)
             return self.controller.post_write(now)
         return 0
@@ -97,8 +96,7 @@ class OsirisPlus(SecureNVMScheme):
             freshness_check="root_new",
         )
         report = RecoveryManager(
-            self.nvm, self.tcb, self.merkle, policy, self.name,
-            fault_hook=self.fault_hook,
+            self.nvm, self.tcb, self.merkle, policy, self.name
         ).run()
         if report.potential_replay_detected:
             report.notes.append(

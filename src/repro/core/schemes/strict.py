@@ -97,6 +97,5 @@ class StrictConsistency(SecureNVMScheme):
             freshness_check="root_new",
         )
         return RecoveryManager(
-            self.nvm, self.tcb, self.merkle, policy, self.name,
-            fault_hook=self.fault_hook,
+            self.nvm, self.tcb, self.merkle, policy, self.name
         ).run()

@@ -1,29 +1,37 @@
 """Systematic crash-state exploration for the secure-NVM designs.
 
-The core carries 16 hand-named crash sites (:mod:`repro.faults`); this
-package instead enumerates every crash state ADR semantics permit and
+This package enumerates every crash state ADR semantics permit and
 judges recovery on each one — the repo's single crash-correctness
-pipeline:
+pipeline and its only source of crash points:
 
 1. :mod:`~repro.crashsim.trace` records the ordered stream of persist
    micro-ops a workload produces (WPQ writes, atomic batches, TCB
-   register updates) through plain ``trace_hook`` callbacks;
+   register updates) through plain ``trace_hook`` callbacks, and the
+   stream recovery itself persists (NVM pokes, TCB register ops);
 2. :mod:`~repro.crashsim.enumerate` expands the trace into every
    durable state ADR semantics permit — prefixes, bounded in-flight
    window drops, batches all-or-nothing;
 3. :mod:`~repro.crashsim.oracle` runs the design's own recovery on each
-   state and checks the documented contract, including nested
-   crash-during-recovery schedules;
-4. :mod:`~repro.crashsim.reduce` partitions the states into
+   state and checks the documented contract, optionally crashing
+   recovery after given numbers of its own persists;
+4. :mod:`~repro.crashsim.closure` closes a set of crash states under
+   crash-during-recovery: every prefix of every recovery's persist
+   stream, recovered again, to a fixed point;
+5. :mod:`~repro.crashsim.reduce` partitions the states into
    recovery-relevant equivalence classes so one oracle run covers a
    whole class (and exhaustive coverage needs no sampling);
-5. :mod:`~repro.crashsim.minimize` delta-debugs any violation to a
+6. :mod:`~repro.crashsim.minimize` delta-debugs any violation to a
    minimal replayable reproducer;
-6. :mod:`~repro.crashsim.explore` fans the whole thing out through the
+7. :mod:`~repro.crashsim.explore` fans the whole thing out through the
    run orchestrator (cached, journaled, parallel) as the standing
    scheme x workload crash campaign.
 """
 
+from repro.crashsim.closure import (
+    ClosureReport,
+    profile_closure,
+    recovery_closure,
+)
 from repro.crashsim.enumerate import (
     CrashEnumerator,
     CrashState,
@@ -60,12 +68,15 @@ from repro.crashsim.trace import (
     PersistOp,
     PersistTrace,
     PersistTraceRecorder,
+    PowerFailure,
+    RecoveryRecorder,
     TraceUnit,
 )
 from repro.crashsim.workload import record_workload
 
 __all__ = [
     "ALLOWED_OUTCOMES",
+    "ClosureReport",
     "CrashCampaignConfig",
     "ClassOracle",
     "CrashClass",
@@ -75,8 +86,10 @@ __all__ = [
     "PersistOp",
     "PersistTrace",
     "PersistTraceRecorder",
+    "PowerFailure",
     "RECOVERY_VIEWS",
     "RecoveryOracle",
+    "RecoveryRecorder",
     "RecoveryView",
     "ReducedEnumerator",
     "Reproducer",
@@ -87,8 +100,10 @@ __all__ = [
     "campaign_specs",
     "from_state",
     "minimize",
+    "profile_closure",
     "rebuild_trace",
     "record_workload",
+    "recovery_closure",
     "recovery_view",
     "replay",
     "run_campaign",

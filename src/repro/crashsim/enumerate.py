@@ -106,7 +106,7 @@ def apply_op(
     annotations: dict,
 ) -> None:
     """Replay one recorded micro-op onto a durable state."""
-    if op.kind in ("write", "write_partial", "write_atomic"):
+    if op.kind in ("write", "write_partial", "write_atomic", "poke"):
         lines[op.addr] = op.data
         if op.seq in annotations:
             expected[op.addr] = annotations[op.seq]

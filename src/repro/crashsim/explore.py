@@ -16,11 +16,8 @@ Because shards run through :func:`repro.runs.orchestrate`, campaigns
 are content-cached (a warm re-run executes nothing), journaled,
 resumable and parallel.  The merged summary is deliberately free of
 timings and orchestration counts, so a serial run and a ``--jobs 2``
-run of the same campaign produce byte-identical JSON.
-
-:func:`run_nested_cell` crashes *recovery itself* at one scheduled
-recovery site (depth 1) or two in sequence (depth 2), exercising the
-restartable ``recovery_pending`` path.
+run of the same campaign produce byte-identical JSON.  Crashes during
+recovery itself are :mod:`repro.crashsim.closure`'s job.
 """
 
 from __future__ import annotations
@@ -29,8 +26,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.crashsim.workload import HOTSET, workload_profiles
-from repro.faults.plan import RECOVERY_SITES
+from repro.crashsim.workload import HOTSET, REKEY, workload_profiles
 
 #: Smoke-budget defaults: small enough for CI, large enough that every
 #: scheme clears over 200 distinct states (measured floor at 96 steps:
@@ -176,37 +172,6 @@ def run_enumerate_cell(spec) -> dict:
     }
 
 
-def _nested_schedule(site: str, depth: int) -> list[tuple[str, int]]:
-    """Depth-1 crashes once at *site*; depth-2 adds a second crash at
-    the next recovery site (cyclic), landing inside the *restarted* run."""
-    sites = sorted(RECOVERY_SITES)
-    schedule = [(site, 1)]
-    if depth >= 2:
-        schedule.append((sites[(sites.index(site) + 1) % len(sites)], 1))
-    return schedule
-
-
-def run_nested_cell(
-    scheme: str, site: str, depth: int, steps: int, seed: int, data_capacity: int
-) -> dict:
-    """Crash recovery of the full hot-set trace at *site*, *depth* deep.
-
-    Returns the crash schedule and the oracle's verdict on the resumed
-    recovery.
-    """
-    from repro.crashsim.enumerate import applied_ops, build_state
-    from repro.crashsim.oracle import RecoveryOracle
-
-    trace = _record_trace(scheme, steps, seed, data_capacity)
-    state = build_state(trace, applied_ops(trace, (len(trace.units), (), None)))
-    oracle = RecoveryOracle(scheme, data_capacity=data_capacity, seed=seed)
-    schedule = _nested_schedule(site, depth)
-    return {
-        "schedule": [[s, h] for s, h in schedule],
-        "verdict": oracle.evaluate(state, schedule).to_dict(),
-    }
-
-
 def execute_cell(spec) -> dict:
     """Worker entry point for ``crash``-kind specs (see ``runs.pool``)."""
     mode = spec.params.get("mode")
@@ -228,7 +193,8 @@ class CrashCampaignConfig:
 
     schemes: tuple[str, ...] = ()
     #: Workload profiles; empty = the hot set plus every Figure-5
-    #: surrogate (see :func:`repro.crashsim.workload.workload_profiles`).
+    #: surrogate (see :func:`repro.crashsim.workload.workload_profiles`);
+    #: ``rekey`` and ACE names are accepted on request.
     profiles: tuple[str, ...] = ()
     steps: int = DEFAULT_STEPS
     window: int = 4
@@ -248,7 +214,7 @@ class CrashCampaignConfig:
             value = getattr(self, name)
             if value < floor:
                 raise ValueError(f"{name} must be at least {floor}, got {value}")
-        known = set(workload_profiles())
+        known = {*workload_profiles(), REKEY}
         for profile in self.profiles:
             if is_ace_profile(profile):
                 parse_profile(profile)

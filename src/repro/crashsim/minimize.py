@@ -12,7 +12,9 @@ failure), which for real ordering bugs lands at a handful of ops.
 The minimized list ships as a replayable :class:`Reproducer` JSON
 artifact: initial image + registers + ops + schedule, self-contained
 enough that :func:`replay` reproduces the verdict on a fresh oracle —
-the regression-fixture format committed under ``tests/fixtures/``.
+the regression-fixture format committed under ``tests/fixtures/``.  The
+schedule lists the prefix lengths at which recovery itself is crashed
+(see :mod:`repro.crashsim.closure`); empty for a plain crash state.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class Reproducer:
     initial_registers: dict
     #: op seq -> expected plaintext (only seqs present in ``ops``).
     annotations: dict[int, bytes]
-    schedule: list = field(default_factory=list)
+    #: Recovery persists after which each nested crash lands, in order.
+    schedule: list[int] = field(default_factory=list)
     #: The original verdict this artifact reproduces.
     outcome: str = "FAILED"
     problems: list[str] = field(default_factory=list)
@@ -107,7 +110,7 @@ class Reproducer:
             "annotations": {
                 str(seq): data.hex() for seq, data in sorted(self.annotations.items())
             },
-            "schedule": [[site, hit] for site, hit in self.schedule],
+            "schedule": list(self.schedule),
             "outcome": self.outcome,
             "problems": list(self.problems),
         }
@@ -131,10 +134,26 @@ class Reproducer:
                 int(seq): bytes.fromhex(data)
                 for seq, data in d["annotations"].items()
             },
-            schedule=[(site, hit) for site, hit in d["schedule"]],
+            schedule=_schedule_from_json(d["schedule"]),
             outcome=d["outcome"],
             problems=list(d["problems"]),
         )
+
+
+def _schedule_from_json(entries) -> list[int]:
+    """A reproducer's schedule: positive prefix lengths, nothing else."""
+    for entry in entries:
+        if isinstance(entry, list):
+            raise ValueError(
+                f"schedule entry {entry!r} is a retired [site, hit] pair; "
+                "a schedule lists recovery prefix lengths (positive integers)"
+            )
+        if type(entry) is not int or entry < 1:
+            raise ValueError(
+                f"schedule entry {entry!r} is not a recovery prefix length "
+                "(a positive integer)"
+            )
+    return list(entries)
 
 
 def from_state(

@@ -22,10 +22,11 @@ outcome (:func:`classify`), and checks the scheme-aware invariants:
 * the machine stays usable (a fresh write-back on an untouched page
   round-trips).
 
-With a *schedule* of (site, hit) pairs the oracle also drives nested
-crashes: recovery is crashed at each scheduled point via
-:meth:`~repro.faults.injector.FaultInjector.arm_schedule` and restarted,
-exercising the persistent ``recovery_pending`` resume path.
+With a *schedule* of prefix lengths the oracle also drives nested
+crashes: recovery is crashed once that many of its own persists are
+durable (a :class:`~repro.crashsim.trace.RecoveryRecorder` raises the
+power failure) and restarted, once per entry, exercising the persistent
+``recovery_pending`` resume path.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from dataclasses import dataclass, field
 
 from repro.core.schemes import create_scheme
 from repro.crashsim.enumerate import CrashState
+from repro.crashsim.trace import PersistOp, PowerFailure, RecoveryRecorder
 from repro.crashsim.workload import PROBE_ADDR, payload
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import PowerFailure
 from repro.metadata.metacache import IntegrityError
 
 #: What each design's documented contract permits on a pure crash.
@@ -75,7 +75,6 @@ class Verdict:
     allowed: tuple[str, ...]
     #: ``category: detail`` strings; empty means the state passed.
     problems: list[str] = field(default_factory=list)
-    fired_sites: tuple[str, ...] = ()
     total_retries: int = 0
     unrecoverable: int = 0
     notes: tuple[str, ...] = ()
@@ -96,7 +95,6 @@ class Verdict:
             "outcome": self.outcome,
             "allowed": sorted(self.allowed),
             "problems": list(self.problems),
-            "fired_sites": list(self.fired_sites),
             "total_retries": self.total_retries,
             "unrecoverable": self.unrecoverable,
             "notes": list(self.notes),
@@ -231,49 +229,55 @@ class RecoveryOracle:
         self.scheme_name = scheme_name
         self.seed = seed
         self.scheme = create_scheme(scheme_name, data_capacity=data_capacity, seed=seed)
-        self.injector = FaultInjector()
-        self.injector.attach(self.scheme)
         self._now = 10_000_000
 
     # -- one state -------------------------------------------------------------
 
     def evaluate(self, state: CrashState, schedule=None) -> Verdict:
-        """Rewind to *state*, run recovery (crashing it per *schedule*),
-        and judge the result."""
+        """Rewind to *state*, run recovery and judge the result.
+
+        Each *schedule* entry ``p`` first crashes a recovery run once
+        ``p`` of its persists are durable; the run after the last entry
+        completes and is judged.
+        """
+        return self._evaluate(state, schedule, None)
+
+    def evaluate_traced(
+        self, state: CrashState, schedule=None
+    ) -> tuple[Verdict, list[PersistOp]]:
+        """:meth:`evaluate`, plus the judged recovery run's persist stream."""
+        ops: list[PersistOp] = []
+        return self._evaluate(state, schedule, ops), ops
+
+    def _evaluate(self, state: CrashState, schedule, ops) -> Verdict:
         scheme = self.scheme
-        self.injector.disarm()
         scheme.crash()
         scheme.nvm.restore(state.lines)
         scheme.tcb.restore_registers(state.registers)
-
-        fired: list[str] = []
-        schedule = list(schedule or ())
-        if schedule:
-            self.injector.arm_schedule(schedule)
-        report = None
-        for _ in range(len(schedule) + 2):
-            try:
-                report = scheme.recover()
-                break
-            except PowerFailure as failure:
-                fired.append(failure.site)
-                scheme.crash()
         allowed = ALLOWED_OUTCOMES[self.scheme_name]
-        if report is None:
+        for persists in schedule or ():
+            with RecoveryRecorder(scheme, crash_after=persists) as recorder:
+                try:
+                    scheme.recover()
+                except PowerFailure:
+                    scheme.crash()
+                    continue
             return Verdict(
                 "FAILED",
                 tuple(sorted(allowed)),
-                [f"nested: recovery never completed under schedule {schedule}"],
-                tuple(fired),
+                [
+                    f"nested: recovery completed after {len(recorder.ops)} "
+                    f"persist(s), before the scheduled crash at {persists}"
+                ],
             )
+        if ops is None:
+            report = scheme.recover()
+        else:
+            with RecoveryRecorder(scheme) as recorder:
+                report = scheme.recover()
+            ops.extend(recorder.ops)
 
         problems: list[str] = []
-        if schedule and len(fired) != len(schedule):
-            problems.append(
-                f"nested: only {len(fired)}/{len(schedule)} scheduled "
-                f"crashes fired (sites hit: {fired})"
-            )
-
         outcome = classify(report)
         if outcome not in allowed:
             problems.append(
@@ -289,7 +293,6 @@ class RecoveryOracle:
             outcome,
             tuple(sorted(allowed)),
             problems,
-            tuple(fired),
             total_retries=report.total_retries,
             unrecoverable=len(report.unrecoverable_blocks),
             notes=tuple(report.notes),

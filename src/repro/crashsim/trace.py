@@ -1,8 +1,7 @@
 """Persist-trace recording: the ordered stream of durable micro-ops.
 
 The recorder plugs into the plain ``trace_hook`` attributes the WPQ and
-the TCB expose (the same pattern the fault injector uses for
-``fault_hook`` — the core never imports this package) and rebuilds, op
+the TCB expose (the core never imports this package) and rebuilds, op
 by op, the exact order in which state became durable under ADR:
 
 * every normal / partial WPQ write, captured as the **post-write full
@@ -20,6 +19,13 @@ by op, the exact order in which state became durable under ADR:
 
 The resulting :class:`PersistTrace` is the input to the crash-state
 enumerator: its units are the atoms ADR semantics permute and truncate.
+
+Recovery persists differently: it writes the image through
+``NVMDevice.poke`` and the registers through ``begin_recovery`` /
+``set_roots``, each durable the moment it happens.
+:class:`RecoveryRecorder` records that stream as a flat op list, whose
+prefixes are exactly the states a crash during recovery can leave, and
+is the one place a :class:`PowerFailure` is raised.
 """
 
 from __future__ import annotations
@@ -41,10 +47,11 @@ _FENCE_MUTATORS = ("commit_root", "set_roots")
 
 @dataclass(frozen=True)
 class PersistOp:
-    """One durable micro-op: a WPQ line write or a TCB register update."""
+    """One durable micro-op: a WPQ line write, a recovery poke or a TCB
+    register update."""
 
     seq: int
-    #: ``write`` / ``write_partial`` / ``write_atomic`` / ``tcb``.
+    #: ``write`` / ``write_partial`` / ``write_atomic`` / ``poke`` / ``tcb``.
     kind: str
     owner: str
     addr: int | None = None
@@ -356,3 +363,62 @@ class PersistTraceRecorder:
             self._next_seq(), "tcb", type(tcb).__name__, addr, data, mutator
         )
         self._emit_op(op)
+
+
+class PowerFailure(Exception):
+    """Power lost during recovery, after *persists* of its durable ops.
+
+    Raised by a :class:`RecoveryRecorder` armed with ``crash_after``;
+    the caller must ``crash()`` the scheme before touching it again.
+    """
+
+    def __init__(self, persists: int) -> None:
+        super().__init__(f"power failure after {persists} recovery persist(s)")
+        self.persists = persists
+
+
+class RecoveryRecorder:
+    """Records one recovery run's persist stream, optionally crashing it.
+
+    Usage::
+
+        with RecoveryRecorder(scheme) as recorder:
+            scheme.recover()
+        recorder.ops  # pokes and TCB register ops, in durable order
+
+    With *crash_after* the recorder raises :class:`PowerFailure` the
+    moment that many ops are durable, so the live machine is left in
+    the image the op list's prefix of that length describes.
+    """
+
+    def __init__(self, scheme, crash_after: int | None = None) -> None:
+        if crash_after is not None and crash_after < 1:
+            raise ValueError("a recovery crash lands after at least one persist")
+        self.scheme = scheme
+        self.crash_after = crash_after
+        self.ops: list[PersistOp] = []
+
+    def __enter__(self) -> "RecoveryRecorder":
+        self.scheme.nvm.trace_hook = self._on_poke
+        self.scheme.tcb.trace_hook = self._on_tcb
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.scheme.nvm.trace_hook = None
+        self.scheme.tcb.trace_hook = None
+
+    def _emit(self, op: PersistOp) -> None:
+        self.ops.append(op)
+        if len(self.ops) == self.crash_after:
+            raise PowerFailure(len(self.ops))
+
+    def _on_poke(self, addr: int, data: bytes) -> None:
+        owner = type(self.scheme.nvm).__name__
+        self._emit(PersistOp(len(self.ops), "poke", owner, addr, data))
+
+    def _on_tcb(self, mutator: str, addr: int | None) -> None:
+        tcb = self.scheme.tcb
+        data = tcb.root_new if mutator in _ROOT_MUTATORS else None
+        self._emit(
+            PersistOp(len(self.ops), "tcb", type(tcb).__name__, addr, data, mutator)
+        )

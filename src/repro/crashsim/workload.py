@@ -9,6 +9,9 @@ profiles replay the write-back stream of one SPEC CPU2006 surrogate
 (:mod:`repro.workloads.spec`), folded onto a small page range so the
 crash campaign exercises each benchmark's metadata-locality shape —
 streaming wraps, strides, hot-set skew — rather than the hot-set's.
+The ``rekey`` profile overflows one minor counter, so its crash states
+include page re-encryptions at run time and during recovery; the other
+profiles never overflow one.
 
 Every workload runs under an attached
 :class:`~repro.crashsim.trace.PersistTraceRecorder`, annotating each
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.common.constants import MINOR_COUNTER_MAX
 from repro.crashsim.trace import PersistTraceRecorder
 
 PAGES = (0x2000, 0x3000)
@@ -33,6 +37,11 @@ SPEC_BASE = 0x2000
 SPEC_LINES = 256
 #: Name of the default hot-set profile.
 HOTSET = "hotset"
+#: Name of the re-key profile: blocks 1 and 2 of page 0x2000 once each,
+#: then block 0 ``MINOR_COUNTER_MAX + 2`` times, so its minor counter
+#: overflows and re-keys the page and one more write follows.
+REKEY = "rekey"
+REKEY_STREAM = (0x2040, 0x2080) + (0x2000,) * (MINOR_COUNTER_MAX + 2)
 
 
 def payload(seed: int, step: int) -> bytes:
@@ -49,7 +58,10 @@ def hot_addrs() -> list[int]:
 
 
 def workload_profiles() -> list[str]:
-    """Every recordable profile: the hot set plus the Figure-5 suite."""
+    """The default campaign's profiles: the hot set plus the Figure-5 suite.
+
+    :data:`REKEY` (and every ACE name) is recordable too, on request.
+    """
     from repro.workloads.spec import SPEC_ORDER
 
     return [HOTSET, *SPEC_ORDER]
@@ -94,7 +106,7 @@ def record_workload(scheme, steps: int, seed: int, profile: str = HOTSET):
     :mod:`repro.trafficgen.ace`) replay their canonical k-write stream
     with a full epoch drain (``scheme.flush()``) after every fenced
     write; *steps* is ignored — the enumerated workload's own length is
-    the whole point.
+    the whole point.  The :data:`REKEY` profile ignores *steps* too.
     """
     from repro.trafficgen.ace import is_ace_profile, parse_profile
 
@@ -119,6 +131,8 @@ def record_workload(scheme, steps: int, seed: int, profile: str = HOTSET):
             recorder.annotate(addr, data)
             now += 500
         stream = [addrs[i % len(addrs)] for i in range(steps)]
+    elif profile == REKEY:
+        stream = list(REKEY_STREAM)
     else:
         stream = spec_write_addrs(profile, steps, seed)
     for i, addr in enumerate(stream):

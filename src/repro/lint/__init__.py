@@ -1,8 +1,7 @@
 """Persistence-domain static analyzer (``repro lint``).
 
 Checks the cc-NVM simulator's write-ordering discipline without running
-it: readable declarations (P0), persistent-domain stores (P1),
-crash-site registry coherence and persist-point coverage (P2), volatile
+it: readable declarations (P0), persistent-domain stores (P1), volatile
 reads on recovery paths (P4), trace-seam coherence (P7), set-order
 determinism of spec-hashed paths (D1) and baseline justification
 anchors (B0).  ``--cross-check`` additionally replays a smoke persist

@@ -13,15 +13,13 @@ from dataclasses import dataclass, field
 #: Rule identifiers and their one-line charters, in severity-free
 #: reporting order.  ``P0`` covers defects of the declaration layer
 #: itself (the analyzer cannot trust its model if declarations are
-#: malformed); ``P1``, ``P2``, ``P4`` and ``P7`` are the persist-order
-#: rules proper.  Baseline keys embed the id, so ids of deleted rules
-#: (P3, P5, P6) are never reused.
+#: malformed); ``P1``, ``P4`` and ``P7`` are the persist-order rules
+#: proper.  Baseline keys embed the id, so the ids of deleted rules
+#: (listed in DESIGN.md) are never reused.
 RULES: dict[str, str] = {
     "P0": "persistence declarations must be statically readable literals",
     "P1": "persistent attributes are assigned only inside the owning class "
           "(all other mutation goes through its sanctioned methods or the WPQ)",
-    "P2": "fault sites in code and the faults/plan.py registry must agree, "
-          "and every persist point needs crash-site coverage",
     "P4": "recovery-path code reads no volatile-domain state "
           "(only the NVM image and persistent TCB registers survive)",
     "P7": "every persist micro-op is visible to the trace seams "

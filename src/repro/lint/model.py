@@ -5,14 +5,10 @@ never imported (importing the system under analysis could execute it,
 and CI must be able to lint a broken tree).  The model collects:
 
 * every module under the analyzed root, parsed;
-* every class, with its base-class names, methods, and the
+* every class, with its base-class names, methods (noting which ones
+  call a persist-trace seam), and the
   :func:`repro.common.persistence.persistence` declaration read
-  *statically* from the decorator's literal arguments;
-* every ``_fault(...)``/``fault_hook(...)`` call with its literal site
-  string (the forwarding ``def _fault`` trampolines are recognized and
-  excluded);
-* every ``FaultSite("...")`` registration (the crash-site registry in
-  ``faults/plan.py``).
+  *statically* from the decorator's literal arguments.
 
 Scopes (module bodies and function bodies) are first-class so rules can
 reason about "calls within this function" without double-counting nested
@@ -26,9 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.lint.findings import Finding
-
-#: Call names treated as fault-site instrumentation.
-FAULT_CALL_NAMES = ("_fault", "fault_hook")
 
 #: Call names treated as persist-trace instrumentation (the seams the
 #: crashsim recorder attaches to; rule P7 requires every sanctioned
@@ -69,33 +62,9 @@ class ClassInfo:
     bases: tuple[str, ...]
     decl: StaticDeclaration | None
     methods: dict[str, ast.FunctionDef]
-    #: Method names whose bodies contain a fault-site call — calling one
-    #: of these *is* crash-site coverage (the callee instruments itself).
-    instrumented_methods: frozenset[str] = frozenset()
     #: Method names whose bodies contain a persist-trace call — these
     #: micro-ops are visible to the crashsim recorder (rule P7).
     traced_methods: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class FaultCall:
-    """One ``_fault(...)``/``fault_hook(...)`` call site."""
-
-    path: str
-    symbol: str
-    line: int
-    col: int
-    #: The literal site string, or ``None`` for a non-literal argument.
-    site: str | None
-
-
-@dataclass(frozen=True)
-class SiteDef:
-    """One ``FaultSite("...")`` registration in the crash-site registry."""
-
-    name: str
-    path: str
-    line: int
 
 
 @dataclass
@@ -165,8 +134,6 @@ class CodeModel:
         self.modules: dict[str, ast.Module] = {}
         self.classes: dict[str, ClassInfo] = {}
         self.scopes: list[Scope] = []
-        self.fault_calls: list[FaultCall] = []
-        self.site_defs: dict[str, SiteDef] = {}
         #: P0 findings raised while reading declarations.
         self.problems: list[Finding] = []
         self._build()
@@ -182,9 +149,7 @@ class CodeModel:
         self._link_hierarchy()
 
     def _collect(self, rel: str, tree: ast.Module) -> None:
-        module_scope = Scope(rel, "<module>", None, tree)
-        self.scopes.append(module_scope)
-        self._scan_scope(module_scope)
+        self.scopes.append(Scope(rel, "<module>", None, tree))
         self._walk_body(rel, tree, prefix="", class_name=None)
 
     def _walk_body(
@@ -197,9 +162,7 @@ class CodeModel:
                 self._walk_body(rel, child, prefix=f"{qual}.", class_name=child.name)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{prefix}{child.name}"
-                scope = Scope(rel, qual, class_name, child)
-                self.scopes.append(scope)
-                self._scan_scope(scope)
+                self.scopes.append(Scope(rel, qual, class_name, child))
                 self._walk_body(rel, child, prefix=f"{qual}.", class_name=class_name)
 
     def _register_class(self, rel: str, node: ast.ClassDef, qual: str) -> None:
@@ -212,14 +175,6 @@ class CodeModel:
             for stmt in node.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        instrumented = frozenset(
-            name
-            for name, fn in methods.items()
-            if any(
-                isinstance(n, ast.Call) and call_name(n.func) in FAULT_CALL_NAMES
-                for n in ast.walk(fn)
-            )
-        )
         traced = frozenset(
             name
             for name, fn in methods.items()
@@ -237,7 +192,6 @@ class CodeModel:
             ),
             decl=decl,
             methods=methods,
-            instrumented_methods=instrumented,
             traced_methods=traced,
         )
         if node.name in self.classes:
@@ -293,37 +247,6 @@ class CodeModel:
         self.problems.append(
             Finding("P0", rel, node.lineno, node.col_offset, symbol, msg, token=token)
         )
-
-    def _scan_scope(self, scope: Scope) -> None:
-        """Record fault calls and site registrations inside one scope."""
-        is_trampoline = (
-            isinstance(scope.node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and scope.node.name in FAULT_CALL_NAMES
-        )
-        for node in scope.walk_own():
-            if not isinstance(node, ast.Call):
-                continue
-            name = call_name(node.func)
-            if name in FAULT_CALL_NAMES:
-                if is_trampoline:
-                    continue  # the forwarding `def _fault` re-raising its arg
-                site = None
-                if node.args and isinstance(node.args[0], ast.Constant) and isinstance(
-                    node.args[0].value, str
-                ):
-                    site = node.args[0].value
-                self.fault_calls.append(
-                    FaultCall(scope.path, scope.symbol, node.lineno,
-                              node.col_offset, site)
-                )
-            elif name == "FaultSite":
-                if node.args and isinstance(node.args[0], ast.Constant) and isinstance(
-                    node.args[0].value, str
-                ):
-                    site_name = node.args[0].value
-                    self.site_defs.setdefault(
-                        site_name, SiteDef(site_name, scope.path, node.lineno)
-                    )
 
     # -- hierarchy and domain lookups --------------------------------------------
 
@@ -395,16 +318,6 @@ class CodeModel:
             if info is not None and method in info.methods:
                 return info
         return None
-
-    def owner_is_self_instrumented(self, cls_name: str, method: str) -> bool:
-        """Does the resolved *method* body carry its own fault-site call?"""
-        info = self.resolve_method(cls_name, method)
-        return info is not None and method in info.instrumented_methods
-
-    def owner_is_self_traced(self, cls_name: str, method: str) -> bool:
-        """Does the resolved *method* body carry its own trace call?"""
-        info = self.resolve_method(cls_name, method)
-        return info is not None and method in info.traced_methods
 
     def declaring_classes(self, domain: str) -> list[ClassInfo]:
         """Classes whose *own* declaration fills the given field."""

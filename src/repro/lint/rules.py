@@ -1,4 +1,4 @@
-"""The structural rule passes (P0, P1, P2, P4).
+"""The structural rule passes (P0, P1, P4).
 
 Each pass is a pure function of the :class:`~repro.lint.model.CodeModel`
 and the run configuration, returning :class:`~repro.lint.findings.Finding`
@@ -9,10 +9,6 @@ objects.  The rules encode cc-NVM's write-ordering discipline
 * **P1** — persistent attributes are assigned only inside the owning
   class; everywhere else mutation must go through the owner's sanctioned
   micro-ops (TCB register ops, WPQ ``write``/``write_atomic``/...).
-* **P2** — the crash-site registry and the instrumented code agree in
-  both directions, and every persist point (atomic-batch signals, TCB
-  root commits) executes under crash-site coverage so the fault
-  injector can actually crash around it.
 * **P4** — recovery-path code never reads volatile-domain attributes;
   after a crash only the NVM image and the persistent TCB registers
   exist, so consulting volatile state is a latent use-of-lost-state bug.
@@ -23,17 +19,7 @@ from __future__ import annotations
 import ast
 
 from repro.lint.findings import Finding
-from repro.lint.model import (
-    FAULT_CALL_NAMES,
-    CodeModel,
-    Scope,
-    call_name,
-    receiver_name,
-)
-
-#: Calls that advance persistent state wholesale — each must run under
-#: crash-site coverage (rule P2) so the injector can crash around it.
-PERSIST_POINTS = ("begin_atomic", "commit_atomic", "commit_root", "set_roots")
+from repro.lint.model import CodeModel, Scope, receiver_name
 
 
 def _assign_targets(node: ast.AST):
@@ -121,110 +107,6 @@ def _check_store(model: CodeModel, scope: Scope, target: ast.Attribute):
 
 
 # ---------------------------------------------------------------------------
-# P2 — crash-site registry coherence and persist-point coverage
-# ---------------------------------------------------------------------------
-
-def rule_p2(model: CodeModel, config) -> list[Finding]:
-    findings = []
-    registry = (
-        set(config.site_registry)
-        if config.site_registry is not None
-        else set(model.site_defs)
-    )
-
-    called: set[str] = set()
-    for fc in model.fault_calls:
-        if fc.site is None:
-            findings.append(
-                Finding(
-                    "P2", fc.path, fc.line, fc.col, fc.symbol,
-                    "fault-site argument is not a string literal; the "
-                    "registry cross-check cannot see this site",
-                    suggestion="pass the dotted site name as a literal",
-                    token="nonliteral",
-                )
-            )
-            continue
-        called.add(fc.site)
-        if fc.site not in registry:
-            findings.append(
-                Finding(
-                    "P2", fc.path, fc.line, fc.col, fc.symbol,
-                    f"fault site {fc.site!r} is not in the faults/plan.py "
-                    "registry — the injector can never arm it",
-                    suggestion="register a FaultSite entry (name, component, "
-                    "description, reachable schemes)",
-                    token=f"unregistered:{fc.site}",
-                )
-            )
-
-    for name in sorted(registry - called):
-        site_def = model.site_defs.get(name)
-        path = site_def.path if site_def else "<registry>"
-        line = site_def.line if site_def else 0
-        findings.append(
-            Finding(
-                "P2", path, line, 0, "<registry>",
-                f"registered fault site {name!r} appears in no "
-                "_fault()/fault_hook() call — registry drift",
-                suggestion="instrument the micro-step or retire the entry",
-                token=f"unused:{name}",
-            )
-        )
-
-    findings.extend(_persist_point_coverage(model, registry))
-    return findings
-
-
-def _persist_point_coverage(model: CodeModel, registry: set[str]) -> list[Finding]:
-    findings = []
-    instrumented_scopes = {(fc.path, fc.symbol) for fc in model.fault_calls}
-    for scope in _function_scopes(model):
-        if scope.node.name in FAULT_CALL_NAMES:
-            continue
-        scope_covered = (scope.path, scope.symbol) in instrumented_scopes
-        for node in scope.walk_own():
-            if not isinstance(node, ast.Call):
-                continue
-            method = call_name(node.func)
-            if method not in PERSIST_POINTS:
-                continue
-            if scope_covered:
-                continue
-            if _callee_self_instrumented(model, scope, node.func, method):
-                continue
-            findings.append(
-                Finding(
-                    "P2", scope.path, node.lineno, node.col_offset, scope.symbol,
-                    f"persist point {method}() executes with no crash site in "
-                    "scope — the fault injector cannot land a power failure "
-                    "around this state transition",
-                    suggestion="add a _fault(\"<component>.<step>\") call (and "
-                    "registry entry) before/after the persist point, or "
-                    "baseline it with a justification in DESIGN.md",
-                    token=f"uncovered:{method}",
-                )
-            )
-    return findings
-
-
-def _callee_self_instrumented(
-    model: CodeModel, scope: Scope, func: ast.AST, method: str
-) -> bool:
-    """Is the called persist-point method instrumented in its own body?"""
-    if not isinstance(func, ast.Attribute):
-        return False
-    recv = receiver_name(func.value)
-    candidates = []
-    if recv == "self" and scope.class_name is not None:
-        candidates.append(scope.class_name)
-    candidates.extend(info.name for info in model.aka_map.get(recv, ()))
-    return any(
-        model.owner_is_self_instrumented(cls_name, method) for cls_name in candidates
-    )
-
-
-# ---------------------------------------------------------------------------
 # P4 — recovery-path volatile reads
 # ---------------------------------------------------------------------------
 
@@ -291,7 +173,6 @@ from repro.lint.ordering import rule_d1, rule_p7  # noqa: E402
 ALL_RULES = (
     rule_p0,
     rule_p1,
-    rule_p2,
     rule_p4,
     rule_p7,
     rule_d1,

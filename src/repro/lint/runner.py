@@ -31,9 +31,6 @@ class LintConfig:
     base_dir: Path | None = None
     #: Checked-in accepted-findings file, or ``None`` for no baseline.
     baseline_path: Path | None = None
-    #: Override the crash-site registry (default: ``FaultSite`` defs found
-    #: in the tree itself).
-    site_registry: tuple[str, ...] | None = None
     #: Path suffixes whose every function is recovery-path code (P4).
     recovery_files: tuple[str, ...] = ("core/recovery.py",)
     #: Root class of the scheme contract (P4 recover methods, cross-check

@@ -88,6 +88,10 @@ class NVMDevice:
         #: Consulted on every :meth:`read_line`; ``None`` means a
         #: fault-free device.
         self._media = None
+        #: Optional persist-trace callback (see :mod:`repro.crashsim`):
+        #: called with ``(addr, data)`` after every :meth:`poke`, so a
+        #: recorder sees recovery's durable writes in order.
+        self.trace_hook = None
         self._stats = stats if stats is not None else StatGroup("nvm")
         self._reads = self._stats.group("reads")
         self._writes = self._stats.group("writes")
@@ -196,11 +200,13 @@ class NVMDevice:
         return addr in self._lines
 
     def poke(self, addr: int, data: bytes) -> None:
-        """Write a line without traffic accounting (attacker / test access)."""
+        """Write a line without traffic accounting (recovery, attacker, tests)."""
         self._check(addr)
         if len(data) != CACHE_LINE_SIZE:
             raise ValueError("NVM lines are 64 B")
         self._lines[addr] = bytes(data)
+        if self.trace_hook is not None:
+            self.trace_hook(addr, self._lines[addr])
 
     # -- introspection ---------------------------------------------------------
 

@@ -54,10 +54,6 @@ class WritePendingQueue:
         self.nvm = nvm
         self.entries = entries
         self._batch: list[tuple[int, bytes]] | None = None
-        #: Optional fault-injection callback (see :mod:`repro.faults`):
-        #: called with a dotted site name at every instrumented
-        #: micro-step of the atomic draining protocol.
-        self.fault_hook = None
         #: Optional persist-trace callback (see :mod:`repro.crashsim`):
         #: called with ``(kind, addr, data)`` after every persist
         #: micro-op so a recorder can rebuild the exact order in which
@@ -74,10 +70,6 @@ class WritePendingQueue:
     def stats(self) -> StatGroup:
         """WPQ statistics (batch sizes, commit/drop counts)."""
         return self._stats
-
-    def _fault(self, site: str) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook(site)
 
     def _trace(self, kind: str, addr: int | None = None, data: bytes | None = None) -> None:
         if self.trace_hook is not None:
@@ -164,7 +156,6 @@ class WritePendingQueue:
             raise AtomicBatchError("atomic batches cannot nest")
         self._batch = []
         self._trace("begin_atomic")
-        self._fault("wpq.after_start")
 
     def write_atomic(self, addr: int, data: bytes) -> None:
         """Block one metadata line inside the WPQ until the ``end`` signal."""
@@ -179,7 +170,6 @@ class WritePendingQueue:
             )
         self._batch.append((addr, bytes(data)))
         self._trace("write_atomic", addr, bytes(data))
-        self._fault("wpq.mid_batch")
 
     def commit_atomic(self) -> int:
         """The drainer's ``end`` signal: release the batch to NVM.
@@ -189,12 +179,10 @@ class WritePendingQueue:
         """
         if self._batch is None:
             raise AtomicBatchError("no atomic batch in progress")
-        self._fault("wpq.before_end")
         batch, self._batch = self._batch, None
         for addr, data in batch:
             self.nvm.write_line(addr, data)
         self._trace("commit_atomic")
-        self._fault("wpq.after_end")
         self._batched_writes.inc(len(batch))
         self._batches_committed.inc()
         self._batch_size_dist.sample(len(batch))

@@ -28,14 +28,12 @@ class FakeWPQ:
         self._trace("write_partial")
 
     def begin_atomic(self):
-        self._fault("wpq.after_start")
         self._trace("begin_atomic")
 
     def write_atomic(self, addr, data):
         self._trace("write_atomic")
 
     def commit_atomic(self):
-        self._fault("wpq.after_end")
         self._trace("commit_atomic")
 
     def begin_combined(self):
@@ -45,9 +43,6 @@ class FakeWPQ:
         self._trace("end_combined")
 
     def _trace(self, kind):
-        pass
-
-    def _fault(self, site):
         pass
 
 
@@ -61,7 +56,6 @@ class FakeTCB:
     def commit_root(self):
         self.root_old = b""
         self.nwb = 0
-        self._fault("tcb.commit_root")
         self._trace("commit_root")
 
     def count_writeback(self):
@@ -74,7 +68,4 @@ class FakeTCB:
         self.nwb = self.nwb + 1
 
     def _trace(self, kind):
-        pass
-
-    def _fault(self, site):
         pass

@@ -6,8 +6,8 @@ with zero cc-NVM violations; a deliberately protocol-violating variant
 (torn batches) is caught *and* minimized to a handful of ops; and the
 committed minimized reproducer keeps failing.  Determinism across
 serial, pooled and warm-cache runs is pinned by
-``test_crash_campaign.py``; nested crash-during-recovery schedules by
-``test_fault_campaign.py::test_double_crash_runs_are_marked``.
+``test_crash_campaign.py``; crashes during recovery itself by
+``test_recovery_closure.py``.
 """
 
 import json
@@ -79,3 +79,11 @@ class TestCommittedFixture:
         expected = {p.split(":", 1)[0] for p in artifact.problems}
         assert expected <= set(verdict.signature())
         assert verdict.outcome == "FAILED"
+
+    def test_fixture_round_trips_byte_for_byte(self):
+        """The artifact format (an empty prefix-length schedule here) is
+        unchanged: reading and re-writing the fixture reproduces it."""
+        from repro.analysis.export import reproducer_to_json
+
+        text = FIXTURE.read_text()
+        assert reproducer_to_json(reproducer_from_json(text)) == text

@@ -13,8 +13,7 @@ Per mutant the corpus records what the audit measured:
 * ``catchers`` — non-lint tier-1 node ids that fail on it (the fastest
   few of all the failures; DESIGN.md gives the full counts);
 * ``hashseeds`` — the ``PYTHONHASHSEED`` values every catch must hold
-  under (set-order mutants list two);
-* ``escaped`` — the ROADMAP item that owns a mutant nothing catches.
+  under (set-order mutants list two).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ class Mutant:
     lint: tuple[str, ...] = ()
     catchers: tuple[str, ...] = ()
     hashseeds: tuple[int, ...] = (0,)
-    escaped: str = ""
 
 
 OSIRIS = "src/repro/core/schemes/osiris.py"
@@ -131,7 +129,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "        self.nwb += 1\n",
         lint=("P7", "XC"),
         catchers=(
-            "tests/integration/test_fault_campaign.py::TestSmokeCampaign::test_every_crash_image_is_an_enumerated_state",
+            "tests/unit/test_crashsim_enumerate.py::TestPrefixStates::test_full_prefix_equals_live_machine",
         ),
     ),
     Mutant(
@@ -214,7 +212,9 @@ MUTANTS: tuple[Mutant, ...] = (
         "                addr, self.hmac.data_hmac(ciphertext, addr, target_major, 0)\n"
         "            )\n"
         "            self.nvm.poke(addr, ciphertext)\n",
-        escaped="ROADMAP item 8(a)",
+        catchers=(
+            "tests/integration/test_recovery_closure.py::TestRekeyRecoveryBugs::test_crash_between_reencryption_pokes_recovers[ccnvm]",
+        ),
     ),
     Mutant(
         "M17", "D2", "image_hash serializes registers with json.dumps",
@@ -237,7 +237,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "        self.tcb.nwb = 0\n",
         lint=("P1",),
         catchers=(
-            "tests/integration/test_fault_campaign.py::TestSmokeCampaign::test_double_crash_runs_are_marked",
+            "tests/unit/test_faults_injector.py::TestDoubleCrash::test_crash_during_recovery_is_restartable",
         ),
     ),
     Mutant(

@@ -27,18 +27,6 @@ class TestParser:
         assert args.scheme == "ccnvm"
         assert args.length == 4000
 
-    def test_faults_requires_a_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["faults"])
-
-    def test_faults_sites_flags(self):
-        args = build_parser().parse_args(
-            ["faults", "sites", "--json", "--scheme", "osiris_plus"]
-        )
-        assert args.json and args.scheme == "osiris_plus"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["faults", "sites", "--scheme", "magic"])
-
     def test_crash_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["crash"])
@@ -123,33 +111,6 @@ class TestCommands:
         assert doc == expected
         assert render_report(expected) in out
 
-    def test_faults_sites_lists_catalogue(self, capsys):
-        assert main(["faults", "sites"]) == 0
-        out = capsys.readouterr().out
-        assert "writeback.after_data" in out
-        assert "recovery.before_root_set" in out
-        assert "reached by: ccnvm_no_ds, ccnvm" in out
-
-    def test_faults_sites_scheme_filter(self, capsys):
-        assert main(["faults", "sites", "--scheme", "no_cc"]) == 0
-        out = capsys.readouterr().out
-        assert "reachable by no_cc" in out
-        assert "writeback.before_data" in out
-        assert "daq.after_reserve" not in out
-
-    def test_faults_sites_json(self, capsys):
-        import json
-
-        assert main(["faults", "sites", "--json", "--scheme", "osiris_plus"]) == 0
-        catalogue = json.loads(capsys.readouterr().out)
-        names = [s["name"] for s in catalogue]
-        assert "writeback.after_stoploss" in names
-        assert "wpq.mid_batch" not in names
-        assert all(
-            set(s) == {"name", "component", "description", "schemes"}
-            for s in catalogue
-        )
-
     def test_crash_replay_fixture(self, capsys):
         fixture = __import__("pathlib").Path(
             __file__
@@ -158,6 +119,39 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "failure reproduced" in out
         assert "outcome FAILED" in out
+
+    @pytest.mark.parametrize("command", ["replay", "minimize"])
+    def test_crash_reproducer_with_a_site_schedule_exits_2(
+        self, command, capsys, tmp_path
+    ):
+        """Schedules list recovery prefix lengths; a retired
+        ``[site, hit]`` pair is rejected before any oracle runs."""
+        import json
+
+        fixture = __import__("pathlib").Path(
+            __file__
+        ).parent.parent / "fixtures" / "crash_reproducer_torn_batch.json"
+        doc = json.loads(fixture.read_text())
+        doc["schedule"] = [["recovery.mid_rebuild", 1]]
+        artifact = tmp_path / "old.json"
+        artifact.write_text(json.dumps(doc))
+        assert main(["crash", command, str(artifact)]) == 2
+        err = capsys.readouterr().err
+        assert f"repro crash {command}:" in err
+        assert "retired [site, hit] pair" in err
+
+    def test_crash_replay_rejects_a_non_positive_prefix(self, capsys, tmp_path):
+        import json
+
+        fixture = __import__("pathlib").Path(
+            __file__
+        ).parent.parent / "fixtures" / "crash_reproducer_torn_batch.json"
+        doc = json.loads(fixture.read_text())
+        doc["schedule"] = [0]
+        artifact = tmp_path / "zero.json"
+        artifact.write_text(json.dumps(doc))
+        assert main(["crash", "replay", str(artifact)]) == 2
+        assert "not a recovery prefix length" in capsys.readouterr().err
 
     def test_crash_campaign_smoke(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)  # the cache lands here
@@ -242,7 +236,7 @@ class TestCommands:
         assert set(doc) >= {"counts", "findings", "rules", "root",
                             "schema_version"}
         assert set(doc["rules"]) == {
-            "P0", "P1", "P2", "P4", "P7", "D1", "B0",
+            "P0", "P1", "P4", "P7", "D1", "B0",
         }
 
     def test_lint_update_baseline_writes_file(self, capsys, monkeypatch,

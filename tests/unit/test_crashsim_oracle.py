@@ -10,7 +10,6 @@ from repro.crashsim import (
     record_workload,
 )
 from repro.crashsim.workload import payload
-from repro.faults.plan import RECOVERY_SITES
 
 from tests.conftest import TINY_CAPACITY
 
@@ -79,21 +78,39 @@ class TestVerdicts:
 
 
 class TestNestedSchedules:
-    @pytest.mark.parametrize("site", sorted(RECOVERY_SITES))
-    def test_single_nested_crash_fires_and_recovers(self, trace, oracle, site):
+    """Schedules list how many recovery persists land before each crash."""
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_single_nested_crash_fires_and_recovers(self, trace, oracle, where):
         state = state_at(trace, len(trace.units))
-        verdict = oracle.evaluate(state, schedule=[(site, 1)])
-        assert verdict.fired_sites == (site,)
+        _, ops = oracle.evaluate_traced(state)
+        persists = {"first": 1, "middle": len(ops) // 2, "last": len(ops)}[where]
+        verdict = oracle.evaluate(state, schedule=[persists])
         assert verdict.ok, verdict.problems
+        assert verdict.outcome == "RECOVERED"
 
     def test_depth_two_schedule_fires_in_sequence(self, trace, oracle):
         state = state_at(trace, len(trace.units))
-        schedule = [("recovery.after_counters", 1), ("recovery.mid_rebuild", 1)]
-        verdict = oracle.evaluate(state, schedule=schedule)
-        assert verdict.fired_sites == (
-            "recovery.after_counters", "recovery.mid_rebuild",
-        )
+        _, ops = oracle.evaluate_traced(state)
+        verdict = oracle.evaluate(state, schedule=[len(ops) // 2, 1])
         assert verdict.ok, verdict.problems
+        assert any("resumed" in note for note in verdict.notes)
+
+    def test_crash_past_the_last_persist_is_reported(self, trace, oracle):
+        state = state_at(trace, len(trace.units))
+        _, ops = oracle.evaluate_traced(state)
+        verdict = oracle.evaluate(state, schedule=[1, len(ops) + 5])
+        assert verdict.outcome == "FAILED"
+        assert verdict.signature() == {"nested"}
+
+    def test_traced_and_plain_verdicts_agree(self, trace, oracle):
+        state = state_at(trace, len(trace.units) // 2)
+        verdict, ops = oracle.evaluate_traced(state)
+        assert verdict.to_dict() == oracle.evaluate(state).to_dict()
+        assert [op.mutator for op in ops if op.kind == "tcb"] == [
+            "begin_recovery", "set_root_new", "set_roots",
+        ]
+        assert all(op.kind == "poke" for op in ops[1:-2])
 
 
 class TestRecoveryMemo:

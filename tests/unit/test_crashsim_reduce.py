@@ -155,6 +155,13 @@ class TestImageHashCanonicalization:
             != self._state({0x1000: 2}).image_hash()
         )
 
+    def test_one_flipped_bit_changes_identity(self):
+        """The recovery closure dedupes members by this hash."""
+        state = self._state({})
+        flipped = self._state({})
+        flipped.lines = {0x40: b"\x03" + b"\x02" * 63}
+        assert state.image_hash() != flipped.image_hash()
+
 
 class TestSamplerAccounting:
     """Satellite: the sampled fallback must account for its coverage."""

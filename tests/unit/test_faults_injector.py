@@ -1,23 +1,18 @@
-"""Unit tests for the fault injector and the hard crash edges it arms.
+"""Hard crash edges: power failures injected straight into the model.
 
 The edges the paper's protocol lives or dies on: a power failure with an
 empty vs. a full (un-ended) atomic batch, dropping the volatile dirty
 address queue and starting a fresh epoch, and a second crash landing in
-the middle of recovery itself.
+the middle of recovery itself.  The first two call ``power_failure()``
+and ``crash()`` directly; the last crashes recovery after each of its
+own persists (:class:`~repro.crashsim.trace.RecoveryRecorder`).
 """
 
 import pytest
 
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.core.schemes import create_scheme
-from repro.faults import (
-    ALL_SITE_NAMES,
-    RECOVERY_SITES,
-    SITES,
-    FaultInjector,
-    PowerFailure,
-    sites_for_scheme,
-)
+from repro.crashsim import PowerFailure, RecoveryRecorder
 from repro.mem.nvm import NVMDevice
 from repro.mem.wpq import WritePendingQueue
 from repro.metadata.layout import MemoryLayout
@@ -27,91 +22,8 @@ from tests.conftest import TINY_CAPACITY, payload
 LINE = bytes([0x5A]) * CACHE_LINE_SIZE
 
 
-class TestInjectorMechanics:
-    def test_arming_unknown_site_rejected(self):
-        injector = FaultInjector()
-        with pytest.raises(ValueError, match="unknown fault site"):
-            injector.arm("writeback.no_such_step")
-        with pytest.raises(ValueError, match="1-based"):
-            injector.arm("writeback.after_data", hit=0)
-
-    def test_discovery_counts_without_firing(self):
-        injector = FaultInjector()
-        for _ in range(3):
-            injector("wpq.mid_batch")
-        assert injector.hits["wpq.mid_batch"] == 3
-        assert injector.fired == 0
-
-    def test_fires_at_exact_hit_then_disarms(self):
-        injector = FaultInjector()
-        injector.arm("wpq.mid_batch", hit=2)
-        injector("wpq.mid_batch")  # visit 1: no crash
-        with pytest.raises(PowerFailure) as exc:
-            injector("wpq.mid_batch")
-        assert exc.value.site == "wpq.mid_batch"
-        # Disarmed: further visits (e.g. during recovery) pass through.
-        injector("wpq.mid_batch")
-        assert injector.armed is None
-        assert injector.fired == 1
-
-    def test_rearming_while_armed_rejected(self):
-        injector = FaultInjector()
-        injector.arm("wpq.mid_batch")
-        with pytest.raises(RuntimeError, match="already armed at 'wpq.mid_batch'"):
-            injector.arm("wpq.before_end")
-        # The original crash is untouched by the failed re-arm...
-        assert injector.armed == "wpq.mid_batch"
-        # ...and an explicit disarm makes re-arming legal again.
-        injector.disarm()
-        injector.arm("wpq.before_end")
-        assert injector.armed == "wpq.before_end"
-
-    def test_schedule_arms_next_site_after_each_fire(self):
-        injector = FaultInjector()
-        injector.arm_schedule([("wpq.mid_batch", 2), ("wpq.before_end", 1)])
-        injector("wpq.mid_batch")  # visit 1: below the hit threshold
-        with pytest.raises(PowerFailure):
-            injector("wpq.mid_batch")
-        # The schedule auto-armed the next pair with a fresh visit count.
-        assert injector.armed == "wpq.before_end"
-        with pytest.raises(PowerFailure):
-            injector("wpq.before_end")
-        assert injector.armed is None
-        assert injector.fired == 2
-
-    def test_schedule_validates_every_pair_up_front(self):
-        injector = FaultInjector()
-        with pytest.raises(ValueError, match="unknown fault site"):
-            injector.arm_schedule([("wpq.mid_batch", 1), ("bogus.site", 1)])
-        assert injector.armed is None
-        with pytest.raises(ValueError, match="empty schedule"):
-            injector.arm_schedule([])
-
-    def test_disarm_clears_pending_schedule(self):
-        injector = FaultInjector()
-        injector.arm_schedule([("wpq.mid_batch", 1), ("wpq.before_end", 1)])
-        injector.disarm()
-        injector("wpq.mid_batch")  # nothing armed: pure discovery counting
-        injector("wpq.before_end")
-        assert injector.fired == 0
-
-    def test_registry_covers_every_scheme(self):
-        assert len(SITES) == len(ALL_SITE_NAMES) == 16
-        assert sites_for_scheme("osiris_plus").count("writeback.after_stoploss") == 1
-        assert "writeback.after_stoploss" not in sites_for_scheme("ccnvm")
-        assert RECOVERY_SITES == {
-            "recovery.after_counters",
-            "recovery.mid_rebuild",
-            "recovery.before_root_set",
-        }
-        # The epoch-protocol sites exist only for the cc-NVM variants.
-        assert "daq.after_reserve" in sites_for_scheme("ccnvm")
-        assert "daq.after_reserve" not in sites_for_scheme("sc")
-        assert sites_for_scheme("no_cc") == (
-            "writeback.before_data", "writeback.after_data",
-            "recovery.after_counters", "recovery.mid_rebuild",
-            "recovery.before_root_set",
-        )
+class Blackout(Exception):
+    """Power lost at a chosen persist micro-op of a write-back or drain."""
 
 
 class TestWPQCrashEdges:
@@ -145,24 +57,16 @@ class TestWPQCrashEdges:
         assert wpq.stats.counter("batches_dropped").value == 1
 
     def test_injected_crash_before_end_drops_batch(self, wpq):
-        injector = FaultInjector()
-        wpq.fault_hook = injector
-        injector.arm("wpq.before_end")
         wpq.begin_atomic()
         wpq.write_atomic(64, LINE)
-        with pytest.raises(PowerFailure):
-            wpq.commit_atomic()
+        # Power fails with the full batch buffered, before the end signal.
         assert wpq.power_failure() == 1
         assert wpq.nvm.peek(64) == bytes(CACHE_LINE_SIZE)
 
     def test_injected_crash_after_end_keeps_batch(self, wpq):
-        injector = FaultInjector()
-        wpq.fault_hook = injector
-        injector.arm("wpq.after_end")
         wpq.begin_atomic()
         wpq.write_atomic(64, LINE)
-        with pytest.raises(PowerFailure):
-            wpq.commit_atomic()
+        wpq.commit_atomic()
         # ADR: the end signal was given, so the batch is already in NVM.
         assert wpq.power_failure() == 0
         assert wpq.nvm.peek(64) == LINE
@@ -173,16 +77,12 @@ class TestDirtyQueueCrashEdges:
 
     def test_daq_dropped_and_new_epoch_opens(self):
         scheme = create_scheme("ccnvm", data_capacity=TINY_CAPACITY)
-        injector = FaultInjector()
-        injector.attach(scheme)
         for i in range(4):
             scheme.writeback(i * 1000, 0x2000 + i * 64, payload(i))
-        assert len(scheme.queue) > 0
         root_before = scheme.tcb.root_old
 
-        injector.arm("daq.after_reserve")
-        with pytest.raises(PowerFailure):
-            scheme.writeback(5000, 0x2100, payload(9))
+        scheme.writeback(5000, 0x2100, payload(9))
+        assert len(scheme.queue) > 0  # the path is reserved, uncommitted
         scheme.crash()
         assert len(scheme.queue) == 0  # volatile queue lost with power
         assert scheme.tcb.root_old == root_before  # epoch never committed
@@ -201,16 +101,23 @@ class TestDirtyQueueCrashEdges:
 
     def test_crash_mid_drain_drops_queue_and_recovers(self):
         scheme = create_scheme("ccnvm", data_capacity=TINY_CAPACITY)
-        injector = FaultInjector()
-        injector.attach(scheme)
-        injector.arm("daq.before_commit")
+
+        def fail_at_start_signal(kind, addr, data):
+            if kind == "begin_atomic":
+                raise Blackout(kind)
+
+        # The drain trigger fired and the drainer's start signal went
+        # out; power fails before any metadata line joins the batch.
+        scheme.wpq.trace_hook = fail_at_start_signal
         limit = scheme.config.epoch.update_limit
         t = 0
-        with pytest.raises(PowerFailure):
+        with pytest.raises(Blackout):
             for i in range(limit + 1):
                 scheme.writeback(t, 0x2000, payload(i))
                 t += 1000
+        scheme.wpq.trace_hook = None
         scheme.crash()
+        assert len(scheme.queue) == 0
         report = scheme.recover()
         assert report.success
         got, _ = scheme.read(t + 10_000, 0x2000)
@@ -220,28 +127,36 @@ class TestDirtyQueueCrashEdges:
 class TestDoubleCrash:
     """A second power failure in the middle of recovery must be survivable."""
 
-    @pytest.mark.parametrize("site", sorted(RECOVERY_SITES))
-    def test_crash_during_recovery_is_restartable(self, site):
-        scheme = create_scheme("ccnvm", data_capacity=TINY_CAPACITY)
-        injector = FaultInjector()
-        injector.attach(scheme)
-        t = 0
-        for i in range(6):
-            scheme.writeback(t, 0x3000 + (i % 3) * 64, payload(i))
-            t += 1000
-        scheme.crash()
+    def test_crash_during_recovery_is_restartable(self):
+        def crashed_machine():
+            scheme = create_scheme("ccnvm", data_capacity=TINY_CAPACITY)
+            t = 0
+            for i in range(6):
+                scheme.writeback(t, 0x3000 + (i % 3) * 64, payload(i))
+                t += 1000
+            scheme.crash()
+            return scheme, t
 
-        injector.arm(site, hit=1)
-        with pytest.raises(PowerFailure):
+        scheme, _ = crashed_machine()
+        with RecoveryRecorder(scheme) as recorder:
             scheme.recover()
-        assert scheme.tcb.recovery_pending  # persisted across the crash
-        scheme.crash()
+        persists = len(recorder.ops)
+        assert persists > 3  # begin_recovery, leaf and node pokes, roots
 
-        report = scheme.recover()
-        assert report.success
-        assert not scheme.tcb.recovery_pending
-        assert scheme.tcb.root_old == scheme.tcb.root_new
-        assert any("resumed" in note for note in report.notes)
-        for i in range(3):
-            got, _ = scheme.read(t + i * 1000, 0x3000 + i * 64)
-            assert got == payload(3 + i)  # the last value written per block
+        for crash_after in range(1, persists + 1):
+            scheme, t = crashed_machine()
+            with RecoveryRecorder(scheme, crash_after=crash_after):
+                with pytest.raises(PowerFailure):
+                    scheme.recover()
+            assert scheme.tcb.recovery_pending == (crash_after < persists)
+            scheme.crash()
+
+            report = scheme.recover()
+            assert report.success, crash_after
+            assert not scheme.tcb.recovery_pending
+            assert scheme.tcb.root_old == scheme.tcb.root_new
+            if crash_after < persists:
+                assert any("resumed" in note for note in report.notes)
+            for i in range(3):
+                got, _ = scheme.read(t + i * 1000, 0x3000 + i * 64)
+                assert got == payload(3 + i)  # the last value written per block

@@ -38,15 +38,12 @@ DECLARATIONS = """
     @persistence(volatile=("_batch",), aka=("wpq",))
     class FakeWPQ:
         def begin_atomic(self):
-            self._fault("wpq.after_start")
-
-        def commit_atomic(self):
-            self._fault("wpq.after_end")
-
-        def write_atomic(self, addr, data):
             pass
 
-        def _fault(self, site):
+        def commit_atomic(self):
+            pass
+
+        def write_atomic(self, addr, data):
             pass
 """
 
@@ -126,62 +123,6 @@ class TestSeededViolations:
         })
         assert not [f for f in report.new if f.rule == "P1"]
 
-    def test_p2_registry_drift_both_ways(self, tmp_path):
-        report = lint(tmp_path, {
-            "decl.py": DECLARATIONS,
-            "plan.py": """
-                SITES = (FaultSite("drain.ok"), FaultSite("ghost.site"),
-                         FaultSite("wpq.after_start"), FaultSite("wpq.after_end"))
-            """,
-            "engine.py": """
-                class Engine:
-                    def _fault(self, site):
-                        pass
-
-                    def fine(self):
-                        self._fault("drain.ok")
-
-                    def rogue(self):
-                        self._fault("off.registry")
-
-                    def forward(self, site):
-                        self._fault(site)
-            """,
-        })
-        tokens = rule_tokens(report)
-        assert ("P2", "unregistered:off.registry") in tokens
-        assert ("P2", "unused:ghost.site") in tokens
-        assert ("P2", "nonliteral") in tokens
-        # the trampoline `def _fault` itself is not a non-literal call
-        assert len([f for f in report.new if f.token == "nonliteral"]) == 1
-
-    def test_p2_persist_point_coverage(self, tmp_path):
-        report = lint(tmp_path, {
-            "decl.py": DECLARATIONS,
-            "plan.py": """
-                SITES = (FaultSite("drain.ok"), FaultSite("wpq.after_start"),
-                         FaultSite("wpq.after_end"))
-            """,
-            "drain.py": """
-                class Drainer:
-                    def _fault(self, site):
-                        pass
-
-                    def covered(self, tcb):
-                        self._fault("drain.ok")
-                        tcb.commit_root()
-
-                    def callee_covered(self, wpq):
-                        wpq.begin_atomic()  # FakeWPQ instruments itself
-                        wpq.commit_atomic()
-
-                    def uncovered(self, tcb):
-                        tcb.commit_root()
-            """,
-        })
-        uncovered = [f for f in report.new if f.token == "uncovered:commit_root"]
-        assert [f.symbol for f in uncovered] == ["Drainer.uncovered"]
-
     def test_p4_volatile_read_on_recovery_path(self, tmp_path):
         report = lint(tmp_path, {
             "decl.py": DECLARATIONS,
@@ -223,7 +164,7 @@ class TestSeededViolations:
 
     def test_all_rule_classes_detectable(self, tmp_path):
         """The analyzer distinguishes the persist-order rule classes."""
-        assert set(RULES) >= {"P1", "P2", "P4", "P7"}
+        assert set(RULES) >= {"P1", "P4", "P7"}
 
 
 class TestBaseline:
@@ -266,21 +207,6 @@ class TestBaseline:
             LintConfig(root=tmp_path / "pkg", base_dir=tmp_path)
         )
         assert {f.key for f in after_report.new} == before
-
-
-class TestRegistryOverride:
-    def test_site_registry_override(self, tmp_path):
-        files = {"engine.py": """
-            def _fault(site):
-                pass
-
-            def step():
-                _fault("a.b")
-        """}
-        ok = lint(tmp_path, files, site_registry=("a.b",))
-        assert not [f for f in ok.new if f.rule == "P2"]
-        drifted = lint(tmp_path, files, site_registry=("a.b", "c.d"))
-        assert ("P2", "unused:c.d") in rule_tokens(drifted)
 
 
 class TestRealTree:

@@ -27,13 +27,7 @@ from repro.lint import (
 REPO_SRC = Path(repro.__file__).resolve().parent
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "lint"
 
-#: Silences P2's registry cross-check in fixture trees (they declare
-#: fault sites but carry no ``faults/plan.py``).
-FIXTURE_SITES = ("wpq.after_start", "wpq.after_end", "tcb.commit_root")
-
-
 def lint_fixture(name, **overrides):
-    overrides.setdefault("site_registry", FIXTURE_SITES)
     return run_lint(
         LintConfig(root=FIXTURES / name, base_dir=FIXTURES, **overrides)
     )
@@ -62,22 +56,19 @@ class TestP7Fixtures:
 
 
 class TestDeterminismFixtures:
-    # These trees declare no fault sites at all.
     def test_true_positives(self):
-        report = lint_fixture("determinism_tp", site_registry=())
+        report = lint_fixture("determinism_tp")
         assert tokens(report) == {
             ("D1", "fold_addresses", "set-iteration"),
             ("D1", "profile_names", "set-iteration"),
         }
 
     def test_true_negatives_including_exemptions(self):
-        report = lint_fixture("determinism_tn", site_registry=())
+        report = lint_fixture("determinism_tn")
         assert rules_fired(report) == set(), [f.render() for f in report.new]
 
     def test_empty_entries_disable_the_family(self):
-        report = lint_fixture(
-            "determinism_tp", site_registry=(), deterministic_entries=()
-        )
+        report = lint_fixture("determinism_tp", deterministic_entries=())
         assert rules_fired(report) == set()
 
     def test_entries_scope_the_reachable_set(self):
@@ -85,7 +76,6 @@ class TestDeterminismFixtures:
         # everything else goes quiet.
         report = lint_fixture(
             "determinism_tp",
-            site_registry=(),
             deterministic_entries=("runs/spec.py::fold_addresses",),
         )
         assert {f.symbol for f in report.new} == {"fold_addresses"}
