@@ -63,7 +63,6 @@ def figure5_comparisons(
     jobs: int = 1,
     cache: bool = False,
     cache_root=None,
-    timeout: float | None = None,
     progress=None,
     report_out: list | None = None,
 ) -> dict[str, DesignComparison]:
@@ -85,7 +84,6 @@ def figure5_comparisons(
         jobs=jobs,
         use_cache=cache,
         cache_root=cache_root,
-        timeout=timeout,
         progress=progress,
     )
     report.raise_on_failure()
@@ -162,7 +160,6 @@ def _sensitivity(
     jobs: int = 1,
     cache: bool = False,
     cache_root=None,
-    timeout: float | None = None,
     progress=None,
     report_out: list | None = None,
 ) -> SensitivitySeries:
@@ -187,7 +184,6 @@ def _sensitivity(
         jobs=jobs,
         use_cache=cache,
         cache_root=cache_root,
-        timeout=timeout,
         progress=progress,
     )
     report.raise_on_failure()

@@ -84,7 +84,6 @@ def _run_kwargs(args: argparse.Namespace) -> dict:
     return {
         "jobs": args.jobs,
         "cache": not args.no_cache,
-        "timeout": args.timeout,
         "progress": _progress_printer(args),
     }
 
@@ -572,8 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for the sweep (default 1)")
         p.add_argument("--no-cache", action="store_true",
                        help="always re-execute; skip the on-disk result cache")
-        p.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                       help="per-spec wall-clock budget (parallel runs only)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress per-spec progress lines")
 

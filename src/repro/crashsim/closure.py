@@ -137,4 +137,4 @@ def profile_closure(scheme: str, profile: str, steps: int) -> ClosureReport:
     machine = create_scheme(scheme, data_capacity=DATA_CAPACITY, seed=SEED)
     trace = record_workload(machine, steps, SEED, profile=profile)
     oracle = RecoveryOracle(scheme, data_capacity=DATA_CAPACITY, seed=SEED)
-    return recovery_closure(oracle, CrashEnumerator(trace, seed=SEED).states())
+    return recovery_closure(oracle, CrashEnumerator(trace).states())

@@ -19,9 +19,9 @@ the NVM-image × register-file states a power failure can leave behind:
   paper's protocol; that mode exists so the oracle can demonstrate it
   catches an ordering bug, never for validating a correct design.
 
-Per crash point the drop-sets are enumerated exhaustively while
-``2**window <= budget`` and sampled (seeded, with forward repair to
-restore per-address consistency) above it.
+Per crash point the drop-sets are enumerated exhaustively, never
+sampled; a crash point with more than :data:`MAX_ACTIVE_CANDIDATES`
+candidates fails loudly instead.
 
 TCB register micro-ops replay as *deltas* (``nwb += 1``,
 ``counter_log[addr] += 1``, commit folds ``root_new`` into
@@ -35,17 +35,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import random
 from dataclasses import dataclass
 
 from repro.crashsim.trace import PersistTrace, PersistOp, TraceUnit, registers_to_dict
 
-#: Defaults chosen so the default window is exhaustive: 2**4 <= 16.
 DEFAULT_WINDOW = 4
-DEFAULT_BUDGET = 16
-#: Rejection-sampling retry multiplier: how many draws the sampler may
-#: spend per requested drop-set before giving up on filling the budget.
-SAMPLE_RETRY_FACTOR = 16
+#: Hard cap on drop candidates expanded per crash point: 2**16 subsets
+#: is the most one point may expand before failing loudly.
+MAX_ACTIVE_CANDIDATES = 16
 
 
 def canonical_value(value):
@@ -148,25 +145,13 @@ class CrashEnumerator:
         self,
         trace: PersistTrace,
         window: int = DEFAULT_WINDOW,
-        budget: int = DEFAULT_BUDGET,
-        seed: int = 0,
         torn_batches: bool = False,
     ) -> None:
         if window < 0:
             raise ValueError("window must be >= 0")
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
         self.trace = trace
         self.window = window
-        self.budget = budget
-        self.seed = seed
         self.torn_batches = torn_batches
-        #: Coverage accounting for the sampled fallback: how many crash
-        #: points fell back to sampling, how many drop-sets they asked
-        #: for and how many distinct ones the sampler actually produced.
-        #: ``sampled < requested`` means the budget was partly wasted;
-        #: ``points > 0`` at all means coverage was not exhaustive.
-        self.sample_stats = {"points": 0, "requested": 0, "sampled": 0}
 
     # -- drop-set machinery --------------------------------------------------------
 
@@ -193,40 +178,19 @@ class CrashEnumerator:
         return True
 
     def _drop_sets(self, k: int, candidates: list[int]) -> list[tuple[int, ...]]:
-        units = self.trace.units
-        if 2 ** len(candidates) <= self.budget:
-            out = []
-            for r in range(1, len(candidates) + 1):
-                for combo in itertools.combinations(candidates, r):
-                    if self._consistent(frozenset(combo), candidates):
-                        out.append(combo)
-            return out
-        # Sampled fallback.  Forward repair collapses distinct draws into
-        # duplicates, so a fixed number of draws can return far fewer
-        # than ``budget`` distinct sets; rejection-sample until the
-        # budget is met or the retry cap is spent, and account for the
-        # shortfall either way.
-        rng = random.Random(f"{self.seed}:{k}")
-        seen: set[tuple[int, ...]] = set()
-        attempts = 0
-        cap = self.budget * SAMPLE_RETRY_FACTOR
-        while len(seen) < self.budget and attempts < cap:
-            attempts += 1
-            drop = {j for j in candidates if rng.random() < 0.5}
-            # Forward repair: dropping a unit drags every later window
-            # unit sharing a line down with it (transitively).
-            for j in candidates:
-                if j in drop:
-                    continue
-                if any(i in drop and units[i].addrs & units[j].addrs
-                       for i in candidates if i < j):
-                    drop.add(j)
-            if drop:
-                seen.add(tuple(sorted(drop)))
-        self.sample_stats["points"] += 1
-        self.sample_stats["requested"] += self.budget
-        self.sample_stats["sampled"] += len(seen)
-        return sorted(seen)
+        """Every per-address-consistent, non-empty subset of *candidates*."""
+        if len(candidates) > MAX_ACTIVE_CANDIDATES:
+            raise RuntimeError(
+                f"crash point {k}: {len(candidates)} active drop candidates "
+                f"exceed the {MAX_ACTIVE_CANDIDATES}-candidate expansion "
+                "cap; narrow the window"
+            )
+        out = []
+        for r in range(1, len(candidates) + 1):
+            for combo in itertools.combinations(candidates, r):
+                if self._consistent(frozenset(combo), candidates):
+                    out.append(combo)
+        return out
 
     # -- state generation ---------------------------------------------------------
 

@@ -114,7 +114,6 @@ def run_enumerate_cell(spec) -> dict:
         trace,
         reducer,
         window=p["window"],
-        seed=spec.seed,
         torn_batches=p.get("torn", False),
     )
     class_oracle = ClassOracle(oracle, reducer, spot=p["spot"])
@@ -149,8 +148,9 @@ def run_enumerate_cell(spec) -> dict:
                 outcomes[vverdict.outcome] += 1
                 if not vverdict.ok:
                     violations.append(_violation_entry(vstate, vverdict))
-    # Constant keys ("mode", "reduce") stay: the golden shard digests
-    # (tests/integration/test_campaign_digests.py) hash the whole payload.
+    # Constant keys ("mode", "sampling", "reduce") stay: the golden shard
+    # digests (tests/integration/test_campaign_digests.py) hash the whole
+    # payload.  Enumeration never samples, so "sampling" is all zeros.
     return {
         "mode": "enumerate",
         "scheme": spec.scheme,
@@ -163,7 +163,7 @@ def run_enumerate_cell(spec) -> dict:
         "states": sorted(hashes),
         "outcomes": dict(sorted(outcomes.items())),
         "violations": violations,
-        "sampling": dict(enumerator.sample_stats),
+        "sampling": {"points": 0, "requested": 0, "sampled": 0},
         "reduce": True,
         "covered": sum(outcomes.values()),
         "oracle_calls": class_oracle.calls,
@@ -303,7 +303,6 @@ def run_campaign(
     jobs: int = 1,
     cache: bool = True,
     cache_root=None,
-    timeout: float | None = None,
     progress=None,
 ):
     """Run one campaign; returns ``(summary, RunReport)``.
@@ -324,7 +323,6 @@ def run_campaign(
         jobs=jobs,
         use_cache=cache,
         cache_root=cache_root,
-        timeout=timeout,
         progress=progress,
     )
 

@@ -66,12 +66,6 @@ from repro.crashsim.enumerate import (
 from repro.crashsim.trace import PersistTrace, registers_to_dict
 from repro.metadata.counters import CounterLine
 
-#: Hard cap on non-pinned drop candidates per crash point: 2**16
-#: subsets is the most a shard may expand before failing loudly rather
-#: than silently sampling.
-MAX_ACTIVE_CANDIDATES = 16
-
-
 @dataclass(frozen=True)
 class RecoveryView:
     """What one design's recovery (and the oracle) can observe.
@@ -485,7 +479,7 @@ class CrashStateReducer:
 
 class ReducedEnumerator(CrashEnumerator):
     """A :class:`CrashEnumerator` that expands drop-sets exhaustively
-    over the reducer's non-pinned candidates — no sampling, ever.
+    over the reducer's non-pinned candidates only.
 
     ``pins[k]`` records the pinned candidates of each expanded crash
     point; every state yielded at ``k`` stands for ``2**len(pins[k])``
@@ -497,16 +491,9 @@ class ReducedEnumerator(CrashEnumerator):
         trace: PersistTrace,
         reducer: CrashStateReducer,
         window: int = 4,
-        seed: int = 0,
         torn_batches: bool = False,
     ) -> None:
-        super().__init__(
-            trace,
-            window=window,
-            budget=1,
-            seed=seed,
-            torn_batches=torn_batches,
-        )
+        super().__init__(trace, window=window, torn_batches=torn_batches)
         self.reducer = reducer
         self.pins: dict[int, tuple[int, ...]] = {}
 
@@ -517,21 +504,7 @@ class ReducedEnumerator(CrashEnumerator):
     def _drop_sets(self, k, candidates):
         pins = self.reducer.pinned_candidates(candidates)
         self.pins[k] = pins
-        active = [c for c in candidates if c not in pins]
-        if len(active) > MAX_ACTIVE_CANDIDATES:
-            raise RuntimeError(
-                f"crash point {k}: {len(active)} active drop candidates "
-                f"exceed the {MAX_ACTIVE_CANDIDATES}-candidate expansion "
-                "cap; narrow the window"
-            )
-        import itertools
-
-        out = []
-        for r in range(1, len(active) + 1):
-            for combo in itertools.combinations(active, r):
-                if self._consistent(frozenset(combo), active):
-                    out.append(combo)
-        return out
+        return super()._drop_sets(k, [c for c in candidates if c not in pins])
 
 
 def materialize(trace: PersistTrace, k: int, dropped) -> CrashState:

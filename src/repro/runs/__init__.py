@@ -5,8 +5,9 @@ The subsystem turns every experiment in the repo — a Figure 5 cell, a
 sensitivity point, a crash-exploration cell — into data (:class:`RunSpec`),
 which makes three things cheap at once:
 
-* **parallelism** — specs are picklable, so a spawn-safe worker pool
-  (:class:`WorkerPool`) fans a sweep out across processes;
+* **parallelism** — specs are picklable, so :func:`run_pool` fans a
+  sweep out across spawned worker processes (a
+  :class:`concurrent.futures.ProcessPoolExecutor`);
 * **reuse** — a spec's content hash plus a fingerprint of the simulator
   sources addresses an on-disk result store (:class:`ResultCache`), so
   unchanged experiments are never executed twice, across processes and
@@ -25,7 +26,7 @@ from repro.runs.orchestrate import (
     run_specs,
     sweep_journal_path,
 )
-from repro.runs.pool import RunOutcome, WorkerPool, execute_spec
+from repro.runs.pool import RunOutcome, execute_spec, run_pool
 from repro.runs.spec import (
     RunSpec,
     Sweep,
@@ -42,7 +43,6 @@ __all__ = [
     "RunReport",
     "RunSpec",
     "Sweep",
-    "WorkerPool",
     "canonical_json",
     "code_fingerprint",
     "config_from_dict",
@@ -50,6 +50,7 @@ __all__ = [
     "default_cache_root",
     "execute_spec",
     "orchestrate",
+    "run_pool",
     "run_specs",
     "simulation_spec",
     "sweep_journal_path",

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.runs.cache import ResultCache, code_fingerprint
 from repro.runs.journal import RunJournal
-from repro.runs.pool import RunOutcome, WorkerPool
+from repro.runs.pool import RunOutcome, run_pool
 from repro.runs.spec import RunSpec, canonical_json
 
 #: Backoff between a cache put's attempts: *base* doubling per attempt,
@@ -44,9 +44,6 @@ class RunReport:
     cache_hits: int = 0
     journal_hits: int = 0
     failed: int = 0
-    #: Specs re-dispatched by the pool after a chunk was lost to a hung
-    #: or dead worker.
-    retried: int = 0
     #: Cache puts that still failed after their own retry budget; the
     #: result stays durable in the journal, so these are non-fatal.
     cache_put_errors: int = 0
@@ -83,11 +80,10 @@ class RunReport:
             )
 
     def summary(self) -> str:
-        retried = f", {self.retried} retried" if self.retried else ""
         return (
             f"{len(self.outcomes)} specs: {self.executed} executed, "
             f"{self.cache_hits} from cache, {self.journal_hits} from journal, "
-            f"{self.failed} failed{retried} in {self.wall_seconds:.2f}s"
+            f"{self.failed} failed in {self.wall_seconds:.2f}s"
         )
 
 
@@ -111,8 +107,6 @@ def run_specs(
     jobs: int = 1,
     cache: ResultCache | None = None,
     journal: RunJournal | None = None,
-    timeout: float | None = None,
-    chunk: int | None = None,
     progress=None,
 ) -> RunReport:
     """Resolve every spec through cache, journal, then the worker pool.
@@ -211,9 +205,7 @@ def run_specs(
             put_tolerant(outcome.spec, outcome.payload)
         emit(outcome)
 
-    pool = WorkerPool(jobs=jobs, timeout=timeout, chunk=chunk)
-    pool.run(pending, on_result=finalize)
-    report.retried = pool.redispatched
+    run_pool(pending, jobs, on_result=finalize)
 
     if cache is not None:
         cache.flush_stats()
@@ -227,8 +219,6 @@ def orchestrate(
     jobs: int = 1,
     use_cache: bool = True,
     cache_root=None,
-    timeout: float | None = None,
-    chunk: int | None = None,
     progress=None,
 ) -> RunReport:
     """The common CLI/driver wrapper around :func:`run_specs`.
@@ -240,17 +230,9 @@ def orchestrate(
     promises pristine re-execution.
     """
     if not use_cache:
-        return run_specs(
-            specs, jobs=jobs, timeout=timeout, chunk=chunk, progress=progress
-        )
+        return run_specs(specs, jobs=jobs, progress=progress)
     cache = ResultCache(cache_root, fingerprint=code_fingerprint())
     with RunJournal(sweep_journal_path(cache, name, specs), cache.fingerprint) as journal:
         return run_specs(
-            specs,
-            jobs=jobs,
-            cache=cache,
-            journal=journal,
-            timeout=timeout,
-            chunk=chunk,
-            progress=progress,
+            specs, jobs=jobs, cache=cache, journal=journal, progress=progress
         )

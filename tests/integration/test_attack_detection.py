@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.attacks import Attacker
 from repro.core.schemes import create_scheme
+from repro.crashsim import PowerFailure, RecoveryRecorder
 from repro.metadata.layout import MerkleNodeId
 from repro.metadata.metacache import IntegrityError
 from tests.conftest import CONSISTENT_SCHEMES, SMALL_CAPACITY, payload
@@ -268,6 +269,37 @@ class TestOsirisDetectsButCannotLocate:
         # cc-NVM pinpoints the tampered tree node; Osiris has no location.
         assert any(f.node is not None for f in ccnvm.findings)
         assert all(f.node is None and f.address is None for f in osiris.findings)
+
+
+class TestResumedRecoveryReplayGap:
+    """Known gap (DESIGN.md "Known fidelity limits"): a recovery resumed
+    after a crash-during-recovery skips step 1 and every freshness check,
+    so an in-epoch replay the first attempt reports is accepted once
+    power fails right after ``begin_recovery``.  SC is absent: it
+    locates the replay from its always-consistent tree on resume too."""
+
+    @pytest.mark.xfail(
+        strict=True, reason="resumed recovery skips the freshness checks"
+    )
+    @pytest.mark.parametrize("scheme", ["osiris_plus", "ccnvm_no_ds", "ccnvm"])
+    def test_replay_reported_after_crash_during_recovery(self, scheme, config):
+        s, attacker = machine(scheme, config)
+        s.writeback(0, 0x2000, payload(1))
+        s.flush()
+        snapshot = attacker.record()
+        s.writeback(1000, 0x2000, payload(2))
+        s.crash()
+        attacker.replay_data(snapshot, 0x2000)
+        # The first persist of recovery is begin_recovery; crash there.
+        with RecoveryRecorder(s, crash_after=1):
+            with pytest.raises(PowerFailure):
+                s.recover()
+        assert s.tcb.recovery_pending
+        s.crash()
+        report = s.recover()
+        assert any("resumed" in note for note in report.notes)
+        assert report.potential_replay_detected
+        assert not report.success
 
 
 class TestConfidentiality:

@@ -88,7 +88,7 @@ class TestJournalResume:
 class TestFailureIsolation:
     def test_one_bad_spec_fails_one_spec(self):
         bad = simulation_spec("ccnvm", "no_such_benchmark", 300, 1)
-        report = run_specs([SPECS[0], bad, SPECS[1]], jobs=2, chunk=1)
+        report = run_specs([SPECS[0], bad, SPECS[1]], jobs=2)
         assert report.failed == 1
         outcome = report.outcomes[bad.spec_hash()]
         assert outcome.status == "failed"

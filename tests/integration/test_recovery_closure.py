@@ -107,7 +107,7 @@ class TestClosureSlices:
         trace = record_workload(
             create_scheme(scheme, data_capacity=CAPACITY, seed=SEED), 160, SEED
         )
-        roots = CrashEnumerator(trace, seed=SEED).states(points=lambda k: k % 60 == 30)
+        roots = CrashEnumerator(trace).states(points=lambda k: k % 60 == 30)
         report = recovery_closure(RecoveryOracle(scheme, CAPACITY, SEED), roots)
         assert report.ok, report.violations[:3]
         assert report.members > report.roots

@@ -356,7 +356,7 @@ class TestCommands:
     def test_run_option_defaults(self):
         args = build_parser().parse_args(["evaluate"])
         assert args.jobs == 1 and not args.no_cache
-        assert args.timeout is None and args.json is None
+        assert args.json is None
         args = build_parser().parse_args(
             ["crash", "campaign", "--jobs", "4", "--no-cache"]
         )

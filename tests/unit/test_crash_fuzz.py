@@ -35,7 +35,7 @@ def test_random_workload_random_crash_points_all_consistent(scheme_name):
         oracle = RecoveryOracle(
             scheme_name, data_capacity=TINY_CAPACITY, seed=seed
         )
-        enumerator = CrashEnumerator(trace, seed=seed)
+        enumerator = CrashEnumerator(trace)
         checked = 0
         for state in enumerator.states(points=lambda k: k in chosen):
             verdict = oracle.evaluate(state)

@@ -2,15 +2,16 @@
 
 What must hold: the full prefix reproduces the live machine exactly,
 drop-sets never cross a fence and never break per-address program
-order, torn batches appear only when explicitly requested, and the
-whole expansion is a pure function of (trace, window, budget, seed).
+order, torn batches appear only when explicitly requested, and a crash
+point too wide to expand exhaustively fails loudly instead of sampling.
 """
 
 import pytest
 
+import repro.crashsim.enumerate as enumerate_mod
 from repro.core.schemes import create_scheme
 from repro.crashsim import CrashEnumerator, applied_ops, build_state, record_workload
-from repro.crashsim.enumerate import DEFAULT_BUDGET, DEFAULT_WINDOW
+from repro.crashsim.enumerate import DEFAULT_WINDOW, MAX_ACTIVE_CANDIDATES
 
 from tests.conftest import TINY_CAPACITY
 
@@ -24,14 +25,20 @@ def recorded():
 
 class TestParameters:
     def test_defaults_are_exhaustive(self):
-        assert 2 ** DEFAULT_WINDOW <= DEFAULT_BUDGET
+        # A window's droppable units are its candidates, so the default
+        # window can never reach the expansion cap.
+        assert DEFAULT_WINDOW <= MAX_ACTIVE_CANDIDATES
 
     def test_invalid_parameters_rejected(self, recorded):
         _, trace = recorded
         with pytest.raises(ValueError):
             CrashEnumerator(trace, window=-1)
-        with pytest.raises(ValueError):
-            CrashEnumerator(trace, budget=0)
+
+    def test_crash_point_over_the_cap_raises(self, recorded, monkeypatch):
+        _, trace = recorded
+        monkeypatch.setattr(enumerate_mod, "MAX_ACTIVE_CANDIDATES", 1)
+        with pytest.raises(RuntimeError, match="expansion cap"):
+            list(CrashEnumerator(trace).states())
 
 
 class TestPrefixStates:
@@ -92,15 +99,6 @@ class TestDropSets:
             assert rebuilt.lines == state.lines, state.describe()
             assert rebuilt.registers == state.registers, state.describe()
             assert rebuilt.expected == state.expected, state.describe()
-
-    def test_sampling_is_seed_deterministic(self, recorded):
-        _, trace = recorded
-        # budget < 2**window forces the sampled path at busy crash points.
-        a = [s.describe() for s in CrashEnumerator(trace, budget=4, seed=9).states()]
-        b = [s.describe() for s in CrashEnumerator(trace, budget=4, seed=9).states()]
-        c = [s.describe() for s in CrashEnumerator(trace, budget=4, seed=10).states()]
-        assert a == b
-        assert a != c
 
 
 class TestTornBatches:

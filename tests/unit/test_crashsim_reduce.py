@@ -6,9 +6,8 @@ force's states with the same outcome histogram and byte-identical
 violation findings at a >=5x oracle saving; evaluating *every* witness
 (metamorphic spot=everything) never contradicts a representative; the
 pinning analysis is exercised on a synthetic merkle-only drop candidate
-(real traces never produce one — see DESIGN.md); and the satellite
-fixes (nested-register image-hash canonicalization, rejection-sampler
-coverage accounting) stay fixed.
+(real traces never produce one — see DESIGN.md); and the nested-register
+image-hash canonicalization fix stays fixed.
 """
 
 from collections import Counter
@@ -34,8 +33,6 @@ from tests.conftest import TINY_CAPACITY
 SEED = 7
 STEPS = 48
 WINDOW = 4
-#: Large enough that every drop-set expansion stays exhaustive.
-EXHAUSTIVE_BUDGET = 1 << 10
 
 
 def _record(scheme_name: str, steps: int = STEPS, torn: bool = False):
@@ -45,20 +42,12 @@ def _record(scheme_name: str, steps: int = STEPS, torn: bool = False):
 
 
 def _brute(trace, torn: bool = False):
-    return CrashEnumerator(
-        trace,
-        window=WINDOW,
-        budget=EXHAUSTIVE_BUDGET,
-        seed=SEED,
-        torn_batches=torn,
-    )
+    return CrashEnumerator(trace, window=WINDOW, torn_batches=torn)
 
 
 def _reduced(trace, scheme_name: str, spot: int, torn: bool = False):
     reducer = CrashStateReducer(trace, scheme_name, TINY_CAPACITY, SEED)
-    enumerator = ReducedEnumerator(
-        trace, reducer, window=WINDOW, seed=SEED, torn_batches=torn
-    )
+    enumerator = ReducedEnumerator(trace, reducer, window=WINDOW, torn_batches=torn)
     oracle = ClassOracle(
         RecoveryOracle(scheme_name, TINY_CAPACITY, SEED), reducer, spot=spot
     )
@@ -108,7 +97,6 @@ def _run_brute(trace, scheme_name, torn=False):
         outcomes[verdict.outcome] += 1
         if not verdict.ok:
             violations.append((state.describe(), verdict.to_dict()))
-    assert enumerator.sample_stats["points"] == 0, "brute run must be exhaustive"
     return {
         "outcomes": outcomes,
         "violations": sorted(violations),
@@ -161,39 +149,6 @@ class TestImageHashCanonicalization:
         flipped = self._state({})
         flipped.lines = {0x40: b"\x03" + b"\x02" * 63}
         assert state.image_hash() != flipped.image_hash()
-
-
-class TestSamplerAccounting:
-    """Satellite: the sampled fallback must account for its coverage."""
-
-    @pytest.fixture(scope="class")
-    def trace(self):
-        return _record("ccnvm", steps=24)
-
-    def test_exhaustive_run_reports_no_sampling(self, trace):
-        enumerator = CrashEnumerator(trace, window=WINDOW, budget=EXHAUSTIVE_BUDGET)
-        list(enumerator.states())
-        assert enumerator.sample_stats == {
-            "points": 0, "requested": 0, "sampled": 0,
-        }
-
-    def test_sampled_run_counts_points_and_shortfall(self, trace):
-        enumerator = CrashEnumerator(trace, window=WINDOW, budget=4)
-        states = list(enumerator.states())
-        stats = enumerator.sample_stats
-        assert stats["points"] > 0
-        assert stats["requested"] == stats["points"] * 4
-        assert 0 < stats["sampled"] <= stats["requested"]
-        # Every sampled drop-set was actually yielded as a state.
-        assert sum(1 for s in states if s.dropped) >= stats["sampled"]
-
-    def test_reduced_enumerator_never_samples(self, trace):
-        reducer = CrashStateReducer(trace, "ccnvm", TINY_CAPACITY, SEED)
-        enumerator = ReducedEnumerator(trace, reducer, window=WINDOW, seed=SEED)
-        list(enumerator.states())
-        assert enumerator.sample_stats == {
-            "points": 0, "requested": 0, "sampled": 0,
-        }
 
 
 class _CapturedPolicy(Exception):
@@ -249,7 +204,6 @@ class TestReductionSoundness:
         assert reduced["outcomes"] == brute["outcomes"]
         assert reduced["violations"] == brute["violations"]
         assert oracle.mismatches == []
-        assert enumerator.sample_stats["points"] == 0
 
     @pytest.mark.parametrize("name", sorted(ALLOWED_OUTCOMES))
     def test_reduction_ratio_at_least_five(self, name, traces):
@@ -338,7 +292,7 @@ class TestPinning:
 
     def test_pinned_weight_covers_the_brute_states(self, synthetic):
         trace, reducer, _ = synthetic
-        enumerator = ReducedEnumerator(trace, reducer, window=WINDOW, seed=SEED)
+        enumerator = ReducedEnumerator(trace, reducer, window=WINDOW)
         states = [s for s in enumerator.states() if s.k == 2]
         brute = [s for s in _brute(trace).states() if s.k == 2]
         assert enumerator.pins[2] == (0,)

@@ -1,30 +1,24 @@
-"""Supervision tests: the pool and ``run_specs`` survive workers that
-die or hang, and torn IPC payloads, without losing or duplicating cells.
+"""Supervision tests: :func:`run_pool` and ``run_specs`` survive a worker
+that dies, and torn IPC payloads, without losing or duplicating cells.
 
-Failures are made real in forked workers: ``execute_spec`` is
-monkeypatched in the parent before the pool forks, so the workers
-inherit the patch.
+A dying worker is made real in a forked pool: the module's start method
+is patched to ``fork`` and ``execute_spec`` is monkeypatched in the
+parent before the pool forks, so the workers inherit the patch.
 """
 
-import functools
-import importlib
 import os
 import threading
-import time
-
-import pytest
 
 import repro.runs.pool as pool_mod
+from repro.runs.cache import ResultCache
 from repro.runs.orchestrate import run_specs
-from repro.runs.pool import RunOutcome, WorkerPool, _raw_outcome, payload_digest
+from repro.runs.pool import RunOutcome, _raw_outcome, payload_digest, run_pool
 from repro.runs.spec import simulation_spec
-
-orchestrate_mod = importlib.import_module("repro.runs.orchestrate")
 
 LENGTH = 40
 
 #: Wall-clock bound on a pooled run in these tests; a dead worker must be
-#: noticed long before it.
+#: reported long before it.
 GUARD_SECONDS = 30.0
 
 
@@ -32,20 +26,17 @@ def specs(n, length=LENGTH):
     return [simulation_spec("ccnvm", "lbm", length, seed) for seed in range(1, n + 1)]
 
 
-def patch_execute(monkeypatch, bad_seed, action):
-    """Make the spec with *bad_seed* run *action* instead of executing."""
+def fork_with_dying_spec(monkeypatch, bad_seed):
+    """Fork the pool's workers; the spec with *bad_seed* kills its worker."""
     real = pool_mod.execute_spec
 
     def execute(spec_dict):
         if spec_dict["seed"] == bad_seed:
-            action()
+            os._exit(70)
         return real(spec_dict)
 
+    monkeypatch.setattr(pool_mod, "START_METHOD", "fork")
     monkeypatch.setattr(pool_mod, "execute_spec", execute)
-
-
-def die():
-    os._exit(70)
 
 
 def run_guarded(call):
@@ -63,6 +54,8 @@ def run_guarded(call):
 
 class TestRawOutcome:
     def test_digest_mismatch_demoted_to_retryable_corrupt(self):
+        # "Retryable": a corrupt outcome is not ok, so it is never cached
+        # and a re-run executes the spec again.
         spec = specs(1)[0]
         payload = {"value": 1}
         raw = {
@@ -73,7 +66,7 @@ class TestRawOutcome:
         }
         outcome = _raw_outcome(spec, raw)
         assert outcome.status == "corrupt"
-        assert outcome.retryable
+        assert not outcome.ok
         assert outcome.payload is None
         assert "integrity digest" in outcome.error
 
@@ -101,54 +94,42 @@ class TestInline:
         report = run_specs(specs(1), jobs=1)
         assert report.failed == 1
         outcome = next(iter(report.outcomes.values()))
-        assert outcome.status == "corrupt" and outcome.retryable
+        assert outcome.status == "corrupt"
 
 
 class TestPooled:
-    def test_chunk_timeout_redispatch_rescues_chunkmates(self, monkeypatch):
-        # The second spec of the two-spec chunk hangs; the whole chunk
-        # times out, then both specs are re-dispatched at chunk=1, so the
-        # innocent chunk-mate completes and only the hung spec times out.
-        patch_execute(monkeypatch, 2, lambda: time.sleep(30.0))
-        pool = WorkerPool(
-            jobs=2, timeout=1.0, chunk=2, grace=1.5, start_method="fork"
-        )
-        outcomes = run_guarded(lambda: pool.run(specs(2)))
-        assert [o.status for o in outcomes] == ["done", "timeout"]
-        assert outcomes[1].retryable
-        assert pool.redispatched == 2
-
     def test_run_specs_supervision_recovers_from_worker_crash(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
-        # One three-spec chunk whose middle spec kills its worker, with
-        # no timeout set.  The lost chunk is re-dispatched at chunk=1:
-        # the chunk-mates complete and only the crashing spec fails.
-        patch_execute(monkeypatch, 2, die)
-        monkeypatch.setattr(
-            orchestrate_mod,
-            "WorkerPool",
-            functools.partial(WorkerPool, start_method="fork"),
-        )
-        batch = specs(3)
-        report = run_guarded(lambda: run_specs(batch, jobs=2, chunk=3))
-        assert report.executed == 3
-        assert report.retried == 3
+        fork_with_dying_spec(monkeypatch, 3)
+        batch = specs(6)
+        cache = ResultCache(tmp_path, fingerprint="pool-test")
+        report = run_guarded(lambda: run_specs(batch, jobs=2, cache=cache))
+        assert report.executed == len(batch)
         assert set(report.outcomes) == {s.spec_hash() for s in batch}
         assert all(isinstance(o, RunOutcome) for o in report.outcomes.values())
-        statuses = [report.outcomes[s.spec_hash()].status for s in batch]
-        assert statuses == ["done", "failed", "done"]
-        crashed = report.outcomes[batch[1].spec_hash()]
-        assert crashed.retryable and "worker process died" in crashed.error
+        assert report.outcomes[batch[2].spec_hash()].status == "failed"
+        assert report.failed == sum(not o.ok for o in report.outcomes.values())
+
+        # A clean re-run executes exactly the specs that failed and takes
+        # every completed one from the cache.
+        monkeypatch.undo()
+        rerun = run_specs(batch, jobs=1, cache=cache)
+        assert rerun.executed == report.failed
+        assert rerun.cache_hits == len(batch) - report.failed
+        assert rerun.failed == 0
 
 
 class TestWorkerDeath:
-    @pytest.mark.parametrize("chunk", [None, 2])
-    def test_dead_worker_without_timeout_fails_fast(self, monkeypatch, chunk):
-        # multiprocessing.Pool never completes a task whose worker died;
-        # with no --timeout the pool must still notice, not wait forever.
-        patch_execute(monkeypatch, 2, die)
-        pool = WorkerPool(jobs=2, chunk=chunk, start_method="fork")
-        outcomes = run_guarded(lambda: pool.run(specs(4)))
-        assert [o.status for o in outcomes] == ["done", "failed", "done", "done"]
-        assert outcomes[1].retryable
+    def test_dead_worker_without_timeout_fails_fast(self, monkeypatch):
+        # No deadline exists: the broken executor itself reports the
+        # death, and every spec still without a result fails at once.
+        fork_with_dying_spec(monkeypatch, 2)
+        batch = specs(4)
+        seen = []
+        outcomes = run_guarded(lambda: run_pool(batch, 2, on_result=seen.append))
+        assert seen == outcomes
+        assert [o.spec for o in outcomes] == batch
+        assert outcomes[1].status == "failed"
+        assert "BrokenProcessPool" in outcomes[1].error
+        assert all(o.ok or o.status == "failed" for o in outcomes)
