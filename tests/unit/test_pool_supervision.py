@@ -9,6 +9,8 @@ parent before the pool forks, so the workers inherit the patch.
 import os
 import threading
 
+import pytest
+
 import repro.runs.pool as pool_mod
 from repro.runs.cache import ResultCache
 from repro.runs.orchestrate import run_specs
@@ -121,15 +123,22 @@ class TestPooled:
 
 
 class TestWorkerDeath:
-    def test_dead_worker_without_timeout_fails_fast(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [None, 2])
+    def test_dead_worker_without_timeout_fails_fast(self, monkeypatch, chunk):
         # No deadline exists: the broken executor itself reports the
         # death, and every spec still without a result fails at once.
+        # chunk=None is a small batch, one spec per chunk; chunk=2 is a
+        # batch long enough that run_pool cuts it into two-spec chunks,
+        # so the dying spec takes its chunkmate down with it.
+        jobs = 2
+        batch = specs(4 if chunk is None else jobs * 4 * chunk)
         fork_with_dying_spec(monkeypatch, 2)
-        batch = specs(4)
         seen = []
-        outcomes = run_guarded(lambda: run_pool(batch, 2, on_result=seen.append))
+        outcomes = run_guarded(lambda: run_pool(batch, jobs, on_result=seen.append))
         assert seen == outcomes
         assert [o.spec for o in outcomes] == batch
         assert outcomes[1].status == "failed"
         assert "BrokenProcessPool" in outcomes[1].error
+        if chunk is not None:
+            assert outcomes[0].status == "failed"
         assert all(o.ok or o.status == "failed" for o in outcomes)
