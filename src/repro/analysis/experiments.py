@@ -165,18 +165,20 @@ def _sensitivity(
 ) -> SensitivitySeries:
     """One Figure 6 panel as a single orchestrated grid.
 
-    The whole (value x scheme x workload) grid — baselines included — is
+    The whole (workload x value x scheme) grid — baselines included — is
     submitted at once, so the pool keeps every worker busy across swept
-    values instead of synchronizing per point.
+    values instead of synchronizing per point.  Workload-outer order
+    keeps each workload's cells adjacent, so they share one recorded
+    LLC stream (the swept knobs never reach the L1/L2).
     """
     run_schemes = (["no_cc"] if "no_cc" not in schemes else []) + list(schemes)
+    configs = {value: make_config(value) for value in values}
     grid = {}
-    for value in values:
-        config = make_config(value)
-        for scheme in run_schemes:
-            for name in workloads:
+    for name in workloads:
+        for value in values:
+            for scheme in run_schemes:
                 grid[(value, scheme, name)] = simulation_spec(
-                    scheme, name, length, seed, config=config
+                    scheme, name, length, seed, config=configs[value]
                 )
     report = orchestrate(
         f"fig6-{parameter}",

@@ -29,6 +29,7 @@ blocks ``jobs=1``.  Outcomes are reported in submission order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -53,18 +54,39 @@ def payload_digest(payload) -> str:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _recorded_stream(workload: str, length: int, seed: int, l1, l2):
+    """The trace of one workload and its LLC stream under (*l1*, *l2*).
+
+    Keyed on the caches only: nothing else in the config reaches them.
+    One entry suffices because a grid keeps a workload's cells adjacent
+    (a Figure-5 row's designs, a Figure-6 workload's values x designs),
+    and the pool's chunks keep adjacent specs on one worker.
+    """
+    from repro.common.config import SystemConfig
+    from repro.sim.stream import record_stream
+    from repro.workloads.spec import spec_trace
+
+    trace = spec_trace(workload, length, seed)
+    return trace, record_stream(trace, SystemConfig(l1=l1, l2=l2))
+
+
 def _execute_simulation(spec: RunSpec):
     from repro.analysis.export import result_to_dict
     from repro.sim.runner import run_simulation
-    from repro.workloads.spec import spec_trace
 
+    config = spec.system_config()
+    trace, stream = _recorded_stream(
+        spec.workload, spec.length, spec.seed, config.l1, config.l2
+    )
     result = run_simulation(
         spec.scheme,
-        spec_trace(spec.workload, spec.length, spec.seed),
-        spec.system_config(),
+        trace,
+        config,
         data_capacity=spec.params.get("data_capacity"),
         seed=spec.scheme_seed,
         warmup_fraction=spec.warmup,
+        stream=stream,
     )
     return result_to_dict(result)
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.common.config import SystemConfig
 from repro.common.stats import StatGroup
+from repro.sim.stream import ReplayHierarchy
 from repro.sim.system import MemoryHierarchy
 from repro.sim.trace import READ, Trace
 
@@ -46,7 +47,7 @@ class TraceCPU:
     def __init__(
         self,
         config: SystemConfig,
-        memory: MemoryHierarchy,
+        memory: MemoryHierarchy | ReplayHierarchy,
         stats: StatGroup | None = None,
     ) -> None:
         self.config = config

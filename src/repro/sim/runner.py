@@ -3,8 +3,11 @@
 :func:`run_simulation` builds a complete machine — scheme, caches, CPU —
 runs one trace on it, and condenses everything the benches need into a
 :class:`SimulationResult`: IPC, NVM traffic split by region, epoch and
-HMAC-computation counts.  :func:`run_design_comparison` repeats a trace
-across several designs and adds the baseline-normalized views the paper's
+HMAC-computation counts.  The caches are filtered once per trace
+(:mod:`repro.sim.stream`): the recorded LLC stream is replayed to the
+design, and callers that run one trace on several designs pass the same
+stream to each.  :func:`run_design_comparison` repeats a trace across
+several designs and adds the baseline-normalized views the paper's
 figures plot.
 """
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 from repro.common.config import SystemConfig
 from repro.core.schemes import SCHEME_LABELS, create_scheme
 from repro.sim.cpu import TraceCPU
-from repro.sim.system import MemoryHierarchy
+from repro.sim.stream import LLCStream, ReplayHierarchy, record_stream
 from repro.sim.trace import Trace
 
 #: Data capacity used for simulation layouts.  The *address map* still has
@@ -58,6 +61,7 @@ def run_simulation(
     data_capacity: int | None = None,
     seed: int | str = 0,
     warmup_fraction: float = 0.0,
+    stream: LLCStream | None = None,
 ) -> SimulationResult:
     """Run one trace on one design and collect the result.
 
@@ -65,16 +69,21 @@ def run_simulation(
     caches and metadata structures, then resets every statistic before
     the measured region — the trace-driven analogue of the paper's
     "fast-forwarding to representative regions".
+
+    *stream* is the trace's :func:`~repro.sim.stream.record_stream`
+    under *config*'s L1/L2; it is recorded here when not given.
     """
     config = config or SystemConfig()
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError("warmup_fraction must be in [0, 1)")
+    if stream is None:
+        stream = record_stream(trace, config)
     scheme = create_scheme(
         scheme_name, config, data_capacity or DEFAULT_SIM_CAPACITY, seed
     )
-    memory = MemoryHierarchy(config, scheme)
+    memory = ReplayHierarchy(config, scheme, stream)
     cpu = TraceCPU(config, memory)
 
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError("warmup_fraction must be in [0, 1)")
     records = trace.records
     split = int(len(records) * warmup_fraction)
     if split:
@@ -145,10 +154,12 @@ def run_design_comparison(
     schemes = schemes or ["no_cc", "sc", "osiris_plus", "ccnvm_no_ds", "ccnvm"]
     if baseline not in schemes:
         schemes = [baseline] + schemes
+    config = config or SystemConfig()
+    stream = record_stream(trace, config)
     results = {
         name: run_simulation(
             name, trace, config, data_capacity, seed,
-            warmup_fraction=warmup_fraction,
+            warmup_fraction=warmup_fraction, stream=stream,
         )
         for name in schemes
     }
