@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.common.address import page_index
 from repro.common.constants import (
     BLOCKS_PER_PAGE,
     CACHE_LINE_SIZE,
@@ -146,9 +147,11 @@ class RecoveryManager:
 
     def _touched_data_pages(self) -> dict[int, list[int]]:
         pages: dict[int, list[int]] = {}
+        data_end = self.layout.data_capacity
         for addr in self.nvm.touched_lines():
-            if self.layout.region_of(addr) == "data":
-                pages.setdefault(self.layout.counter_leaf_index(addr), []).append(addr)
+            if addr >= data_end:
+                break  # sorted: the metadata regions follow the data region
+            pages.setdefault(page_index(addr), []).append(addr)
         return pages
 
     # -- step 1 ------------------------------------------------------------------

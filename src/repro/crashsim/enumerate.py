@@ -59,6 +59,15 @@ def canonical_value(value):
     return value
 
 
+def lines_digest(lines: dict[int, bytes]) -> str:
+    """Content hash of an ``{address: bytes}`` map, in address order."""
+    h = hashlib.sha256()
+    for addr in sorted(lines):
+        h.update(addr.to_bytes(8, "little"))
+        h.update(lines[addr])
+    return h.hexdigest()
+
+
 @dataclass
 class CrashState:
     """One reachable post-crash durable state."""

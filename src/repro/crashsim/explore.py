@@ -6,8 +6,9 @@ each a :class:`~repro.runs.spec.RunSpec` of the ``crash`` kind.  A shard
 takes the trace's crash points of one residue class (``k % shards ==
 shard``).  Every worker regenerates the identical deterministic trace —
 specs stay tiny, exactly like the simulation specs that ship workload
-recipes instead of traces; a worker keeps its last trace, so a cell's
-consecutive shards record it once — expands its own points through the
+recipes instead of traces; a worker keeps its last cell's context, so a
+cell's consecutive shards record it once and judge each distinct state
+once — expands its own points through the
 equivalence-class reducer, runs the oracle once per class, and returns
 distinct image hashes, an outcome histogram, the class table and
 (minimized) violations.
@@ -25,8 +26,14 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.crashsim.workload import HOTSET, REKEY, workload_profiles
+
+if TYPE_CHECKING:
+    from repro.crashsim.oracle import Verdict
+    from repro.crashsim.reduce import CrashStateReducer
+    from repro.crashsim.trace import PersistTrace
 
 #: Smoke-budget defaults: small enough for CI, large enough that every
 #: scheme clears over 200 distinct states (measured floor at 96 steps:
@@ -38,19 +45,41 @@ DEFAULT_SHARDS = 4
 MAX_MINIMIZE = 3
 
 
-# Keeps the last trace: ``campaign_specs`` emits a cell's shards
-# consecutively, so a worker records each cell once.  Callers share the
-# trace, which nothing mutates after recording.
+@dataclass
+class CellContext:
+    """What every shard of one grid cell shares inside a worker.
+
+    Everything here is read-only or content-keyed: the trace is never
+    mutated after recording, the reducer's caches key on line contents,
+    and ``verdicts`` keys on a crash state's full content (see
+    :class:`~repro.crashsim.oracle.ClassOracle`).  So a shard's payload
+    does not depend on which shards of its cell ran before it in the
+    same worker.
+    """
+
+    trace: "PersistTrace"
+    reducer: "CrashStateReducer"
+    #: Content key -> verdict; see :meth:`ClassOracle.evaluate_raw`.
+    verdicts: "dict[tuple[str, str], Verdict]"
+
+
+# Keeps the last cell: ``campaign_specs`` emits a cell's shards
+# consecutively, so a worker records each cell's trace, builds its
+# reducer and fills its verdict memo once.
 @functools.lru_cache(maxsize=1)
-def _record_trace(
+def _cell_context(
     scheme_name: str, steps: int, seed: int, data_capacity: int, profile: str = HOTSET
-):
-    """Deterministically rebuild the persist trace of one grid cell."""
+) -> CellContext:
+    """Deterministically rebuild the persist trace of one grid cell,
+    plus the reducer and verdict memo its shards share."""
     from repro.core.schemes import create_scheme
+    from repro.crashsim.reduce import CrashStateReducer
     from repro.crashsim.workload import record_workload
 
     scheme = create_scheme(scheme_name, data_capacity=data_capacity, seed=seed)
-    return record_workload(scheme, steps, seed, profile=profile)
+    trace = record_workload(scheme, steps, seed, profile=profile)
+    reducer = CrashStateReducer(trace, scheme_name, data_capacity, seed)
+    return CellContext(trace, reducer, {})
 
 
 def _violation_entry(state, verdict, reproducer=None) -> dict:
@@ -96,27 +125,24 @@ def run_enumerate_cell(spec) -> dict:
     brute-force run's, verdict for verdict.
     """
     from repro.crashsim.oracle import ClassOracle, RecoveryOracle
-    from repro.crashsim.reduce import (
-        CrashStateReducer,
-        ReducedEnumerator,
-        materialize,
-        pin_variants,
-    )
+    from repro.crashsim.reduce import ReducedEnumerator, materialize, pin_variants
 
     p = spec.params
     shard, shards = p["shard"], p["shards"]
     data_capacity = p["data_capacity"]
     profile = p.get("profile", HOTSET)
-    trace = _record_trace(spec.scheme, p["steps"], spec.seed, data_capacity, profile)
+    cell = _cell_context(spec.scheme, p["steps"], spec.seed, data_capacity, profile)
+    trace = cell.trace
     oracle = RecoveryOracle(spec.scheme, data_capacity=data_capacity, seed=spec.seed)
-    reducer = CrashStateReducer(trace, spec.scheme, data_capacity, spec.seed)
     enumerator = ReducedEnumerator(
         trace,
-        reducer,
+        cell.reducer,
         window=p["window"],
         torn_batches=p.get("torn", False),
     )
-    class_oracle = ClassOracle(oracle, reducer, spot=p["spot"])
+    class_oracle = ClassOracle(
+        oracle, cell.reducer, spot=p["spot"], verdicts=cell.verdicts
+    )
     hashes: set[str] = set()
     outcomes: Counter[str] = Counter()
     violations: list[dict] = []
@@ -124,9 +150,10 @@ def run_enumerate_cell(spec) -> dict:
     minimized = 0
     for state in enumerator.states(points=lambda k: k % shards == shard):
         evaluated += 1
-        hashes.add(state.image_hash())
+        digest = state.image_hash()
+        hashes.add(digest)
         weight = 1 if state.torn is not None else enumerator.weight(state.k)
-        verdict, _role = class_oracle.submit(state, weight=weight)
+        verdict, _role = class_oracle.submit(state, weight=weight, image_hash=digest)
         if verdict.ok:
             outcomes[verdict.outcome] += weight
             continue
@@ -143,8 +170,9 @@ def run_enumerate_cell(spec) -> dict:
             # variant it stood for is materialized and judged for real.
             for vdrop in pin_variants(state, enumerator.pins.get(state.k, ())):
                 vstate = materialize(trace, state.k, vdrop)
-                hashes.add(vstate.image_hash())
-                vverdict = class_oracle.evaluate_raw(vstate)
+                vdigest = vstate.image_hash()
+                hashes.add(vdigest)
+                vverdict = class_oracle.evaluate_raw(vstate, image_hash=vdigest)
                 outcomes[vverdict.outcome] += 1
                 if not vverdict.ok:
                     violations.append(_violation_entry(vstate, vverdict))

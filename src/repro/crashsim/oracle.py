@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.schemes import create_scheme
-from repro.crashsim.enumerate import CrashState
+from repro.crashsim.enumerate import CrashState, lines_digest
 from repro.crashsim.trace import PersistOp, PowerFailure, RecoveryRecorder
 from repro.crashsim.workload import PROBE_ADDR, payload
 from repro.metadata.metacache import IntegrityError
@@ -146,31 +146,64 @@ class ClassOracle:
       anyway (role ``spot``); an (outcome, signature) mismatch against
       the representative is a reducer bug and is recorded loudly in
       :attr:`mismatches`.
+
+    Every evaluation goes through a verdict memo keyed on the state's
+    content (:meth:`evaluate_raw`), so a state byte-identical to one
+    already judged costs a lookup.  The memo lives here, not in the
+    :class:`RecoveryOracle`: the minimizer, the recovery closure and the
+    replay tools call the recovery oracle directly and still run
+    recovery on every call.
     """
 
-    def __init__(self, oracle: "RecoveryOracle", reducer, spot: int = 1) -> None:
+    def __init__(
+        self,
+        oracle: "RecoveryOracle",
+        reducer,
+        spot: int = 1,
+        verdicts: "dict[tuple[str, str], Verdict] | None" = None,
+    ) -> None:
         self.oracle = oracle
         self.reducer = reducer
         self.spot = spot
+        #: Verdicts by state content; may be shared with other
+        #: ClassOracles over the same (scheme, capacity, seed).
+        self.verdicts = {} if verdicts is None else verdicts
         self.calls = 0
         self.classes: dict[str, CrashClass] = {}
         self.mismatches: list[dict] = []
 
-    def evaluate_raw(self, state: CrashState, schedule=None) -> Verdict:
-        """A counted pass-through evaluation (pin-variant expansion)."""
-        self.calls += 1
-        return self.oracle.evaluate(state, schedule)
+    def evaluate_raw(self, state: CrashState, image_hash: str | None = None) -> Verdict:
+        """One counted evaluation, served from :attr:`verdicts` when a
+        state of identical content was judged before.
 
-    def submit(self, state: CrashState, weight: int = 1) -> tuple[Verdict, str]:
+        :meth:`RecoveryOracle.evaluate` reads nothing of a state but its
+        lines, registers and expected plaintexts, and is deterministic
+        for one (scheme, capacity, seed); ``image_hash()`` covers the
+        first two, the digest the third.  So a served verdict equals
+        a fresh run's.  *image_hash*, when the caller already has it,
+        saves rehashing the image.  :attr:`calls` counts every request,
+        served or not.
+        """
+        self.calls += 1
+        key = (image_hash or state.image_hash(), lines_digest(state.expected))
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            verdict = self.verdicts[key] = self.oracle.evaluate(state)
+        return verdict
+
+    def submit(
+        self, state: CrashState, weight: int = 1, image_hash: str | None = None
+    ) -> tuple[Verdict, str]:
         """Attribute *state* to its class; returns ``(verdict, role)``.
 
         *weight* is the number of brute-force states this materialized
-        state stands for (1 plus its pinned-drop variants).
+        state stands for (1 plus its pinned-drop variants); *image_hash*
+        is passed on to :meth:`evaluate_raw`.
         """
         fingerprint = self.reducer.fingerprint(state)
         cls = self.classes.get(fingerprint)
         if cls is None:
-            verdict = self.evaluate_raw(state)
+            verdict = self.evaluate_raw(state, image_hash)
             cls = CrashClass(
                 fingerprint,
                 state.describe(),
@@ -185,11 +218,11 @@ class ClassOracle:
         cls.witnesses += 1
         cls.weight += weight
         if not cls.verdict.ok:
-            verdict = self.evaluate_raw(state)
+            verdict = self.evaluate_raw(state, image_hash)
             cls.evaluated += 1
             return verdict, "expanded"
         if cls.spot_checked < self.spot:
-            verdict = self.evaluate_raw(state)
+            verdict = self.evaluate_raw(state, image_hash)
             cls.evaluated += 1
             cls.spot_checked += 1
             if (verdict.outcome, verdict.signature()) != (

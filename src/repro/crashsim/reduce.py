@@ -55,12 +55,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.common.address import block_in_page, page_index
 from repro.common.constants import BLOCKS_PER_PAGE, MINOR_COUNTER_MAX
 from repro.crashsim.enumerate import (
     CrashEnumerator,
     CrashState,
     apply_op,
     canonical_value,
+    lines_digest,
     _copy_registers,
 )
 from repro.crashsim.trace import PersistTrace, registers_to_dict
@@ -145,25 +147,18 @@ class TreeOracle:
         self._match_cache: dict[tuple, bool] = {}
         self._root_cache: dict[str, bytes] = {}
 
-    @staticmethod
-    def _digest(lines: dict[int, bytes]) -> str:
-        h = hashlib.sha256()
-        for addr in sorted(lines):
-            h.update(addr.to_bytes(8, "little"))
-            h.update(lines[addr])
-        return h.hexdigest()
-
     def tree_lines(self, lines: dict[int, bytes]) -> dict[int, bytes]:
         """The counter- and Merkle-region subset of a durable image."""
+        counter, hmac, merkle = self.layout.region_bounds
         return {
             addr: data
             for addr, data in lines.items()
-            if self.layout.region_of(addr) in ("counter", "merkle")
+            if counter <= addr < hmac or addr >= merkle
         }
 
     def matches(self, tree_lines: dict[int, bytes], root: bytes) -> bool:
         """Would recovery step 1 accept *root* over this stored tree?"""
-        key = (self._digest(tree_lines), bytes(root))
+        key = (lines_digest(tree_lines), bytes(root))
         hit = self._match_cache.get(key)
         if hit is None:
             self.scheme.nvm.restore(tree_lines)
@@ -178,7 +173,7 @@ class TreeOracle:
         recomputed bottom-up from the leaves (stale interiors merely
         join the recompute set without contributing stored values).
         """
-        key = self._digest(counter_lines)
+        key = lines_digest(counter_lines)
         root = self._root_cache.get(key)
         if root is None:
             self.scheme.nvm.restore(counter_lines)
@@ -246,12 +241,11 @@ class CrashStateReducer:
     def _concrete(self, state: CrashState) -> str:
         """Hash of the observable image + observable canonical registers."""
         view = self.view
+        skip_merkle = not view.merkle_observable
+        merkle_base = self.layout.merkle_base
         h = hashlib.sha256()
         for addr in sorted(state.lines):
-            if (
-                not view.merkle_observable
-                and self.layout.region_of(addr) == "merkle"
-            ):
+            if skip_merkle and addr >= merkle_base:
                 continue
             h.update(addr.to_bytes(8, "little"))
             h.update(state.lines[addr])
@@ -269,11 +263,11 @@ class CrashStateReducer:
             h.update(f"torn:{state.k}:{state.torn}".encode())
         return h.hexdigest()
 
-    def _survivor_pair(self, state: CrashState, addr: int):
-        """(major, minor) of the last surviving write to *addr*, or None."""
-        dropped = set(state.dropped)
+    def _survivor_pair(self, k: int, dropped: set[int], addr: int):
+        """(major, minor) of the last write to *addr* that survives a
+        crash at point *k* with units *dropped* lost, or None."""
         for unit_index, seq in reversed(self._writes.get(addr, ())):
-            if unit_index < state.k and unit_index not in dropped:
+            if unit_index < k and unit_index not in dropped:
                 return self.trace.counters.get(seq)
         return None
 
@@ -283,12 +277,11 @@ class CrashStateReducer:
         layout = self.layout
         registers = state.registers
 
+        data_end, counter_end, _ = layout.region_bounds
         touched: dict[int, list[int]] = {}
         for addr in state.lines:
-            if layout.region_of(addr) == "data":
-                touched.setdefault(layout.counter_leaf_index(addr), []).append(
-                    addr
-                )
+            if addr < data_end:
+                touched.setdefault(page_index(addr), []).append(addr)
 
         # Per-leaf features are *anonymized* (no leaf or slot identity):
         # a passing verdict exposes only totals — Nretry, the
@@ -310,9 +303,11 @@ class CrashStateReducer:
             adjusted = {
                 addr: data
                 for addr, data in state.lines.items()
-                if layout.region_of(addr) == "counter"
+                if data_end <= addr < counter_end
             }
         decoded = self._decoded
+        k = state.k
+        dropped = set(state.dropped)
         for leaf, addrs in sorted(touched.items()):
             counter_addr = layout.counter_line_addr(addrs[0])
             stored_raw = state.lines.get(counter_addr)
@@ -326,10 +321,10 @@ class CrashStateReducer:
             retries_here = 0
             rolled = False
             for addr in sorted(addrs):
-                survivor = self._survivor_pair(state, addr)
+                survivor = self._survivor_pair(k, dropped, addr)
                 if survivor is None:
                     return None
-                slot = layout.block_slot(addr)
+                slot = block_in_page(addr)
                 smaj, smin = stored.counter_pair(slot)
                 maj, minor = survivor
                 # Mirror RecoveryManager._recover_block: roll the minor

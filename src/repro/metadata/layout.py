@@ -216,12 +216,10 @@ class MemoryLayout:
 
     def node_of_addr(self, addr: int) -> MerkleNodeId:
         """Inverse of :meth:`merkle_node_addr` for counter/Merkle addresses."""
-        level = self.level_of_addr(addr)
-        if level >= 0:
-            index = (addr - self._level_starts[level]) // CACHE_LINE_SIZE
-            if index < self.level_counts[level]:
-                return MerkleNodeId(level, index)
-        raise ValueError(f"address {addr:#x} is not a tree-node address")
+        position = self.node_position(addr)
+        if position is None:
+            raise ValueError(f"address {addr:#x} is not a tree-node address")
+        return MerkleNodeId(*position)
 
     def level_of_addr(self, addr: int) -> int:
         """``node_of_addr(addr).level`` for a counter or Merkle-node address.
@@ -232,6 +230,27 @@ class MemoryLayout:
         nodes, such as meta-cache contents.
         """
         return bisect_right(self._level_starts, addr) - 1
+
+    def node_position(self, addr: int) -> tuple[int, int] | None:
+        """``(level, index)`` of the tree node stored at line *addr*, or None.
+
+        :meth:`node_of_addr` as integers, for the whole-image scans that
+        map every touched line: ``None`` for a data or data-HMAC line (or
+        past the tree) instead of raising, and no :class:`MerkleNodeId`.
+        """
+        starts = self._level_starts
+        level = bisect_right(starts, addr) - 1
+        if level < 0:
+            return None
+        index = (addr - starts[level]) >> CACHE_LINE_BITS
+        if index >= self.level_counts[level]:
+            return None
+        return level, index
+
+    def node_line_addr(self, level: int, index: int) -> int:
+        """:meth:`merkle_node_addr` of ``MerkleNodeId(level, index)``,
+        unvalidated: for indices a scan already knows to be in range."""
+        return self._level_starts[level] + (index << CACHE_LINE_BITS)
 
     def region_of(self, addr: int) -> str:
         """Region name ('data' | 'counter' | 'data_hmac' | 'merkle') of *addr*."""

@@ -72,30 +72,16 @@ class MerkleTree:
         self.engine = engine
         self.genesis = genesis
 
-    # -- node access (attacker-visible image; no traffic accounting) -----------
-
-    def node_bytes(self, node: MerkleNodeId) -> bytes:
-        """Current NVM contents of *node* (genesis value if untouched)."""
-        return self.nvm.peek(self.layout.merkle_node_addr(node))
-
-    def child_hmac(self, child: MerkleNodeId) -> bytes:
-        """HMAC of *child*'s current contents, as its parent should store it."""
-        addr = self.layout.merkle_node_addr(child)
-        if not self.nvm.is_touched(addr):
-            return self.genesis.node_hmac(child.level)
-        return self.engine.recovery_counter_hmac(self.nvm.peek(addr))
-
     # -- sparse touched-node bookkeeping ------------------------------------------
 
     def _touched_nodes(self) -> dict[int, set[int]]:
         """Touched counter/Merkle lines grouped as {level: {index, ...}}."""
         per_level: dict[int, set[int]] = {}
+        position = self.layout.node_position
         for addr in self.nvm.touched_lines():
-            region = self.layout.region_of(addr)
-            if region not in ("counter", "merkle"):
-                continue
-            node = self.layout.node_of_addr(addr)
-            per_level.setdefault(node.level, set()).add(node.index)
+            pos = position(addr)
+            if pos is not None:
+                per_level.setdefault(pos[0], set()).add(pos[1])
         return per_level
 
     # -- bulk operations ----------------------------------------------------------
@@ -111,32 +97,31 @@ class MerkleTree:
         Returns the implied 64 B root-node value.
         """
         layout = self.layout
+        peek = self.nvm.peek
+        node_addr = layout.node_line_addr
+        node_hmac = self.engine.recovery_counter_hmac
         touched = self._touched_nodes()
         # Leaf inputs: the stored counter lines.
         current: dict[int, bytes] = {
-            idx: self.node_bytes(MerkleNodeId(0, idx))
-            for idx in touched.get(0, set())
+            idx: peek(node_addr(0, idx)) for idx in touched.get(0, set())
         }
         for level in range(1, layout.num_levels):
             affected = {idx // MERKLE_ARITY for idx in current}
             affected |= touched.get(level, set())
+            child_count = layout.level_counts[level - 1]
             parents: dict[int, bytes] = {}
             for parent_idx in affected:
                 node = self.genesis.node(level)
                 for slot in range(MERKLE_ARITY):
                     child_idx = parent_idx * MERKLE_ARITY + slot
-                    if child_idx >= layout.level_counts[level - 1]:
+                    if child_idx >= child_count:
                         break
                     child_val = current.get(child_idx)
                     if child_val is not None:
-                        node = write_slot(
-                            node, slot, self.engine.recovery_counter_hmac(child_val)
-                        )
+                        node = write_slot(node, slot, node_hmac(child_val))
                 parents[parent_idx] = node
                 if poke and level < layout.root_level:
-                    self.nvm.poke(
-                        layout.merkle_node_addr(MerkleNodeId(level, parent_idx)), node
-                    )
+                    self.nvm.poke(node_addr(level, parent_idx), node)
             current = parents
         return current.get(0, self.genesis.root_register())
 
@@ -170,28 +155,38 @@ class MerkleTree:
         Results are ordered bottom-up, leaf edges first.
         """
         layout = self.layout
+        root_level = layout.root_level
         touched = self._touched_nodes()
         edges: set[tuple[int, int]] = set()  # child (level, index)
         for level, indices in touched.items():
             for index in indices:
-                node = MerkleNodeId(level, index)
-                if level < layout.root_level:
+                if level < root_level:
                     edges.add((level, index))  # the edge above this node
-                for child in layout.children_of(node):
-                    edges.add((child.level, child.index))  # edges below
+                if level:  # the edges below
+                    first = index * MERKLE_ARITY
+                    last = min(first + MERKLE_ARITY, layout.level_counts[level - 1])
+                    edges.update((level - 1, child) for child in range(first, last))
+        nvm = self.nvm
+        node_addr = layout.node_line_addr
         mismatches = []
         for level, index in sorted(edges):
-            child = MerkleNodeId(level, index)
-            parent = layout.parent_of(child)
-            slot = layout.slot_in_parent(child)
-            if parent.level == layout.root_level:
+            parent_idx, slot = divmod(index, MERKLE_ARITY)
+            if level + 1 == root_level:
                 stored = read_slot(root_register, slot)
-                parent_id = None
             else:
-                stored = read_slot(self.node_bytes(parent), slot)
-                parent_id = parent
-            if stored != self.child_hmac(child):
-                mismatches.append(MismatchedEdge(parent_id, child))
+                stored = read_slot(nvm.peek(node_addr(level + 1, parent_idx)), slot)
+            addr = node_addr(level, index)
+            if nvm.is_touched(addr):
+                actual = self.engine.recovery_counter_hmac(nvm.peek(addr))
+            else:
+                actual = self.genesis.node_hmac(level)
+            if stored != actual:
+                parent = (
+                    None
+                    if level + 1 == root_level
+                    else MerkleNodeId(level + 1, parent_idx)
+                )
+                mismatches.append(MismatchedEdge(parent, MerkleNodeId(level, index)))
         return mismatches
 
     def verify_consistent(self, root_register: bytes) -> bool:

@@ -7,6 +7,8 @@ is byte-identical across serial, pooled and warm-cache runs; and a
 failing shard is isolated instead of poisoning the rest of the grid.
 """
 
+import json
+
 import pytest
 
 from repro.analysis.export import campaign_summary_to_json
@@ -178,7 +180,8 @@ class TestDifferentialContract:
 
 
 class TestTraceSharing:
-    """A worker records each cell's trace once; shards must not mutate it."""
+    """A worker builds one context per cell: its shards share the trace,
+    the reducer and the verdict memo, and must not mutate the trace."""
 
     CFG = CrashCampaignConfig(
         schemes=("ccnvm",), profiles=("hotset",), steps=24, shards=2
@@ -195,9 +198,18 @@ class TestTraceSharing:
             repr(trace.initial_registers),
         )
 
-    def test_shards_share_one_unchanged_trace(self):
+    def test_shards_share_one_unchanged_trace(self, monkeypatch):
         import repro.crashsim.explore as explore_mod
+        import repro.crashsim.oracle as oracle_mod
 
+        shared = []
+
+        class Recording(oracle_mod.ClassOracle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                shared.append((self.reducer, self.verdicts))
+
+        monkeypatch.setattr(oracle_mod, "ClassOracle", Recording)
         specs = campaign_specs(self.CFG)
         spec = specs[0]
         key = (
@@ -207,20 +219,97 @@ class TestTraceSharing:
             spec.params["data_capacity"],
             "hotset",
         )
-        trace = explore_mod._record_trace(*key)
-        before = self.snapshot(trace)
+        explore_mod._cell_context.cache_clear()
+        cell = explore_mod._cell_context(*key)
+        before = self.snapshot(cell.trace)
+        sizes = []
         for shard_spec in specs:
             explore_mod.run_enumerate_cell(shard_spec)
-        assert explore_mod._record_trace(*key) is trace
-        assert self.snapshot(trace) == before
+            sizes.append(len(cell.verdicts))
+        assert explore_mod._cell_context(*key) is cell
+        assert self.snapshot(cell.trace) == before
+        assert len(shared) == len(specs)
+        assert all(r is cell.reducer and v is cell.verdicts for r, v in shared)
+        # Every shard judged states of its own into the one memo.
+        assert 0 < sizes[0] < sizes[1]
 
     @pytest.mark.parametrize("field", range(5))
     def test_any_key_change_records_a_new_trace(self, field):
         import repro.crashsim.explore as explore_mod
 
         key = ["ccnvm", 24, 7, 1 << 16, "hotset"]
-        trace = explore_mod._record_trace(*key)
+        cell = explore_mod._cell_context(*key)
         key[field] = ["sc", 16, 8, 1 << 17, "lbm"][field]
-        other = explore_mod._record_trace(*key)
-        assert other is not trace
-        assert explore_mod._record_trace(*key) is other
+        other = explore_mod._cell_context(*key)
+        assert other.trace is not cell.trace
+        assert other.reducer is not cell.reducer
+        assert other.verdicts is not cell.verdicts
+        assert explore_mod._cell_context(*key) is other
+
+
+class _NeverHits(dict):
+    """A verdict memo that stores every verdict and serves none."""
+
+    def get(self, key, default=None):
+        return default
+
+
+class TestVerdictMemo:
+    """The cell's verdict memo changes no payload byte, and each verdict
+    it serves is what a fresh oracle returns for that state."""
+
+    CFG = CrashCampaignConfig(profiles=("hotset",), steps=24, shards=2)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        import repro.crashsim.explore as explore_mod
+        import repro.crashsim.oracle as oracle_mod
+
+        specs = campaign_specs(self.CFG)
+        served = []
+
+        class Recording(oracle_mod.ClassOracle):
+            def evaluate_raw(self, state, image_hash=None):
+                judged = len(self.verdicts)
+                verdict = super().evaluate_raw(state, image_hash)
+                if len(self.verdicts) == judged:
+                    served.append((self.oracle.scheme_name, state, verdict))
+                return verdict
+
+        class Unmemoized(oracle_mod.ClassOracle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.verdicts = _NeverHits()
+
+        payloads = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for name, oracle_cls in (("memo", Recording), ("none", Unmemoized)):
+                mp.setattr(oracle_mod, "ClassOracle", oracle_cls)
+                explore_mod._cell_context.cache_clear()
+                payloads[name] = [
+                    json.dumps(explore_mod.run_enumerate_cell(spec), sort_keys=True)
+                    for spec in specs
+                ]
+        explore_mod._cell_context.cache_clear()
+        return payloads, served
+
+    def test_payloads_match_a_run_without_the_memo(self, runs):
+        payloads, served = runs
+        assert len(payloads["memo"]) == 12
+        assert payloads["memo"] == payloads["none"]
+        # Not vacuous: every design's cell has repeated states.
+        assert {scheme for scheme, _, _ in served} == set(
+            self.CFG.resolved_schemes()
+        )
+
+    def test_served_verdicts_equal_a_fresh_oracle(self, runs):
+        from repro.crashsim import RecoveryOracle
+
+        _, served = runs
+        cfg = self.CFG
+        for scheme, state, verdict in served:
+            fresh = RecoveryOracle(scheme, cfg.data_capacity, cfg.seed)
+            assert fresh.evaluate(state).to_dict() == verdict.to_dict(), (
+                scheme,
+                state.describe(),
+            )

@@ -78,6 +78,7 @@ def test_node_addr_roundtrip_along_path(args):
         if node.level == layout.root_level:
             continue
         node_addr = layout.merkle_node_addr(node)
+        assert layout.node_line_addr(node.level, node.index) == node_addr
         assert layout.node_of_addr(node_addr) == node
         assert layout.level_of_addr(node_addr) == node.level
 
@@ -218,6 +219,7 @@ def test_tree_path_rejects_what_node_of_addr_rejects(capacity, data):
             st.integers(min_value=layout.total_capacity, max_value=layout.total_capacity * 2),
         )
     )
+    assert layout.node_position(addr) is None
     with pytest.raises(ValueError):
         layout.node_of_addr(addr)
     with pytest.raises(ValueError):

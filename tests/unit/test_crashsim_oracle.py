@@ -54,8 +54,11 @@ class TestVerdicts:
     def test_oracle_instance_is_reusable(self, trace, oracle):
         """One scheme instance, rewound per state — order must not matter."""
         first = oracle.evaluate(state_at(trace, 5))
+        macs = oracle.scheme.hmac.data_hmac_count
         again = oracle.evaluate(state_at(trace, 5))
         assert first.to_dict() == again.to_dict()
+        # A real second recovery: verdicts are memoized only in ClassOracle.
+        assert oracle.scheme.hmac.data_hmac_count > macs
 
     def test_wrong_expected_contents_flagged(self, trace, oracle):
         state = state_at(trace, len(trace.units))
