@@ -9,7 +9,8 @@ Commands:
 * ``simulate`` — run one workload on one design and dump statistics;
 * ``crash campaign`` — enumerate every crash state ADR semantics permit
   for each scheme x workload cell of a grid, judge each equivalence
-  class's recovery once, and gate on exhaustive coverage; ``crash
+  class's recovery once, and gate on exhaustive coverage (``--closure``
+  also crashes each recovery at every persist, to a fixed point); ``crash
   replay`` / ``crash minimize`` — re-run and delta-debug the replayable
   reproducer artifacts the campaign emits for violations;
 * ``traffic ace`` — bounded exhaustive workload enumeration
@@ -217,51 +218,72 @@ def _campaign_gate(summary: dict) -> list[str]:
             f"{totals['sampling_fallbacks']} sampling fallback(s) "
             "(coverage not exhaustive)"
         )
+    if totals.get("closure_violations"):
+        problems.append(f"{totals['closure_violations']} closure violation(s)")
+    if totals.get("closure_unclosed"):
+        problems.append(
+            f"{totals['closure_unclosed']} closure(s) stopped at the member budget"
+        )
     if summary["failures"]:
         problems.append(f"{len(summary['failures'])} failed shard(s)")
     return problems
 
 
-def cmd_crash_campaign(args: argparse.Namespace) -> int:
-    from repro.crashsim import CrashCampaignConfig, run_campaign
-    from repro.crashsim.explore import DEFAULT_SHARDS, DEFAULT_STEPS
+def _print_campaign_row(scheme: str, label: str, cells: dict) -> None:
+    """One report line for *cells* (profile -> summary cell), summed."""
+    rows = sorted(cells.items())
+    covered = sum(c["states_covered"] for _, c in rows)
+    calls = sum(c["oracle_calls"] for _, c in rows)
+    violations = [(p, v) for p, c in rows for v in c["violations"]]
+    bad = any(c["violations"] or c["class_mismatches"] or c["sampling_fallbacks"]
+              for _, c in rows)
+    print(f"  {scheme:14s} {label:12s} {covered:6d} states covered by "
+          f"{calls:5d} oracle calls "
+          f"({sum(c['classes'] for _, c in rows):4d} classes, "
+          f"{round(covered / calls, 3) if calls else '-':>7}x)  "
+          f"{len(violations)} violation(s){'  <- CHECK' if bad else ''}")
+    closures = [c["closure"] for _, c in rows if "closure" in c]
+    if closures:
+        failed = [(p, v) for p, c in rows for v in c["closure"]["violations"]]
+        bad = failed or not all(c["closed"] for c in closures)
+        print(f"  {'':27s} closure: {sum(c['roots'] for c in closures)} roots -> "
+              f"{sum(c['members'] for c in closures)} members (depth "
+              f"{max(c['depth'] for c in closures)}), {len(failed)} violation(s)"
+              f"{'  <- CHECK' if bad else ''}")
+        violations += failed
+    for profile, v in violations[:3]:
+        where = f" schedule {v['schedule']}" if "schedule" in v else ""
+        print(f"      {profile} {v['state']}{where}: "
+              f"{'; '.join(v['verdict']['problems'][:2])}")
 
-    cfg = _validated(
-        "crash campaign",
-        CrashCampaignConfig,
-        schemes=tuple(args.schemes or ()),
-        profiles=tuple(args.profiles or ()),
-        steps=DEFAULT_STEPS if args.steps is None else args.steps,
-        window=args.window,
-        seed=args.seed,
-        shards=DEFAULT_SHARDS if args.shards is None else args.shards,
-        spot=args.spot,
-    )
-    if cfg is None:
-        return 2
-    schemes = cfg.resolved_schemes()
-    profiles = cfg.resolved_profiles()
-    print(f"crash campaign: {len(schemes)} scheme(s) x {len(profiles)} "
-          f"profile(s) @ {cfg.steps} steps, window {cfg.window}, seed "
-          f"{cfg.seed}, spot {cfg.spot} "
+
+def _run_campaign_command(
+    args: argparse.Namespace,
+    cfg,
+    name: str,
+    per_cell: bool,
+    min_classes: int = 0,
+    reproducers: str | None = None,
+) -> int:
+    """Run *cfg*, print its report, write ``--json`` and gate on it.
+
+    One row per grid cell when *per_cell*, else one per scheme.
+    """
+    from repro.crashsim import run_campaign
+
+    print(f"{name}: {len(cfg.resolved_schemes())} scheme(s) x "
+          f"{len(cfg.resolved_profiles())} profile(s) @ {cfg.steps} steps, "
+          f"window {cfg.window}, seed {cfg.seed}, spot {cfg.spot}"
+          f"{', closure' if cfg.closure else ''} "
           f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'})")
     summary, report = run_campaign(cfg, **_run_kwargs(args))
     print()
-    for scheme in sorted(summary["grid"]):
-        for profile, cell in sorted(summary["grid"][scheme].items()):
-            bad = (cell["violations"] or cell["class_mismatches"]
-                   or cell["sampling_fallbacks"])
-            ratio = cell["reduction_ratio"]
-            print(f"  {scheme:14s} {profile:12s} "
-                  f"{cell['states_covered']:6d} states covered by "
-                  f"{cell['oracle_calls']:5d} oracle calls "
-                  f"({cell['classes']:4d} classes, "
-                  f"{ratio if ratio is not None else '-':>7}x)  "
-                  f"{len(cell['violations'])} violation(s)"
-                  f"{'  <- CHECK' if bad else ''}")
-            for v in cell["violations"][:3]:
-                print(f"      {v['state']}: "
-                      f"{'; '.join(v['verdict']['problems'][:2])}")
+    for scheme, cells in sorted(summary["grid"].items()):
+        if per_cell:
+            for profile, cell in sorted(cells.items()):
+                _print_campaign_row(scheme, profile, {profile: cell})
+        else:
+            _print_campaign_row(scheme, f"{len(cells)} profiles", cells)
     totals = summary["totals"]
     failures = summary["failures"]
     ratio = totals["reduction_ratio"]
@@ -281,38 +303,62 @@ def cmd_crash_campaign(args: argparse.Namespace) -> int:
 
         with open(args.json, "w") as f:
             f.write(campaign_summary_to_json(summary))
-        print(f"wrote campaign summary to {args.json}")
-    if args.reproducers:
+        print(f"wrote {name} summary to {args.json}")
+    if reproducers:
         import os
 
         from repro.common.jsondoc import dumps_sorted
 
-        os.makedirs(args.reproducers, exist_ok=True)
+        os.makedirs(reproducers, exist_ok=True)
         written = 0
         for scheme in summary["grid"]:
             for profile, cell in summary["grid"][scheme].items():
                 for v in cell["violations"]:
                     if "reproducer" not in v:
                         continue
-                    name = v["state"].replace("=", "").replace(",", "_")
+                    stem = v["state"].replace("=", "").replace(",", "_")
                     path = os.path.join(
-                        args.reproducers, f"{scheme}_{profile}_{name}.json"
+                        reproducers, f"{scheme}_{profile}_{stem}.json"
                     )
                     with open(path, "w") as f:
                         f.write(dumps_sorted(v["reproducer"], 2))
                     written += 1
-        print(f"wrote {written} minimized reproducer(s) to {args.reproducers}/")
+        print(f"wrote {written} minimized reproducer(s) to {reproducers}/")
     problems = _campaign_gate(summary)
-    if args.min_classes and totals["classes"] < args.min_classes:
+    if min_classes and totals["classes"] < min_classes:
         problems.append(
-            f"only {totals['classes']} classes (< --min-classes "
-            f"{args.min_classes})"
+            f"only {totals['classes']} classes (< --min-classes {min_classes})"
         )
     if problems:
-        print(f"campaign FAILED: {', '.join(problems)}")
+        print(f"{name} FAILED: {', '.join(problems)}")
         return 1
-    print("campaign ok: exhaustive coverage, no violations")
+    print(f"{name} ok: exhaustive coverage, no violations"
+          f"{', every closure closed' if cfg.closure else ''}")
     return 0
+
+
+def cmd_crash_campaign(args: argparse.Namespace) -> int:
+    from repro.crashsim import CrashCampaignConfig
+    from repro.crashsim.explore import DEFAULT_SHARDS, DEFAULT_STEPS
+
+    cfg = _validated(
+        "crash campaign",
+        CrashCampaignConfig,
+        schemes=tuple(args.schemes or ()),
+        profiles=tuple(args.profiles or ()),
+        steps=DEFAULT_STEPS if args.steps is None else args.steps,
+        window=args.window,
+        seed=args.seed,
+        shards=DEFAULT_SHARDS if args.shards is None else args.shards,
+        spot=args.spot,
+        closure=args.closure,
+    )
+    if cfg is None:
+        return 2
+    return _run_campaign_command(
+        args, cfg, "crash campaign", per_cell=True,
+        min_classes=args.min_classes, reproducers=args.reproducers,
+    )
 
 
 def _load_reproducer(command: str, path: str):
@@ -406,48 +452,14 @@ def cmd_traffic_ace(args: argparse.Namespace) -> int:
             print(f"  {w.profile()}  lines={w.lines()}")
     if not args.campaign:
         return 0
-    from repro.crashsim import run_campaign
-
     cfg = _validated(
         "traffic ace", ace_campaign_config, k=args.k,
         schemes=tuple(args.schemes or ()), seed=args.seed, spot=args.spot,
+        closure=args.closure,
     )
     if cfg is None:
         return 2
-    schemes = cfg.resolved_schemes()
-    print(f"ace crash campaign: {len(schemes)} scheme(s) x "
-          f"{len(cfg.profiles)} workload(s), seed {cfg.seed} "
-          f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'})")
-    summary, report = run_campaign(cfg, **_run_kwargs(args))
-    totals = summary["totals"]
-    print(f"\n  totals: {totals['cells']} cells, {totals['covered']} states "
-          f"covered, {totals['oracle_calls']} oracle calls, "
-          f"{totals['violations']} violation(s), "
-          f"{totals['sampling_fallbacks']} sampling fallback(s)")
-    for scheme in sorted(summary["grid"]):
-        cells = summary["grid"][scheme]
-        violations = sum(len(c["violations"]) for c in cells.values())
-        covered = sum(c["states_covered"] for c in cells.values())
-        print(f"  {scheme:14s} {len(cells):4d} workloads, "
-              f"{covered:6d} states covered, {violations} violation(s)")
-        for profile, cell in sorted(cells.items()):
-            for v in cell["violations"][:2]:
-                print(f"      {profile} {v['state']}: "
-                      f"{'; '.join(v['verdict']['problems'][:2])}")
-    print(f"orchestration: {report.summary()}")
-    if args.json:
-        from repro.analysis.export import campaign_summary_to_json
-
-        with open(args.json, "w") as f:
-            f.write(campaign_summary_to_json(summary))
-        print(f"wrote ace campaign summary to {args.json}")
-    problems = _campaign_gate(summary)
-    if problems:
-        print(f"ace campaign FAILED: {', '.join(problems)}")
-        return 1
-    print(f"ace campaign ok: every bounded workload recovered on every "
-          f"scheme ({stats['dedup_ratio']}x canonical-form dedup)")
-    return 0
+    return _run_campaign_command(args, cfg, "ace campaign", per_cell=False)
 
 
 def cmd_runs_status(args: argparse.Namespace) -> int:
@@ -574,6 +586,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true",
                        help="suppress per-spec progress lines")
 
+    def add_campaign_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--schemes", nargs="+", metavar="SCHEME",
+                       choices=sorted(SCHEMES), default=None,
+                       help="grid rows (default: every scheme)")
+        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--spot", type=int, default=1,
+                       help="passing-class witnesses spot-checked per class")
+        p.add_argument("--closure", action="store_true",
+                       help="also crash every recovery after each of its "
+                            "persists and recover again, to a fixed point")
+        p.add_argument("--json", metavar="FILE", default=None,
+                       help="write the JSON campaign summary (grid, class "
+                            "tables, totals) to FILE")
+        add_run_options(p)
+
     evaluate = sub.add_parser("evaluate", help="regenerate Figure 5")
     evaluate.add_argument("--length", type=positive_int, default=4000)
     evaluate.add_argument("--seed", type=int, default=1)
@@ -614,9 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="the standing exhaustive campaign: scheme x workload grid of "
              "reduced (class-covered) explorations",
     )
-    ccampaign.add_argument("--schemes", nargs="+", metavar="SCHEME",
-                           choices=sorted(SCHEME_LABELS), default=None,
-                           help="grid rows (default: every scheme)")
     ccampaign.add_argument("--profiles", nargs="+", metavar="PROFILE",
                            default=None,
                            help="grid columns (default: hotset plus every "
@@ -627,22 +651,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default: the smoke budget)")
     ccampaign.add_argument("--window", type=int, default=4,
                            help="in-flight reordering window (units)")
-    ccampaign.add_argument("--seed", type=int, default=7)
     ccampaign.add_argument("--shards", type=int, default=None,
                            help="enumerate cells per grid cell (default 4)")
-    ccampaign.add_argument("--spot", type=int, default=1,
-                           help="passing-class witnesses spot-checked per "
-                                "class")
     ccampaign.add_argument("--min-classes", type=int, default=0,
                            help="fail unless the campaign distinguishes at "
                                 "least this many classes in total")
-    ccampaign.add_argument("--json", metavar="FILE", default=None,
-                           help="write the JSON campaign summary (grid, "
-                                "class tables, totals) to FILE")
     ccampaign.add_argument("--reproducers", metavar="DIR", default=None,
                            help="write minimized reproducer JSON artifacts "
                                 "into DIR")
-    add_run_options(ccampaign)
+    add_campaign_options(ccampaign)
     ccampaign.set_defaults(func=cmd_crash_campaign)
     creplay = csub.add_parser(
         "replay", help="re-run a reproducer artifact on a fresh oracle"
@@ -691,15 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     tace.add_argument("--campaign", action="store_true",
                       help="run the full enumeration through the crash "
                            "campaign with exhaustive-coverage gates")
-    tace.add_argument("--schemes", nargs="+", metavar="S", default=None,
-                      choices=sorted(SCHEMES),
-                      help="restrict the campaign (default: all schemes)")
-    tace.add_argument("--seed", type=int, default=7)
-    tace.add_argument("--spot", type=int, default=1,
-                      help="witness spot checks per passing class")
-    tace.add_argument("--json", metavar="FILE", default=None,
-                      help="write the campaign summary document to FILE")
-    add_run_options(tace)
+    add_campaign_options(tace)
     tace.set_defaults(func=cmd_traffic_ace)
 
     lint = sub.add_parser("lint", help="persistence-domain static analysis")

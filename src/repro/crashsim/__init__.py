@@ -24,14 +24,10 @@ pipeline and its only source of crash points:
    minimal replayable reproducer;
 7. :mod:`~repro.crashsim.explore` fans the whole thing out through the
    run orchestrator (cached, journaled, parallel) as the standing
-   scheme x workload crash campaign.
+   scheme x workload crash campaign, with the closure as a per-shard
+   option.
 """
 
-from repro.crashsim.closure import (
-    ClosureReport,
-    profile_closure,
-    recovery_closure,
-)
 from repro.crashsim.enumerate import (
     CrashEnumerator,
     CrashState,
@@ -76,7 +72,6 @@ from repro.crashsim.workload import record_workload
 
 __all__ = [
     "ALLOWED_OUTCOMES",
-    "ClosureReport",
     "CrashCampaignConfig",
     "ClassOracle",
     "CrashClass",
@@ -100,10 +95,8 @@ __all__ = [
     "campaign_specs",
     "from_state",
     "minimize",
-    "profile_closure",
     "rebuild_trace",
     "record_workload",
-    "recovery_closure",
     "recovery_view",
     "replay",
     "run_campaign",

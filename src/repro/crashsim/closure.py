@@ -19,6 +19,9 @@ never change what the surviving write stream implies.  A member is
 named by its *schedule*, the prefix lengths that lead to it from its
 root — the same list :meth:`RecoveryOracle.evaluate` replays.
 
+The crash campaign runs it per shard (``CrashCampaignConfig.closure``,
+``--closure``) and merges the shards' reports per cell.
+
 A violating member is reported but not expanded: its descendants would
 only restate the violation.  A correct recovery closes within a few
 thousand members per workload (DESIGN.md, "Crash during recovery");
@@ -28,45 +31,42 @@ stops at :data:`MAX_MEMBERS` and reports the closure as not reached.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.crashsim.enumerate import (
-    CrashEnumerator,
     CrashState,
     _copy_registers,
     apply_op,
+    lines_digest,
 )
 from repro.crashsim.oracle import RecoveryOracle
 
 
 @dataclass
 class ClosureReport:
-    """One closure's size, depth, outcomes and violations."""
+    """One closure's images, depth and violations."""
 
-    scheme: str
-    #: Distinct starting states (depth 0).
-    roots: int = 0
-    #: Distinct images judged, roots included.
-    members: int = 0
-    #: Longest schedule any member needed (0: no recovery persists).
-    depth: int = 0
+    #: Image hashes of the distinct starting states (depth 0).
+    roots: set[str] = field(default_factory=set)
+    #: Image hash -> length of its shortest schedule, for every member
+    #: judged (roots at 0).
+    members: dict[str, int] = field(default_factory=dict)
     #: False when the walk stopped at its member budget.
     closed: bool = True
-    outcomes: Counter = field(default_factory=Counter)
     #: ``{"state", "schedule", "verdict"}`` per violating member.
     violations: list[dict] = field(default_factory=list)
 
     @property
-    def ok(self) -> bool:
-        return self.closed and not self.violations
+    def depth(self) -> int:
+        """Longest schedule any member needed (0: no recovery persists)."""
+        return max(self.members.values(), default=0)
 
 
 #: Members one closure may judge before it gives up (see module docs).
+#: The campaign closes each shard separately, so a cell of *n* shards
+#: may judge up to *n* times this before it reports a walk unclosed.
 MAX_MEMBERS = 20_000
-#: Workload seed and device size of :func:`profile_closure`'s recordings.
-SEED = 1
-DATA_CAPACITY = 1 << 16
 
 
 def prefix_state(root: CrashState, state: CrashState, ops, persists: int):
@@ -78,33 +78,39 @@ def prefix_state(root: CrashState, state: CrashState, ops, persists: int):
     return CrashState(root.k, root.dropped, root.torn, lines, registers, root.expected)
 
 
-def recovery_closure(oracle: RecoveryOracle, roots) -> ClosureReport:
+def recovery_closure(oracle: RecoveryOracle, roots, memo=None) -> ClosureReport:
     """Close *roots* under crash-at-every-recovery-prefix; judge each member.
 
     Breadth first, so each member's schedule is a shortest one and
-    :attr:`ClosureReport.depth` is the nesting the fixed point needs.
-    Queued members stay unmaterialized (parent state, its recovery ops,
-    a prefix length) until judged.
+    :attr:`ClosureReport.depth` is the nesting the fixed point needs;
+    closures of several root sets thus merge into their union's, each
+    member at its smallest depth.  Queued members stay unmaterialized
+    (parent state, its recovery ops, a prefix length) until judged.
+
+    *memo* maps (image hash, expected-contents digest) to a member's
+    verdict, recovery ops and the image hash after each prefix of them;
+    closures over one oracle's (scheme, capacity, seed) may share it.
     """
-    report = ClosureReport(oracle.scheme_name)
-    seen: set[str] = set()
+    memo = {} if memo is None else memo
+    report = ClosureReport()
     queue: deque = deque()
     for root in roots:
         digest = root.image_hash()
-        if digest not in seen:
-            seen.add(digest)
-            queue.append((root, root, (), 0, ()))
-    report.roots = len(queue)
+        if digest not in report.roots:
+            report.roots.add(digest)
+            expected = lines_digest(root.expected)
+            queue.append((root, expected, root, (), 0, (), digest))
+    seen = set(report.roots)
     while queue:
-        if report.members >= MAX_MEMBERS:
+        if len(report.members) >= MAX_MEMBERS:
             report.closed = False
             break
-        root, parent, ops, persists, schedule = queue.popleft()
+        root, expected, parent, ops, persists, schedule, digest = queue.popleft()
         state = prefix_state(root, parent, ops, persists) if persists else parent
-        verdict, ops = oracle.evaluate_traced(state)
-        report.members += 1
-        report.depth = max(report.depth, len(schedule))
-        report.outcomes[verdict.outcome] += 1
+        if (digest, expected) not in memo:
+            memo[digest, expected] = _judge(oracle, state)
+        verdict, ops, children = memo[digest, expected]
+        report.members[digest] = len(schedule)
         if not verdict.ok:
             report.violations.append(
                 {
@@ -114,27 +120,23 @@ def recovery_closure(oracle: RecoveryOracle, roots) -> ClosureReport:
                 }
             )
             continue
-        lines = dict(state.lines)
-        registers = _copy_registers(state.registers)
-        for persists, op in enumerate(ops, 1):
-            apply_op(lines, registers, {}, op, {})
-            digest = CrashState(0, (), None, lines, registers, {}).image_hash()
-            if digest not in seen:
-                seen.add(digest)
-                queue.append((root, state, ops, persists, schedule + (persists,)))
+        for persists, child in enumerate(children, 1):
+            if child not in seen:
+                seen.add(child)
+                queue.append(
+                    (root, expected, state, ops, persists, schedule + (persists,), child)
+                )
     return report
 
 
-def profile_closure(scheme: str, profile: str, steps: int) -> ClosureReport:
-    """The closure of one recorded workload's run-time crash states.
-
-    The roots are every state :class:`CrashEnumerator` yields from the
-    profile's trace at the default (exhaustive) window.
-    """
-    from repro.core.schemes import create_scheme
-    from repro.crashsim.workload import record_workload
-
-    machine = create_scheme(scheme, data_capacity=DATA_CAPACITY, seed=SEED)
-    trace = record_workload(machine, steps, SEED, profile=profile)
-    oracle = RecoveryOracle(scheme, data_capacity=DATA_CAPACITY, seed=SEED)
-    return recovery_closure(oracle, CrashEnumerator(trace).states())
+def _judge(oracle: RecoveryOracle, state: CrashState):
+    """*state*'s verdict, recovery ops and image hash after each prefix."""
+    verdict, ops = oracle.evaluate_traced(state)
+    children = []
+    if verdict.ok:
+        lines = dict(state.lines)
+        registers = _copy_registers(state.registers)
+        for op in ops:
+            apply_op(lines, registers, {}, op, {})
+            children.append(CrashState(0, (), None, lines, registers, {}).image_hash())
+    return verdict, ops, children

@@ -11,14 +11,17 @@ cell's consecutive shards record it once and judge each distinct state
 once — expands its own points through the
 equivalence-class reducer, runs the oracle once per class, and returns
 distinct image hashes, an outcome histogram, the class table and
-(minimized) violations.
+(minimized) violations.  With the ``closure`` option a shard also
+closes the full enumeration's states at its points under crash during
+recovery (:mod:`repro.crashsim.closure`) and returns the root images,
+each member image's depth and any violations; the campaign unions them
+per cell, keeping each member's smallest depth.
 
 Because shards run through :func:`repro.runs.orchestrate`, campaigns
 are content-cached (a warm re-run executes nothing), journaled,
 resumable and parallel.  The merged summary is deliberately free of
 timings and orchestration counts, so a serial run and a ``--jobs 2``
-run of the same campaign produce byte-identical JSON.  Crashes during
-recovery itself are :mod:`repro.crashsim.closure`'s job.
+run of the same campaign produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ class CellContext:
 
     Everything here is read-only or content-keyed: the trace is never
     mutated after recording, the reducer's caches key on line contents,
-    and ``verdicts`` keys on a crash state's full content (see
-    :class:`~repro.crashsim.oracle.ClassOracle`).  So a shard's payload
+    and ``verdicts`` and ``closure`` key on a crash state's full content
+    (see :class:`~repro.crashsim.oracle.ClassOracle`).  So a shard's payload
     does not depend on which shards of its cell ran before it in the
     same worker.
     """
@@ -61,6 +64,10 @@ class CellContext:
     reducer: "CrashStateReducer"
     #: Content key -> verdict; see :meth:`ClassOracle.evaluate_raw`.
     verdicts: "dict[tuple[str, str], Verdict]"
+    #: The same key -> verdict, recovery ops and prefix image hashes;
+    #: filled by closure shards only (see
+    #: :func:`~repro.crashsim.closure.recovery_closure`).
+    closure: dict
 
 
 # Keeps the last cell: ``campaign_specs`` emits a cell's shards
@@ -79,7 +86,7 @@ def _cell_context(
     scheme = create_scheme(scheme_name, data_capacity=data_capacity, seed=seed)
     trace = record_workload(scheme, steps, seed, profile=profile)
     reducer = CrashStateReducer(trace, scheme_name, data_capacity, seed)
-    return CellContext(trace, reducer, {})
+    return CellContext(trace, reducer, {}, {})
 
 
 def _violation_entry(state, verdict, reproducer=None) -> dict:
@@ -122,7 +129,8 @@ def run_enumerate_cell(spec) -> dict:
     oracle run covers each class, violating classes fall back to
     per-witness evaluation and pinned-drop variants of violating states
     are materialized — violation findings stay byte-identical to a
-    brute-force run's, verdict for verdict.
+    brute-force run's, verdict for verdict.  A ``closure`` shard then
+    closes its points' states (:func:`~repro.crashsim.closure.recovery_closure`).
     """
     from repro.crashsim.oracle import ClassOracle, RecoveryOracle
     from repro.crashsim.reduce import ReducedEnumerator, materialize, pin_variants
@@ -148,7 +156,11 @@ def run_enumerate_cell(spec) -> dict:
     violations: list[dict] = []
     evaluated = 0
     minimized = 0
-    for state in enumerator.states(points=lambda k: k % shards == shard):
+
+    def in_shard(k: int) -> bool:
+        return k % shards == shard
+
+    for state in enumerator.states(points=in_shard):
         evaluated += 1
         digest = state.image_hash()
         hashes.add(digest)
@@ -179,7 +191,7 @@ def run_enumerate_cell(spec) -> dict:
     # Constant keys ("mode", "sampling", "reduce") stay: the golden shard
     # digests (tests/integration/test_campaign_digests.py) hash the whole
     # payload.  Enumeration never samples, so "sampling" is all zeros.
-    return {
+    payload = {
         "mode": "enumerate",
         "scheme": spec.scheme,
         "profile": profile,
@@ -198,6 +210,22 @@ def run_enumerate_cell(spec) -> dict:
         "classes": class_oracle.class_table(),
         "class_mismatches": list(class_oracle.mismatches),
     }
+    if p.get("closure"):
+        from repro.crashsim.closure import recovery_closure
+        from repro.crashsim.enumerate import CrashEnumerator
+
+        # The full enumeration roots the closure, not the reduced one:
+        # a drop the reducer pins leaves a distinct image, whose own
+        # recovery can be crashed.
+        roots = CrashEnumerator(trace, p["window"]).states(points=in_shard)
+        closure = recovery_closure(oracle, roots, cell.closure)
+        payload["closure"] = {
+            "roots": sorted(closure.roots),
+            "members": closure.members,
+            "closed": closure.closed,
+            "violations": closure.violations,
+        }
+    return payload
 
 
 def execute_cell(spec) -> dict:
@@ -234,6 +262,9 @@ class CrashCampaignConfig:
     #: Emit partially-applied batch states (protocol-violating; used to
     #: demonstrate the oracle catches ordering bugs).
     torn_batches: bool = False
+    #: Also close every crash state under crash during recovery
+    #: (:mod:`repro.crashsim.closure`); gated like the run-time pass.
+    closure: bool = False
 
     def __post_init__(self) -> None:
         from repro.trafficgen.ace import is_ace_profile, parse_profile
@@ -282,12 +313,36 @@ def campaign_specs(cfg: CrashCampaignConfig) -> list:
                     params["profile"] = profile
                 if cfg.torn_batches:
                     params["torn"] = True
+                if cfg.closure:
+                    params["closure"] = True
                 specs.append(
                     RunSpec(
                         kind="crash", scheme=scheme, seed=cfg.seed, params=params
                     )
                 )
     return specs
+
+
+def _merge_closures(shards: list[dict]) -> dict:
+    """One cell's closure row from its shards' closure payloads.
+
+    Each walk is breadth first, so their union, every member at its
+    smallest depth, is the closure of all the cell's roots at once.
+    """
+    members: dict[str, int] = {}
+    for shard in shards:
+        for digest, depth in shard["members"].items():
+            members[digest] = min(depth, members.get(digest, depth))
+    return {
+        "roots": len(set().union(*(shard["roots"] for shard in shards))),
+        "members": len(members),
+        "depth": max(members.values(), default=0),
+        "closed": all(shard["closed"] for shard in shards),
+        "violations": sorted(
+            (v for shard in shards for v in shard["violations"]),
+            key=lambda v: (v["state"], v["schedule"]),
+        ),
+    }
 
 
 def _merge_class_tables(tables: list[list[dict]]) -> tuple[list[dict], list[dict]]:
@@ -395,6 +450,8 @@ def run_campaign(
         cell["class_tables"].append(payload["classes"])
         cell["mismatches"].extend(payload["class_mismatches"])
         cell["sampling_points"] += payload["sampling"]["points"]
+        if cfg.closure:
+            cell.setdefault("closures", []).append(payload["closure"])
 
     summary = {
         "config": {
@@ -414,6 +471,8 @@ def run_campaign(
     }
     if cfg.torn_batches:
         summary["config"]["torn_batches"] = True
+    if cfg.closure:
+        summary["config"]["closure"] = True
     totals = {
         "cells": 0,
         "evaluated": 0,
@@ -424,6 +483,8 @@ def run_campaign(
         "class_mismatches": 0,
         "sampling_fallbacks": 0,
     }
+    if cfg.closure:
+        totals.update(closure_violations=0, closure_unclosed=0)
     for scheme in sorted(grid):
         for profile in sorted(grid[scheme]):
             cell = grid[scheme][profile]
@@ -458,6 +519,11 @@ def run_campaign(
                 "class_mismatches": mismatches,
                 "sampling_fallbacks": cell["sampling_points"],
             }
+            if cfg.closure:
+                closure = _merge_closures(cell["closures"])
+                totals["closure_violations"] += len(closure["violations"])
+                totals["closure_unclosed"] += not closure["closed"]
+                summary["grid"][scheme][profile]["closure"] = closure
     totals["reduction_ratio"] = (
         round(totals["covered"] / totals["oracle_calls"], 3)
         if totals["oracle_calls"]

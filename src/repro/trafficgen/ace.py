@@ -219,25 +219,30 @@ def ace_campaign_config(
     seed: int = 7,
     data_capacity: int = 1 << 16,
     spot: int = 1,
+    closure: bool = False,
 ):
     """A :class:`~repro.crashsim.explore.CrashCampaignConfig` covering
     every canonical k-write workload on *schemes* (empty = all six).
 
     Traces are k writes long, so shards=1: the crash-state space of one
     cell is tiny and the grid itself (Bell(k)*2^k profiles x schemes)
-    provides the parallelism.
+    provides the parallelism.  The window is at least the enumerator's
+    default, as in the standing campaign: a window of k < 4 leaves out
+    drop-sets that window 4 enumerates.
     """
+    from repro.crashsim.enumerate import DEFAULT_WINDOW
     from repro.crashsim.explore import CrashCampaignConfig
 
     return CrashCampaignConfig(
         schemes=tuple(schemes),
         profiles=tuple(ace_profiles(k)),
         steps=k,
-        window=k,
+        window=max(k, DEFAULT_WINDOW),
         seed=seed,
         shards=1,
         data_capacity=data_capacity,
         spot=spot,
+        closure=closure,
     )
 
 

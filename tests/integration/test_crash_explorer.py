@@ -6,8 +6,8 @@ with zero cc-NVM violations; a deliberately protocol-violating variant
 (torn batches) is caught *and* minimized to a handful of ops; and the
 committed minimized reproducer keeps failing.  Determinism across
 serial, pooled and warm-cache runs is pinned by
-``test_crash_campaign.py``; crashes during recovery itself by
-``test_recovery_closure.py``.
+``test_crash_campaign.py``; the campaign's ``closure`` option, which
+crashes recovery itself, by ``test_recovery_closure.py``.
 """
 
 import json

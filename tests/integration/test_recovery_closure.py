@@ -7,32 +7,42 @@ state.  These tests pin:
 * that a crash the recorder injects after *p* persists leaves exactly
   the image the recorded prefix of length *p* describes — the model
   the closure is built on;
-* slices of the closure (``repro.crashsim.closure``) on all six
-  designs: one re-key state, a hot-set@160 sample and a few ACE k=3
-  workloads.  The full closures run outside tier-1
-  (``benchmarks/test_recovery_closure.py``);
+* slices of the closure, run as a crash-campaign option
+  (``CrashCampaignConfig(closure=True)``) on all six designs: one
+  re-key state, a hot-set@160 sample and a few ACE k=3 workloads.  The
+  full closures run in CI (``repro crash campaign --profiles hotset
+  rekey --steps 160 --seed 1 --closure`` and ``repro traffic ace --k 3
+  --campaign --seed 1 --closure``);
+* that the campaign path closes exactly the full enumeration's states,
+  also where the class reducer pins drops, and that its merged shards
+  report what :func:`~repro.crashsim.closure.recovery_closure` reports
+  over all of them at once;
 * the two re-key recovery bugs the closure found: w/o CC laundering a
   written-off block into a wrong plaintext, and a crash between a
   re-encryption's data and HMAC pokes losing the block.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.core.schemes import create_scheme
 from repro.crashsim import (
     ALLOWED_OUTCOMES,
+    CrashCampaignConfig,
     CrashEnumerator,
     PowerFailure,
     RecoveryOracle,
     RecoveryRecorder,
-    profile_closure,
+    campaign_specs,
     record_workload,
-    recovery_closure,
+    run_campaign,
 )
-from repro.crashsim.closure import prefix_state
-from repro.crashsim.workload import REKEY
+from repro.crashsim import explore
+from repro.crashsim.closure import prefix_state, recovery_closure
+from repro.crashsim.workload import HOTSET, REKEY
 from repro.metadata.metacache import IntegrityError
-from repro.trafficgen.ace import ace_profiles
+from repro.trafficgen.ace import ace_campaign_config, ace_profiles
 
 SEED = 1
 CAPACITY = 1 << 16
@@ -52,13 +62,30 @@ REKEY_POINT = {
 PAGE = 0x2000
 
 
-def rekey_state(scheme: str):
-    trace = record_workload(
-        create_scheme(scheme, data_capacity=CAPACITY, seed=SEED), 0, SEED,
-        profile=REKEY,
+def record(scheme: str, profile: str, steps: int):
+    return record_workload(
+        create_scheme(scheme, data_capacity=CAPACITY, seed=SEED), steps, SEED,
+        profile=profile,
     )
+
+
+def rekey_state(scheme: str):
     k = REKEY_POINT[scheme]
+    trace = record(scheme, REKEY, 0)
     return next(CrashEnumerator(trace, window=0).states(points=lambda p: p == k))
+
+
+def closure_payloads(scheme: str, profile: str, only=None, **fields) -> list[dict]:
+    """The shard payloads of a one-cell closure campaign, or of its
+    shard *only*; *fields* set the rest of the campaign's config."""
+    cfg = CrashCampaignConfig(
+        schemes=(scheme,), profiles=(profile,), seed=SEED,
+        data_capacity=CAPACITY, closure=True, **fields,
+    )
+    specs = campaign_specs(cfg)
+    if only is not None:
+        specs = [specs[only]]
+    return [explore.run_enumerate_cell(spec) for spec in specs]
 
 
 def rewind(scheme, state) -> None:
@@ -96,27 +123,103 @@ class TestRecordedPrefixes:
 class TestClosureSlices:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_rekey_state_closes_clean(self, scheme):
-        oracle = RecoveryOracle(scheme, CAPACITY, SEED)
-        report = recovery_closure(oracle, [rekey_state(scheme)])
-        assert report.ok, report.violations[:3]
-        assert report.depth == 2
-        assert report.members > 100
+        """A shard whose one crash point is the re-keying one, window 0:
+        its single root is :func:`rekey_state`."""
+        (payload,) = closure_payloads(
+            scheme, REKEY, window=0, shards=1000, only=REKEY_POINT[scheme]
+        )
+        closure = payload["closure"]
+        assert closure["roots"] == [rekey_state(scheme).image_hash()]
+        assert closure["closed"] and not closure["violations"], closure["violations"][:3]
+        assert max(closure["members"].values()) == 2
+        assert len(closure["members"]) > 100
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_hotset_sample_closes_clean(self, scheme):
-        trace = record_workload(
-            create_scheme(scheme, data_capacity=CAPACITY, seed=SEED), 160, SEED
-        )
-        roots = CrashEnumerator(trace).states(points=lambda k: k % 60 == 30)
-        report = recovery_closure(RecoveryOracle(scheme, CAPACITY, SEED), roots)
-        assert report.ok, report.violations[:3]
-        assert report.members > report.roots
+        (payload,) = closure_payloads(scheme, HOTSET, steps=160, shards=60, only=30)
+        closure = payload["closure"]
+        assert closure["closed"] and not closure["violations"], closure["violations"][:3]
+        assert len(closure["members"]) > len(closure["roots"])
 
     def test_ace_sample_closes_clean(self):
-        for scheme in SCHEMES:
-            for profile in ace_profiles(3)[::8]:
-                report = profile_closure(scheme, profile, 0)
-                assert report.ok, (scheme, profile, report.violations[:3])
+        cfg = replace(
+            ace_campaign_config(3, seed=SEED, closure=True),
+            profiles=tuple(ace_profiles(3)[::8]),
+        )
+        summary, _ = run_campaign(cfg, cache=False)
+        totals = summary["totals"]
+        assert totals["cells"] == len(SCHEMES) * len(cfg.profiles)
+        assert totals["closure_violations"] == 0
+        assert totals["closure_unclosed"] == 0
+        for row in summary["grid"].values():
+            for cell in row.values():
+                assert cell["closure"]["members"] > cell["closure"]["roots"]
+
+
+class TestCampaignPath:
+    def test_option_off_leaves_spec_params_unchanged(self):
+        """Off, the specs (and so their hashes and cached payloads) are
+        the parent's; ``test_campaign_digests`` pins the payloads."""
+        cfg = CrashCampaignConfig(profiles=(HOTSET, REKEY))
+        off = campaign_specs(cfg)
+        on = campaign_specs(replace(cfg, closure=True))
+        assert len(off) == len(on)
+        for plain, closing in zip(off, on):
+            assert "closure" not in plain.params
+            assert closing.params == {**plain.params, "closure": True}
+
+    def test_roots_are_the_full_enumeration_where_the_reducer_pins(self):
+        """On this fenced w/o CC workload the run-time pass materializes
+        fewer images than the enumerator yields; the closure still roots
+        every one."""
+        profile = "ace-k3-000-100"
+        (payload,) = closure_payloads("no_cc", profile, steps=3, shards=1)
+        trace = record("no_cc", profile, 3)
+        full = {s.image_hash() for s in CrashEnumerator(trace).states()}
+        assert len(payload["states"]) < len(full)
+        assert payload["closure"]["roots"] == sorted(full)
+
+    def test_rekey_shard_roots_are_its_points_states(self):
+        (payload,) = closure_payloads("ccnvm", REKEY, shards=60, only=30)
+        trace = record("ccnvm", REKEY, 0)
+        states = CrashEnumerator(trace).states(points=lambda k: k % 60 == 30)
+        assert payload["closure"]["roots"] == sorted({s.image_hash() for s in states})
+
+    @pytest.mark.parametrize("scheme", ["ccnvm", "sc"])
+    def test_merged_shards_match_the_closure_of_the_full_roots(self, scheme):
+        """Four shards close their own points' states; merged, the
+        campaign's cell is the closure of every enumerated state at
+        once, root for root, member for member and depth for depth.
+
+        The shards' closures overlap, and on SC a shard reaches some
+        members at depth 2 that the whole closure reaches at depth 1.
+        The reference closure keeps its own memo, so none of its
+        verdicts or recoveries reaches the campaign's shards.
+        """
+        steps = 16
+        cfg = CrashCampaignConfig(
+            schemes=(scheme,), profiles=(HOTSET,), steps=steps, seed=SEED,
+            data_capacity=CAPACITY, closure=True,
+        )
+        summary, report = run_campaign(cfg, cache=False)
+        payloads = [o.payload["closure"] for o in report.outcomes.values()]
+        direct = recovery_closure(
+            RecoveryOracle(scheme, CAPACITY, SEED),
+            CrashEnumerator(record(scheme, HOTSET, steps)).states(),
+        )
+        assert direct.closed and not direct.violations
+        members: dict[str, int] = {}
+        for payload in payloads:
+            for digest, depth in payload["members"].items():
+                members[digest] = min(depth, members.get(digest, depth))
+        assert sum(len(p["members"]) for p in payloads) > len(members)
+        assert set().union(*(p["roots"] for p in payloads)) == direct.roots
+        assert members == direct.members
+        cell = summary["grid"][scheme][HOTSET]["closure"]
+        assert (cell["roots"], cell["members"], cell["depth"]) == (
+            len(direct.roots), len(direct.members), direct.depth,
+        )
+        assert cell["closed"] and not cell["violations"]
 
 
 class TestRekeyRecoveryBugs:

@@ -148,6 +148,9 @@ MUTANTS: tuple[Mutant, ...] = (
         "        self.tcb.begin_recovery()\n",
         "        self.tcb.recovery_pending = True\n",
         lint=("P1",),
+        catchers=(
+            "tests/integration/test_recovery_closure.py::TestClosureSlices::test_rekey_state_closes_clean[ccnvm]",
+        ),
     ),
     Mutant(
         "M11", "P4", "CcNVM.recover reads len(self.meta.overlay)",
@@ -289,6 +292,9 @@ MUTANTS: tuple[Mutant, ...] = (
         "    for pattern in set(growth_strings(k)):\n",
         hashseeds=(0, 1),
         lint=("D1",),
+        catchers=(
+            "tests/integration/test_trafficgen.py::TestAceCampaign::test_summary_does_not_depend_on_the_hash_seed",
+        ),
     ),
     Mutant(
         "M24", "XC", "WPQ write_partial dropped from the stores= declaration",

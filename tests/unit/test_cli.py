@@ -215,6 +215,30 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ace campaign ok" in out
 
+    def test_closure_flag_runs_the_closure(self, capsys, monkeypatch, tmp_path):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "traffic", "ace", "--k", "1", "--campaign", "--schemes", "ccnvm",
+            "--closure", "--no-cache", "--quiet", "--json", "ace.json",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "closure: " in out and "every closure closed" in out
+        summary = json.loads((tmp_path / "ace.json").read_text())
+        assert summary["config"]["closure"] is True
+        assert summary["totals"]["closure_violations"] == 0
+
+    def test_campaign_gate_fails_on_closure_findings(self):
+        from repro.cli import _campaign_gate
+
+        totals = {"cells": 1, "violations": 0, "class_mismatches": 0,
+                  "sampling_fallbacks": 0, "closure_violations": 2,
+                  "closure_unclosed": 1}
+        assert _campaign_gate({"totals": totals, "failures": []}) == [
+            "2 closure violation(s)", "1 closure(s) stopped at the member budget",
+        ]
+
     def test_lint_runs_clean_on_repo(self, capsys, monkeypatch):
         import repro
 

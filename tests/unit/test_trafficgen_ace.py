@@ -189,7 +189,7 @@ class TestCampaignConfig:
         assert cfg.profiles == tuple(ace_profiles(2))
         assert len(cfg.profiles) == canonical_count(2)
         assert cfg.steps == 2
-        assert cfg.window == 2
+        assert cfg.window == 4  # max(k, DEFAULT_WINDOW)
         assert cfg.shards == 1
         assert cfg.schemes == ("ccnvm", "sc")
 
