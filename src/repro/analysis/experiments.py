@@ -169,7 +169,10 @@ def _sensitivity(
     submitted at once, so the pool keeps every worker busy across swept
     values instead of synchronizing per point.  Workload-outer order
     keeps each workload's cells adjacent, so they share one recorded
-    LLC stream (the swept knobs never reach the L1/L2).
+    LLC stream (the swept knobs never reach the L1/L2).  When they
+    outnumber half a worker's share (the default panels at any ``jobs``
+    above 1), the pool cuts them into several chunks, each recording
+    the stream once.
     """
     run_schemes = (["no_cc"] if "no_cc" not in schemes else []) + list(schemes)
     configs = {value: make_config(value) for value in values}

@@ -53,6 +53,7 @@ PERCENTILES = (50, 95, 99)
 
 
 def _bucket_index(value: float) -> int:
+    """Histogram bucket of *value*; :meth:`Distribution.sample` inlines it."""
     if value < 1:
         return 0
     return min(HISTOGRAM_BUCKETS - 1, 1 + int(value).bit_length() - 1)
@@ -89,7 +90,12 @@ class Distribution:
             self.min = value
         if value > self.max:
             self.max = value
-        self.buckets[_bucket_index(value)] += 1
+        # _bucket_index(value), inline: sample runs on every modeled event.
+        if value < 1:
+            self.buckets[0] += 1
+        else:
+            index = int(value).bit_length()
+            self.buckets[index if index < HISTOGRAM_BUCKETS else HISTOGRAM_BUCKETS - 1] += 1
 
     @property
     def mean(self) -> float:

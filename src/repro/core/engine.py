@@ -17,7 +17,7 @@ to avoid one-time-pad reuse).
 
 from __future__ import annotations
 
-from repro.common.address import page_align
+from repro.common.address import block_in_page, page_align
 from repro.common.constants import BLOCKS_PER_PAGE, CACHE_LINE_SIZE, HMAC_SIZE
 from repro.common.persistence import persistence
 from repro.common.stats import StatGroup
@@ -81,12 +81,13 @@ class EncryptionEngine:
         """
         if len(plaintext) != CACHE_LINE_SIZE:
             raise ValueError("write-backs are whole cache lines")
-        major, minor = counters.counter_pair(self.layout.block_slot(addr))
+        # The one data-region check of *addr*; the WPQ checks alignment.
+        hmac_line, offset = self.layout.data_hmac_location(addr)
+        major, minor = counters.counter_pair(block_in_page(addr))
         ciphertext = self.cipher.encrypt(plaintext, addr, major, minor)
         code = self.hmac.data_hmac(ciphertext, addr, major, minor)
         self.wpq.begin_combined()
         self.wpq.write(addr, ciphertext)
-        hmac_line, offset = self.layout.data_hmac_location(addr)
         self.wpq.write_partial(hmac_line, offset, code)
         self.wpq.end_combined()
         self._writebacks.inc()
@@ -102,10 +103,11 @@ class EncryptionEngine:
         match the (data, address, counter) triple — runtime detection of
         spoofing and splicing.
         """
-        major, minor = counters.counter_pair(self.layout.block_slot(addr))
+        # The one data-region check of *addr*; the device checks alignment.
+        hmac_line, offset = self.layout.data_hmac_location(addr)
+        major, minor = counters.counter_pair(block_in_page(addr))
         ciphertext = self._read_line(addr)
         if verify:
-            hmac_line, offset = self.layout.data_hmac_location(addr)
             stored = self._read_line(hmac_line)[offset:offset + HMAC_SIZE]
             computed = self.hmac.data_hmac(ciphertext, addr, major, minor)
             if not self.hmac.verify(bytes(stored), computed):

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.common.address import page_align
+from repro.common.address import block_in_page, page_align
 from repro.common.config import SystemConfig
 from repro.common.constants import MINOR_COUNTER_MAX
 from repro.common.persistence import persistence
@@ -123,6 +123,7 @@ class SecureNVMScheme(ABC):
         self._propagation_queue: list[int] = []
         self._propagating = False
         self._hmac_cycles = config.security.hmac_latency_cycles
+        self._aes_cycles = config.aes_cycles
         self._wb_blocking = self.stats.distribution(
             "writeback_blocking_cycles", "cycles the evictor waited per write-back"
         )
@@ -135,8 +136,11 @@ class SecureNVMScheme(ABC):
     # subclass seams
     # ------------------------------------------------------------------
 
-    def _pre_accept(self, now: int, addr: int) -> int:
-        """Work before a write-back to *addr* is accepted; returns cycles."""
+    def _pre_accept(self, now: int, counter_addr: int) -> int:
+        """Work before a write-back is accepted; returns cycles.
+
+        *counter_addr* is the counter line of the written data block.
+        """
         return 0
 
     @abstractmethod
@@ -185,19 +189,19 @@ class SecureNVMScheme(ABC):
         drains seize the whole WPQ); the hierarchy charges that part of
         the stall in full.
         """
+        counter_addr = self.layout.counter_line_addr(addr)
         start = max(now, self.busy_until)
         self.writeback_hard_cycles = 0
         cycles = start - now
 
-        cycles += self._pre_accept(now + cycles, addr)
+        cycles += self._pre_accept(now + cycles, counter_addr)
 
-        result = self.meta.load_counter(addr)
-        cycles += result.cycles
-        counters: CounterLine = result.value
-        counter_addr = self.layout.counter_line_addr(addr)
-        line = self.meta.probe(counter_addr)
+        # meta.load_counter, keeping the line.
+        line, load_cycles, _ = self.meta.load_line(counter_addr)
+        cycles += load_cycles
+        counters: CounterLine = line.data
 
-        block = self.layout.block_slot(addr)
+        block = block_in_page(addr)  # addr checked by counter_line_addr
         will_overflow = counters.minors[block] == MINOR_COUNTER_MAX
         old_counters = counters.copy() if will_overflow else None
 
@@ -219,7 +223,7 @@ class SecureNVMScheme(ABC):
         # block enters the WPQ; every design pays this (including the
         # baseline), so it compresses *relative* gaps exactly as a real
         # pipeline would.
-        cycles += self.config.aes_cycles + self._hmac_cycles
+        cycles += self._aes_cycles + self._hmac_cycles
         # The data/HMAC write and the persistent Nwb bump form one atomic
         # micro-op: the write's WPQ acceptance (durable under ADR) and the
         # TCB register update happen in the same controller transaction,
@@ -257,7 +261,7 @@ class SecureNVMScheme(ABC):
         result = self.meta.load_counter(addr)
         counter_ready = start + result.cycles
         data_done = self.controller.read_completion(start)
-        completion = max(data_done, counter_ready + self.config.aes_cycles)
+        completion = max(data_done, counter_ready + self._aes_cycles)
         plaintext = self.engine.read_data_block(addr, result.value)
         self._read_latency.sample(completion - now)
         return plaintext, completion
@@ -266,7 +270,9 @@ class SecureNVMScheme(ABC):
     # shared tree-update helpers for subclasses
     # ------------------------------------------------------------------
 
-    def _spread_to_root(self, counter_addr: int) -> int:
+    def _spread_to_root(
+        self, counter_addr: int, path: list[tuple[int | None, int]]
+    ) -> tuple[int, list[tuple[CacheLine, bytes]]]:
         """Recompute the HMAC chain from a counter line up to ``root_new``.
 
         The computations are inherently serial ("the calculation of each
@@ -274,22 +280,31 @@ class SecureNVMScheme(ABC):
         Section 2.3); uncached ancestors are fetched and verified on the
         way.  Every updated node is left dirty in the meta cache.  This is
         the per-write-back work of SC, Osiris Plus and cc-NVM w/o DS.
+
+        *path* is ``layout.tree_path(counter_addr)``.  Returns the cycles
+        and, bottom-up, each line of the chain with the 64 B image it
+        holds now: the counter line, then every NVM-resident ancestor.
         """
+        load_line = self.meta.load_line
+        counter_hmac = self.hmac.counter_hmac
+        line = self.meta.probe(counter_addr)
+        child = line.data.encode()
+        chain = [(line, child)]
         cycles = 0
-        child_line = self.meta.probe(counter_addr)
-        for parent_addr, slot in self.layout.tree_path(counter_addr):
-            child_hmac = self.hmac.counter_hmac(self.meta.encoded(child_line))
+        for parent_addr, slot in path:
+            child_hmac = counter_hmac(child)
             cycles += self._hmac_cycles
             if parent_addr is None:
                 break
-            cycles += self.meta.load_verified(parent_addr).cycles
-            parent_line = self.meta.probe(parent_addr)
-            parent_line.data = write_slot(bytes(parent_line.data), slot, child_hmac)
-            parent_line.dirty = True
-            parent_line.update_count += 1
-            child_line = parent_line
+            line, load_cycles, _ = load_line(parent_addr)
+            cycles += load_cycles
+            child = write_slot(bytes(line.data), slot, child_hmac)
+            line.data = child
+            line.dirty = True
+            line.update_count += 1
+            chain.append((line, child))
         self.tcb.update_root_new(slot, child_hmac)
-        return cycles
+        return cycles, chain
 
     def _lazy_propagate_and_write(self, victim: CacheLine) -> None:
         """Conventional dirty-eviction handling (w/o CC's lazy BMT).

@@ -46,6 +46,7 @@ from repro.metadata.merkle import write_slot
         "_in_writeback",
         "_insert_cycles",
         "_pending_trigger",
+        "_writeback_path",
     ),
 )
 class CcNVM(SecureNVMScheme):
@@ -82,6 +83,10 @@ class CcNVM(SecureNVMScheme):
         self._in_writeback = False
         self._insert_cycles = 0
         self._pending_trigger: DrainTrigger | None = None
+        #: ``layout.tree_path`` of the in-flight write-back's counter line,
+        #: computed once by :meth:`_pre_accept` for the reservation and
+        #: walked again by :meth:`_update_tree`.
+        self._writeback_path: list[tuple[int | None, int]] = []
         self._drain_cycles = self.stats.distribution(
             "drain_cycles", "blocking cycles per epoch commit"
         )
@@ -90,7 +95,7 @@ class CcNVM(SecureNVMScheme):
     # write-back path hooks
     # ------------------------------------------------------------------
 
-    def _pre_accept(self, now: int, addr: int) -> int:
+    def _pre_accept(self, now: int, counter_addr: int) -> int:
         """Reserve the write-back's metadata addresses in the dirty queue.
 
         Reservation covers the counter line *and* every NVM-resident
@@ -100,35 +105,38 @@ class CcNVM(SecureNVMScheme):
         the set.
         """
         self._in_writeback = True
-        path = self.layout.metadata_addresses_for_writeback(addr)
+        self._writeback_path = self.layout.tree_path(counter_addr)
+        addrs = self.layout.metadata_addresses_on_path(counter_addr, self._writeback_path)
         cycles = 0
         if self._pending_trigger is not None:
             # A read-path eviction deferred its commit; this write-back
             # entry is the next quiescent point.
             trigger, self._pending_trigger = self._pending_trigger, None
             cycles += self._drain(now, trigger)
-        if not self.queue.fits(path):
+        if not self.queue.fits(addrs):
             cycles += self._drain(now, DrainTrigger.QUEUE_FULL)
         # One 32-cycle look-up/insert per path address through the CAM's
         # single port.  Steps (2) and (3) execute in parallel
         # (Section 4.2), so _update_tree later charges
         # max(insert time, tree-update time) — without deferred spreading
         # the serial HMAC chain completely hides these inserts.
-        self._insert_cycles = self.config.epoch.dirty_queue_lookup_cycles * len(path)
-        self.queue.reserve(path)
+        self._insert_cycles = self.config.epoch.dirty_queue_lookup_cycles * len(addrs)
+        self.queue.reserve(addrs)
         self.queue.count_writeback()
         return cycles
 
     def _update_tree(self, now: int, counter_addr: int) -> int:
         if self.deferred_spreading:
-            update = self._spread_until_cached(counter_addr)
+            update = self._spread_until_cached(counter_addr, self._writeback_path)
         else:
-            update = self._spread_to_root(counter_addr)
+            update = self._spread_to_root(counter_addr, self._writeback_path)[0]
         # Metadata update and dirty-address-queue insertion proceed in
         # parallel; the write-back waits for whichever finishes last.
         return max(update, self._insert_cycles)
 
-    def _spread_until_cached(self, counter_addr: int) -> int:
+    def _spread_until_cached(
+        self, counter_addr: int, path: list[tuple[int | None, int]]
+    ) -> int:
         """Deferred spreading's write-back-time walk (Section 4.3).
 
         Climb from the counter line, folding the child's HMAC into its
@@ -138,25 +146,33 @@ class CcNVM(SecureNVMScheme):
         Uncached parents must be fetched (and verified) before they can
         be updated, which is where cc-NVM's residual write-back cost
         comes from on metadata-cache-unfriendly workloads.
+
+        *path* is ``layout.tree_path(counter_addr)``.
         """
+        cache = self.meta.cache
         cycles = 0
-        child_line = self.meta.probe(counter_addr)
-        for parent_addr, slot in self.layout.tree_path(counter_addr):
+        counter_line = self.meta.probe(counter_addr)
+        child = None  # the image of the line whose HMAC moves up next
+        for parent_addr, slot in path:
             if parent_addr is None:
                 break
-            if self.meta.probe(parent_addr) is not None:
+            if cache.probe(parent_addr) is not None:
                 # Cached (trusted) ancestor: stop — the drain finishes the
                 # spread once per epoch.
                 return cycles
-            cycles += self.meta.load_verified(parent_addr).cycles
-            child_hmac = self.hmac.counter_hmac(self.meta.encoded(child_line))
+            parent_line, load_cycles, _ = self.meta.load_line(parent_addr)
+            cycles += load_cycles
+            if child is None:
+                child = counter_line.data.encode()
+            child_hmac = self.hmac.counter_hmac(child)
             cycles += self._hmac_cycles
-            parent_line = self.meta.probe(parent_addr)
-            parent_line.data = write_slot(bytes(parent_line.data), slot, child_hmac)
+            child = write_slot(bytes(parent_line.data), slot, child_hmac)
+            parent_line.data = child
             parent_line.dirty = True
-            child_line = parent_line
         # Nothing cached all the way up: the walk reaches the TCB.
-        child_hmac = self.hmac.counter_hmac(self.meta.encoded(child_line))
+        if child is None:
+            child = counter_line.data.encode()
+        child_hmac = self.hmac.counter_hmac(child)
         cycles += self._hmac_cycles
         self.tcb.update_root_new(slot, child_hmac)
         return cycles

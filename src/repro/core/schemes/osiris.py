@@ -38,7 +38,7 @@ class OsirisPlus(SecureNVMScheme):
     def _update_tree(self, now: int, counter_addr: int) -> int:
         # Data may only be considered recoverable once the root register
         # reflects it, so the chain recompute blocks the write-back.
-        return self._spread_to_root(counter_addr)
+        return self._spread_to_root(counter_addr, self.layout.tree_path(counter_addr))[0]
 
     def _post_writeback(
         self, now: int, counter_addr: int, line: CacheLine, overflowed: bool

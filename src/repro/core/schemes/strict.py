@@ -38,34 +38,30 @@ class StrictConsistency(SecureNVMScheme):
         super().__init__(config, data_capacity, seed, stats)
 
     def _update_tree(self, now: int, counter_addr: int) -> int:
-        cycles = self._spread_to_root(counter_addr)
+        cycles, chain = self._spread_to_root(
+            counter_addr, self.layout.tree_path(counter_addr)
+        )
 
         # Atomically flush the whole metadata path (counter + internal
-        # nodes); the persistent root registers commit with it.
-        path = [counter_addr]
-        path += [addr for addr, _ in self.layout.tree_path(counter_addr)[:-1]]
-
+        # nodes) as the spread left it; the persistent root registers
+        # commit with it.  A path line pushed out mid-chain holds the same
+        # image in the overlay, which it leaves here.
+        overlay = self.meta.overlay
         self.wpq.begin_atomic()
-        flushed = 0
-        for addr in path:
-            line = self.meta.probe(addr)
-            if line is not None:
-                value = self.meta.encoded(line)
-            elif addr in self.meta.overlay:
-                value = self.meta.overlay.pop(addr)
-            else:
-                continue
+        for line, value in chain:
+            addr = line.addr
+            overlay.pop(addr, None)
             self.wpq.write_atomic(addr, value)
-            flushed += 1
-        # Dirty lines pushed out mid-chain (now in the overlay) join the
-        # same atomic batch.
-        for addr in list(self.meta.overlay):
-            self.wpq.write_atomic(addr, self.meta.overlay.pop(addr))
+        flushed = len(chain)
+        # Other dirty lines pushed out mid-chain join the same atomic batch.
+        for addr in list(overlay):
+            self.wpq.write_atomic(addr, overlay.pop(addr))
             flushed += 1
         self.wpq.commit_atomic()
         cycles += self.controller.post_writes(now + cycles, flushed)
-        for addr in path:
-            self.meta.cache.clean(addr)
+        for line, _ in chain:
+            line.dirty = False
+            line.update_count = 0
         self.tcb.commit_root()
         return cycles
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from repro.common.constants import CACHE_LINE_SIZE, MERKLE_ARITY
 from repro.common.persistence import persistence
 from repro.crypto.prf import SecretKey
+from repro.metadata.merkle import write_slot
 
 
 @persistence(
@@ -92,8 +93,6 @@ class TCB:
 
     def update_root_new(self, slot: int, hmac: bytes) -> None:
         """Replace one child HMAC inside ``root_new``."""
-        from repro.metadata.merkle import write_slot
-
         if not 0 <= slot < MERKLE_ARITY:
             raise ValueError(f"root slot {slot} out of range")
         self.root_new = write_slot(self.root_new, slot, hmac)

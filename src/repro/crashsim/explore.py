@@ -121,6 +121,15 @@ def _minimize_violation(scheme, data_capacity, trace, oracle, state, verdict):
     )
 
 
+def cell_key(spec) -> tuple:
+    """The :func:`_cell_context` arguments of a ``crash`` spec: the specs
+    of one grid cell share them, whatever their shard."""
+    p = spec.params
+    return (
+        spec.scheme, p["steps"], spec.seed, p["data_capacity"], p.get("profile", HOTSET)
+    )
+
+
 def run_enumerate_cell(spec) -> dict:
     """Execute one ``enumerate`` shard; returns a JSON-able payload.
 
@@ -139,7 +148,7 @@ def run_enumerate_cell(spec) -> dict:
     shard, shards = p["shard"], p["shards"]
     data_capacity = p["data_capacity"]
     profile = p.get("profile", HOTSET)
-    cell = _cell_context(spec.scheme, p["steps"], spec.seed, data_capacity, profile)
+    cell = _cell_context(*cell_key(spec))
     trace = cell.trace
     oracle = RecoveryOracle(spec.scheme, data_capacity=data_capacity, seed=spec.seed)
     enumerator = ReducedEnumerator(

@@ -150,24 +150,32 @@ class MemoryController:
         at the banked write bandwidth.  If all slots are busy the producer
         waits for the oldest write to retire — the returned stall.
         """
-        self._drain_completed(now)
-        stall = 0
-        if len(self._pending_writes) >= self._wq_entries:
-            oldest = self._pending_writes.popleft()
-            stall = max(0, oldest - now)
-            now += stall
-            self._write_stalls.inc(stall)
-        last = self._pending_writes[-1] if self._pending_writes else now
-        done = max(now, last) + self._write_interval
-        self._pending_writes.append(done)
-        self._writes_issued.inc()
-        return stall
+        return self.post_writes(now, 1)
 
     def post_writes(self, now: int, count: int) -> int:
-        """Post *count* line writes; return the total producer stall."""
+        """Post *count* line writes back to back from cycle *now*; return
+        the total producer stall.
+
+        Each write is posted as :meth:`post_write` describes, at *now*
+        plus the stalls before it, so the batch equals *count* chained
+        :meth:`post_write` calls.
+        """
+        pending = self._pending_writes
+        entries = self._wq_entries
+        interval = self._write_interval
         total = 0
         for _ in range(count):
-            total += self.post_write(now + total)
+            at = now + total
+            while pending and pending[0] <= at:
+                pending.popleft()
+            if len(pending) >= entries:
+                stall = max(0, pending.popleft() - at)
+                at += stall
+                total += stall
+            last = pending[-1] if pending else at
+            pending.append(max(at, last) + interval)
+        self._write_stalls.inc(total)
+        self._writes_issued.inc(count)
         return total
 
     def drain_time(self, now: int) -> int:

@@ -268,4 +268,13 @@ class MemoryLayout:
         excluded — data HMACs bypass the meta cache.
         """
         counter_addr = self.counter_line_addr(data_addr)
-        return [counter_addr, *(a for a, _ in self.tree_path(counter_addr)[:-1])]
+        return self.metadata_addresses_on_path(counter_addr, self.tree_path(counter_addr))
+
+    @staticmethod
+    def metadata_addresses_on_path(
+        counter_addr: int, path: list[tuple[int | None, int]]
+    ) -> list[int]:
+        """:meth:`metadata_addresses_for_writeback` of a block whose counter
+        line is *counter_addr*, given ``tree_path(counter_addr)`` as *path*
+        (the write-back walks that follow reuse the same path)."""
+        return [counter_addr, *(a for a, _ in path[:-1])]

@@ -178,21 +178,32 @@ class MetadataStore:
         :class:`IntegrityError` on any mismatch, naming the offending
         node — runtime detection *and location* of integrity attacks.
         """
+        line, cycles, hit = self.load_line(addr)
+        return AccessResult(line.data, cycles, hit)
+
+    def load_line(self, addr: int) -> tuple[CacheLine, int, bool]:
+        """:meth:`load_verified`, returning the resident line itself.
+
+        One counted lookup of *addr*: a hit costs the hit latency; a miss
+        adopts *addr*'s overlay value or fetches and verifies it.  Returns
+        the line, the cycles of the whole load and whether the lookup hit.
+        Tree walks update the line they get, so a level costs one lookup.
+        """
         line = self.cache.access(addr)
         if line is not None:
-            return AccessResult(line.data, self._hit_latency, True)
-
+            return line, self._hit_latency, True
         installed = self._adopt_overlay(addr)
         if installed is not None:
-            return AccessResult(installed.data, self._hit_latency, False)
+            return installed, self._hit_latency, False
 
         self.walk_depth += 1
         try:
-            return self._walk_and_verify(addr)
+            line, cycles = self._walk_and_verify(addr)
         finally:
             self.walk_depth -= 1
+        return line, cycles, False
 
-    def _walk_and_verify(self, addr: int) -> AccessResult:
+    def _walk_and_verify(self, addr: int) -> tuple[CacheLine, int]:
         # Collect the uncached suffix of the path, target first, upward:
         # (address, NVM bytes, slot in the parent) per fetched node.
         chain: list[tuple[int, bytes, int]] = []
@@ -233,17 +244,18 @@ class MetadataStore:
                     node=node,
                 )
             above = raw
-            existing = self.cache.probe(node_addr)
-            if existing is not None:
+            line = self.cache.probe(node_addr)
+            if line is not None:
                 # A nested eviction's lazy propagation (re)installed —
                 # and possibly updated — this node while the walk was in
                 # flight; the on-chip copy is newer than our NVM
                 # snapshot and must not be clobbered.
-                existing.verified = True
+                line.verified = True
                 continue
-            self.install(node_addr, self._decode(node_addr, raw), dirty=False, verified=True)
+            line = self.install(node_addr, self._decode(node_addr, raw), dirty=False, verified=True)
 
-        return AccessResult(self.cache.probe(addr).data, cycles, False)
+        # *addr* is the chain's first entry, so the last one installed.
+        return line, cycles
 
     def load_counter(self, data_addr: int) -> AccessResult:
         """Verified load of the counter line covering *data_addr*'s page."""

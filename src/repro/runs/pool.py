@@ -2,9 +2,11 @@
 
 :func:`run_pool` is the whole pool.  With ``jobs <= 1`` every spec runs
 inline in the parent, through the same :func:`execute_spec`, with no
-processes at all.  Otherwise the specs are cut into auto-sized chunks
-(about four per worker, so consecutive specs such as one cell's campaign
-shards share a worker and its per-process trace reuse) and handed to a
+processes at all.  Otherwise the specs are cut into chunks of about a
+quarter of a worker's share (:func:`_chunks`), only where the per-process
+memo key changes (:func:`_memo_key`) unless its group is too large to
+balance, so one campaign cell's shards or one Figure-5 row's designs
+share a worker and its memo, and handed to a
 :class:`concurrent.futures.ProcessPoolExecutor`.  Workers receive plain
 spec dicts, rebuild the experiment from scratch and return plain
 JSON-able payloads.  The ``spawn`` start method is deliberate: workers
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import multiprocessing
 import time
@@ -61,7 +64,8 @@ def _recorded_stream(workload: str, length: int, seed: int, l1, l2):
     Keyed on the caches only: nothing else in the config reaches them.
     One entry suffices because a grid keeps a workload's cells adjacent
     (a Figure-5 row's designs, a Figure-6 workload's values x designs),
-    and the pool's chunks keep adjacent specs on one worker.
+    and the pool cuts such a group only when it is too large to balance
+    (:func:`_chunks`).
     """
     from repro.common.config import SystemConfig
     from repro.sim.stream import record_stream
@@ -71,14 +75,18 @@ def _recorded_stream(workload: str, length: int, seed: int, l1, l2):
     return trace, record_stream(trace, SystemConfig(l1=l1, l2=l2))
 
 
+def _stream_key(spec: RunSpec) -> tuple:
+    """The :func:`_recorded_stream` arguments of a ``simulation`` spec."""
+    config = spec.system_config()
+    return spec.workload, spec.length, spec.seed, config.l1, config.l2
+
+
 def _execute_simulation(spec: RunSpec):
     from repro.analysis.export import result_to_dict
     from repro.sim.runner import run_simulation
 
     config = spec.system_config()
-    trace, stream = _recorded_stream(
-        spec.workload, spec.length, spec.seed, config.l1, config.l2
-    )
+    trace, stream = _recorded_stream(*_stream_key(spec))
     result = run_simulation(
         spec.scheme,
         trace,
@@ -97,10 +105,53 @@ def _execute_crash(spec: RunSpec):
     return execute_cell(spec)
 
 
+def _cell_key(spec: RunSpec) -> tuple:
+    from repro.crashsim.explore import cell_key
+
+    return cell_key(spec)
+
+
 _EXECUTORS = {
     "simulation": _execute_simulation,
     "crash": _execute_crash,
 }
+
+#: Per kind, the key of the one-entry memo its executor keeps per process.
+_MEMO_KEYS = {
+    "simulation": _stream_key,
+    "crash": _cell_key,
+}
+
+
+def _memo_key(spec: RunSpec) -> tuple:
+    return spec.kind, _MEMO_KEYS[spec.kind](spec)
+
+
+def _chunks(specs: list[RunSpec], jobs: int) -> list[list[RunSpec]]:
+    """Cut *specs* into consecutive chunks for *jobs* workers.
+
+    Specs sharing a :func:`_memo_key` form a group.  A group of at most
+    half a worker's share (two chunks' worth) stays whole, and consecutive
+    groups share a chunk until it holds a quarter of a worker's share.  A
+    larger group is cut into chunks of a quarter share, as if it had no
+    memo: keeping it whole would leave workers idle.
+    """
+    size = max(1, -(-len(specs) // (jobs * 4)))
+    chunks: list[list[RunSpec]] = []
+    chunk: list[RunSpec] = []
+    for _, group in itertools.groupby(specs, _memo_key):
+        group = list(group)
+        pieces = [group]
+        if len(group) > 2 * size:
+            pieces = [group[i:i + size] for i in range(0, len(group), size)]
+        if chunk and (len(chunk) >= size or len(pieces) > 1):
+            chunks.append(chunk)
+            chunk = []
+        chunks += pieces[:-1]
+        chunk += pieces[-1]
+    if chunk:
+        chunks.append(chunk)
+    return chunks
 
 
 def execute_spec(spec_dict: dict):
@@ -205,8 +256,7 @@ def run_pool(specs: list[RunSpec], jobs: int = 1, on_result=None) -> list[RunOut
         for spec in specs:
             collect([spec], _run_chunk([spec.to_dict()]))
         return outcomes
-    size = max(1, -(-len(specs) // (jobs * 4)))
-    chunks = [specs[i:i + size] for i in range(0, len(specs), size)]
+    chunks = _chunks(specs, jobs)
     if not chunks:
         return outcomes
     # Imported here: it costs about 1.5 MB of RSS that --jobs 1 never needs.

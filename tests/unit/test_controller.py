@@ -1,5 +1,7 @@
 """Unit tests for the memory-controller timing model."""
 
+from collections import deque
+
 import pytest
 
 from repro.common.config import SystemConfig, paper_config
@@ -82,6 +84,67 @@ class TestWrites:
         for _ in range(65):
             ctl.post_write(0)
         assert ctl.stats.counter("write_stall_cycles").value > 0
+
+
+class ReferenceWriteQueue:
+    """The per-line write-queue model, one posted write per call: the
+    reference :meth:`MemoryController.post_writes` must reproduce."""
+
+    def __init__(self, entries, interval):
+        self.entries = entries
+        self.interval = interval
+        self.pending = deque()
+        self.stall_cycles = 0
+        self.posted = 0
+
+    def post_write(self, now):
+        while self.pending and self.pending[0] <= now:
+            self.pending.popleft()
+        stall = 0
+        if len(self.pending) >= self.entries:
+            oldest = self.pending.popleft()
+            stall = max(0, oldest - now)
+            now += stall
+            self.stall_cycles += stall
+        last = self.pending[-1] if self.pending else now
+        self.pending.append(max(now, last) + self.interval)
+        self.posted += 1
+        return stall
+
+
+#: (cycle, lines) batches: an empty queue, a full one that stalls, partial
+#: drains between batches, an empty batch and a batch twice the queue.
+WRITE_SCRIPT = [
+    (0, 70), (0, 3), (100, 12), (5_000, 64), (5_000, 1), (5_050, 0),
+    (60_000, 12), (60_010, 2), (61_000, 130), (61_000, 1),
+]
+
+
+class TestPostWritesBatch:
+    def state(self, ctl):
+        return (
+            ctl.stats.counter("write_stall_cycles").value,
+            ctl.stats.counter("writes_issued").value,
+            list(ctl._pending_writes),
+        )
+
+    def test_batch_equals_chained_single_posts(self, ctl):
+        cfg = paper_config().with_nvm(capacity_bytes=1 << 20)
+        chained = MemoryController(cfg, NVMDevice(MemoryLayout(1 << 20)))
+        reference = ReferenceWriteQueue(cfg.controller.write_queue_entries, WRITE_IVL)
+        stalled = 0
+        for now, lines in WRITE_SCRIPT:
+            stall = ctl.post_writes(now, lines)
+            single = reference_stall = 0
+            for _ in range(lines):
+                single += chained.post_write(now + single)
+                reference_stall += reference.post_write(now + reference_stall)
+            assert stall == single == reference_stall, (now, lines)
+            assert self.state(ctl) == self.state(chained) == (
+                reference.stall_cycles, reference.posted, list(reference.pending)
+            )
+            stalled += stall > 0
+        assert stalled >= 3  # the script does exercise a full queue
 
 
 class TestDrainTime:

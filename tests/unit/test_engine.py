@@ -37,6 +37,31 @@ def engine():
 PLAINTEXT = bytes(range(64))
 
 
+#: Addresses the data path rejects, with the error each one raises.
+BAD_ADDRESSES = [
+    (-CACHE_LINE_SIZE, "outside the data region"),
+    (1 << 20, "outside the data region"),  # the first counter line
+    ((1 << 20) + (1 << 16), "outside the data region"),
+    (1, "not line-aligned"),
+    (CACHE_LINE_SIZE + 8, "not line-aligned"),
+]
+
+
+class TestAddressValidation:
+    @pytest.mark.parametrize("addr,message", BAD_ADDRESSES)
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_fill_rejects(self, engine, addr, message, verify):
+        with pytest.raises(ValueError, match=message):
+            engine.read_data_block(addr, CounterLine(), verify=verify)
+
+    @pytest.mark.parametrize("addr,message", BAD_ADDRESSES)
+    def test_writeback_rejects(self, engine, addr, message):
+        counters = CounterLine()
+        counters.increment(0)
+        with pytest.raises(ValueError, match=message):
+            engine.write_data_block(addr, PLAINTEXT, counters)
+
+
 class TestWriteReadRoundtrip:
     def test_roundtrip(self, engine):
         counters = CounterLine()

@@ -142,3 +142,80 @@ class TestWorkerDeath:
         if chunk is not None:
             assert outcomes[0].status == "failed"
         assert all(o.ok or o.status == "failed" for o in outcomes)
+
+
+class TestChunking:
+    """A memo group (one campaign cell's shards, one Figure-5 row's
+    designs, one Figure-6 workload's values x designs) stays on one chunk
+    while it fits in half a worker's share; a larger one is cut into
+    quarter-share chunks, so every worker gets work."""
+
+    @staticmethod
+    def hotset_specs():
+        from repro.crashsim.explore import CrashCampaignConfig, campaign_specs
+
+        return campaign_specs(CrashCampaignConfig(profiles=("hotset",)))
+
+    @staticmethod
+    def rekey_specs():
+        from repro.crashsim.explore import CrashCampaignConfig, campaign_specs
+
+        return campaign_specs(CrashCampaignConfig(profiles=("rekey",)))
+
+    @staticmethod
+    def figure5_specs():
+        from repro.analysis.experiments import FIGURE5_DESIGNS
+        from repro.workloads.spec import SPEC_ORDER
+
+        return [
+            simulation_spec(scheme, name, 600, 1)
+            for name in SPEC_ORDER
+            for scheme in FIGURE5_DESIGNS
+        ]
+
+    @staticmethod
+    def figure6a_specs():
+        """Figure 6(a)'s grid in ``_sensitivity``'s order: the swept N
+        never reaches the L1/L2, so a workload's 20 cells share a stream."""
+        from repro.analysis.experiments import FIGURE6_SCHEMES, FIGURE6_WORKLOADS
+        from repro.common.config import SystemConfig
+
+        return [
+            simulation_spec(
+                scheme, name, 3000, 1, config=SystemConfig().with_epoch(update_limit=n)
+            )
+            for name in FIGURE6_WORKLOADS
+            for n in (4, 8, 16, 32, 64)
+            for scheme in ("no_cc", *FIGURE6_SCHEMES)
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "grid,groups",
+        [("hotset_specs", 6), ("rekey_specs", 6), ("figure5_specs", 8), ("figure6a_specs", 3)],
+    )
+    def test_chunks_keep_groups_that_fit(self, jobs, grid, groups):
+        batch = getattr(self, grid)()
+        chunks = pool_mod._chunks(batch, jobs)
+        assert [spec for chunk in chunks for spec in chunk] == batch
+        size = -(-len(batch) // (4 * jobs))  # a quarter of a worker's share
+        owners: dict = {}
+        for index, chunk in enumerate(chunks):
+            for spec in chunk:
+                owners.setdefault(pool_mod._memo_key(spec), []).append(index)
+        assert len(owners) == groups
+        for indices in owners.values():
+            if len(indices) <= 2 * size:
+                assert len(set(indices)) == 1
+            else:
+                assert max(indices.count(i) for i in indices) <= size
+        assert len(chunks) >= min(jobs, len(batch))
+
+    @pytest.mark.parametrize("jobs,sizes", [
+        (2, [8, 8, 4] * 3),
+        (3, [5] * 12),
+        (4, [4] * 15),
+    ])
+    def test_figure6_groups_are_split_to_balance(self, jobs, sizes):
+        chunks = pool_mod._chunks(self.figure6a_specs(), jobs)
+        assert [len(chunk) for chunk in chunks] == sizes

@@ -4,6 +4,7 @@ Figure 5(a)'s ordering, pinned at the unit level."""
 import pytest
 
 from repro.core.schemes import create_scheme
+from repro.metadata.merkle import read_slot
 from repro.sim.runner import run_simulation
 from repro.workloads import synthetic
 from tests.conftest import SMALL_CAPACITY, payload
@@ -45,6 +46,20 @@ class TestWritebackBlocking:
         inserts = config.epoch.dirty_queue_lookup_cycles * scheme.layout.root_level
         cycles = warm_writeback_cycles(scheme)
         assert cycles == base + meta_hit + inserts
+
+    @pytest.mark.parametrize("name", ["ccnvm", "ccnvm_no_ds"])
+    def test_ccnvm_reserves_the_deterministic_address_set(self, config, name):
+        """Section 4.2's set: the write-back reserves exactly
+        ``metadata_addresses_for_writeback``, in path order."""
+        scheme = fresh(name, config)
+        for addr in (0x1000, 0x5040):
+            scheme.writeback(0, addr, payload(1))
+        expected = scheme.layout.metadata_addresses_for_writeback(0x1000)
+        expected += [
+            a for a in scheme.layout.metadata_addresses_for_writeback(0x5040)
+            if a not in expected
+        ]
+        assert scheme.queue.addresses() == expected
 
     def test_no_cc_is_the_floor(self, config):
         baseline = warm_writeback_cycles(fresh("no_cc", config))
@@ -146,3 +161,94 @@ class TestStatisticsSurface:
         trace = synthetic.hotspot(length=10, footprint=1 << 14, seed=1)
         with pytest.raises(ValueError):
             run_simulation("ccnvm", trace, config, SMALL_CAPACITY, warmup_fraction=1.0)
+
+
+class TestSpreadParentMiss:
+    """A tree walk whose parent left the meta cache after the counter load.
+
+    No short Figure-5 cell takes this branch, so it is pinned here: the
+    missing parent is looked up once (one miss, not two), fetched and
+    verified against its cached grandparent, and then updated like a
+    cached one.
+    """
+
+    ADDR = 0x1000
+
+    def _parent_evicted(self, name, config):
+        """A fresh scheme with *ADDR*'s counter bumped in the meta cache
+        and its (clean) level-1 parent dropped from it."""
+        scheme = fresh(name, config)
+        counters = scheme.meta.load_counter(self.ADDR).value
+        counter_addr = scheme.layout.counter_line_addr(self.ADDR)
+        counters.increment(scheme.layout.block_slot(self.ADDR))
+        scheme.meta.probe(counter_addr).dirty = True
+        path = scheme.layout.tree_path(counter_addr)
+        parent_addr = path[0][0]
+        assert not scheme.meta.probe(parent_addr).dirty
+        scheme.meta.cache.invalidate(parent_addr)
+        return scheme, counter_addr, path
+
+    @staticmethod
+    def _counts(scheme):
+        cache = scheme.meta.cache.stats.counters
+        return (
+            cache["hits"].value,
+            cache["misses"].value,
+            scheme.hmac.counter_hmac_count,
+            scheme.nvm.total_reads,
+        )
+
+    def _assert_chain(self, scheme, counter_addr, path, levels):
+        """Each of the first *levels* parents holds its child's HMAC."""
+        child = scheme.meta.encoded(scheme.meta.probe(counter_addr))
+        for parent_addr, slot in path[:levels]:
+            node = scheme.tcb.root_new if parent_addr is None else (
+                scheme.meta.encoded(scheme.meta.probe(parent_addr))
+            )
+            assert read_slot(node, slot) == scheme.hmac.counter_hmac(child)
+            child = node
+
+    @pytest.mark.parametrize("name", ["sc", "osiris_plus", "ccnvm_no_ds"])
+    def test_spread_to_root_counts_the_miss_once(self, name, config):
+        scheme, counter_addr, path = self._parent_evicted(name, config)
+        assert len(path) == 4  # levels 1..3 in NVM, then the root
+        before = self._counts(scheme)
+        cycles, chain = scheme._spread_to_root(counter_addr, path)
+        after = self._counts(scheme)
+        hits, misses, hmacs, reads = (a - b for a, b in zip(after, before))
+        # Levels 2 and 3 hit; level 1 misses, and its walk hits level 2.
+        assert (hits, misses) == (3, 1)
+        # Four child HMACs up the path plus the fetched parent's check.
+        assert hmacs == 5
+        assert reads == 1
+        hit = config.security.meta_cache.hit_latency
+        hmac = config.security.hmac_latency_cycles
+        fetch = hit + config.nvm_read_cycles + hit + hmac
+        assert cycles == 4 * hmac + fetch + 2 * hit
+        parent = scheme.meta.probe(path[0][0])
+        assert parent.dirty and parent.update_count == 1
+        # The chain reports each line it updated with the image it holds.
+        assert [line.addr for line, _ in chain] == [counter_addr] + [
+            addr for addr, _ in path[:-1]
+        ]
+        assert all(scheme.meta.encoded(line) == image for line, image in chain)
+        self._assert_chain(scheme, counter_addr, path, len(path))
+
+    def test_spread_until_cached_counts_the_miss_once(self, config):
+        scheme, counter_addr, path = self._parent_evicted("ccnvm", config)
+        root_new = scheme.tcb.root_new
+        before = self._counts(scheme)
+        cycles = scheme._spread_until_cached(counter_addr, path)
+        after = self._counts(scheme)
+        hits, misses, hmacs, reads = (a - b for a, b in zip(after, before))
+        # The fetched parent absorbs the update; its cached parent stops
+        # the walk without a lookup.
+        assert (hits, misses) == (1, 1)
+        assert hmacs == 2
+        assert reads == 1
+        hit = config.security.meta_cache.hit_latency
+        hmac = config.security.hmac_latency_cycles
+        assert cycles == (hit + config.nvm_read_cycles + hit + hmac) + hmac
+        assert scheme.meta.probe(path[0][0]).dirty
+        assert scheme.tcb.root_new == root_new
+        self._assert_chain(scheme, counter_addr, path, 1)

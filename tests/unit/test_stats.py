@@ -1,6 +1,13 @@
 """Unit tests for the statistics registry."""
 
-from repro.common.stats import Counter, Distribution, StatGroup, render_report
+from repro.common.stats import (
+    HISTOGRAM_BUCKETS,
+    Counter,
+    Distribution,
+    StatGroup,
+    _bucket_index,
+    render_report,
+)
 
 
 class TestCounter:
@@ -110,6 +117,23 @@ class TestDistribution:
         d.reset()
         assert d.count == 0
         assert d.mean == 0.0
+
+
+#: Bucket edges and their neighbours, fractions, and a value past the
+#: last bucket's lower bound.
+BUCKET_PROBES = [0, 0.5, 0.999, 1, 1.5, 2.75, 1e-9, -3, 7.25, 2**40, 2.0**40 + 0.5] + [
+    v for k in range(1, HISTOGRAM_BUCKETS + 2) for v in (2**k - 1, 2**k, 2**k + 1)
+]
+
+
+class TestSampleBucket:
+    def test_sample_fills_the_bucket_index_bucket(self):
+        for value in BUCKET_PROBES:
+            dist = Distribution("d")
+            dist.sample(value)
+            expected = [0] * HISTOGRAM_BUCKETS
+            expected[_bucket_index(value)] = 1
+            assert dist.buckets == expected, value
 
 
 class TestStatGroup:
