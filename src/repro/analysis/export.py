@@ -226,17 +226,6 @@ def reproducer_from_json(text: str):
     return Reproducer.from_dict(json.loads(text))
 
 
-def lint_to_json(report) -> str:
-    """JSON document for a persist-order lint run (``LintReport``).
-
-    Same shape as ``repro lint --json``: schema version, run metadata,
-    per-rule charters, unbaselined findings, baselined findings and
-    stale baseline keys.  Byte-stable for identical trees: findings are
-    sorted, keys are sorted, and wall-clock runtime is excluded.
-    """
-    return dumps_sorted(report.to_dict(), 2)
-
-
 def ascii_bars(table: FigureTable, width: int = 40, ceiling: float | None = None) -> str:
     """A grouped horizontal bar chart, one group per workload.
 

@@ -17,8 +17,6 @@ Commands:
   (k writes x address-overlap patterns x fence placements, canonical-form
   deduped) with ``--campaign`` running the whole set through the crash
   campaign;
-* ``lint`` — the persistence-domain static analyzer (persist-order
-  rules P0, P1, P4, P7, determinism rule D1);
 * ``runs status`` / ``runs gc`` — inspect and prune the content-addressed
   result cache the orchestrated commands share.
 
@@ -222,7 +220,7 @@ def _campaign_gate(summary: dict) -> list[str]:
         problems.append(f"{totals['closure_violations']} closure violation(s)")
     if totals.get("closure_unclosed"):
         problems.append(
-            f"{totals['closure_unclosed']} closure(s) stopped at the member budget"
+            f"{totals['closure_unclosed']} closure(s) stopped at the depth or member budget"
         )
     if summary["failures"]:
         problems.append(f"{len(summary['failures'])} failed shard(s)")
@@ -498,68 +496,6 @@ def cmd_runs_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    import sys
-    from pathlib import Path
-
-    import repro
-    from repro.lint import LintConfig, run_lint, write_baseline
-
-    root = Path(args.root) if args.root else Path(repro.__file__).resolve().parent
-    base_dir = root.parent
-    if args.baseline:
-        baseline = Path(args.baseline)
-    else:
-        candidates = (
-            Path.cwd() / "lint-baseline.txt",
-            base_dir.parent / "lint-baseline.txt",
-        )
-        baseline = next((c for c in candidates if c.exists()), None)
-    if args.design:
-        design = Path(args.design)
-    else:
-        # Anchor validation (B0) wants the DESIGN.md that travels with
-        # the baseline; skip it when linting a bare tree without one.
-        candidate = baseline.parent / "DESIGN.md" if baseline else None
-        design = candidate if candidate is not None and candidate.exists() else None
-    config = LintConfig(
-        root=root, base_dir=base_dir, baseline_path=baseline, design_path=design
-    )
-    report = run_lint(config)
-    if args.update_baseline:
-        target = Path(args.baseline) if args.baseline else Path.cwd() / "lint-baseline.txt"
-        count = write_baseline(report, target)
-        print(f"wrote {count} baseline entr(y/ies) to {target}")
-        return 0
-    if args.json:
-        from repro.analysis.export import lint_to_json
-
-        print(lint_to_json(report))
-    else:
-        print(report.render_text())
-    print(f"analyzer runtime: {report.duration_seconds:.2f}s", file=sys.stderr)
-    exit_code = 0 if report.ok(strict=args.strict) else 1
-
-    if args.cross_check:
-        from repro.common.jsondoc import dumps_sorted
-        from repro.lint.crosscheck import cross_check
-        from repro.lint.model import build_model
-
-        model = build_model(config.root, config.base_dir)
-        xcheck = cross_check(model, config)
-        print(xcheck.render_text())
-        if args.cross_check_out:
-            out = Path(args.cross_check_out)
-            out.write_text(
-                dumps_sorted(xcheck.to_dict(), 2) + "\n",
-                encoding="utf-8",
-            )
-            print(f"cross-check site diff written to {out}", file=sys.stderr)
-        if not xcheck.ok:
-            exit_code = 1
-    return exit_code
-
-
 def positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1 (exit 2 otherwise)."""
     value = int(text)
@@ -710,29 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "campaign with exhaustive-coverage gates")
     add_campaign_options(tace)
     tace.set_defaults(func=cmd_traffic_ace)
-
-    lint = sub.add_parser("lint", help="persistence-domain static analysis")
-    lint.add_argument("--root", default=None, metavar="DIR",
-                      help="tree to analyze (default: the installed repro package)")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="accepted-findings file "
-                           "(default: ./lint-baseline.txt when present)")
-    lint.add_argument("--json", action="store_true",
-                      help="emit the machine-readable report")
-    lint.add_argument("--strict", action="store_true",
-                      help="also fail on stale baseline entries")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline from the current findings "
-                           "(existing justification anchors are preserved)")
-    lint.add_argument("--design", default=None, metavar="FILE",
-                      help="DESIGN.md holding {#anchor} baseline "
-                           "justifications (default: next to the baseline)")
-    lint.add_argument("--cross-check", action="store_true",
-                      help="replay a smoke persist trace and diff dynamic "
-                           "persist sites against the static set")
-    lint.add_argument("--cross-check-out", default=None, metavar="FILE",
-                      help="write the static/dynamic site diff as JSON")
-    lint.set_defaults(func=cmd_lint)
     return parser
 
 

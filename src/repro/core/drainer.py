@@ -46,7 +46,6 @@ class DrainTrigger(Enum):
 
 @persistence(
     volatile=("_queue", "_writebacks_this_epoch"),
-    aka=("queue",),
 )
 class DirtyAddressQueue:
     """The drainer's bounded, deduplicating address queue."""

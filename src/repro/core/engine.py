@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.common.address import block_in_page, page_align
 from repro.common.constants import BLOCKS_PER_PAGE, CACHE_LINE_SIZE, HMAC_SIZE
-from repro.common.persistence import persistence
 from repro.common.stats import StatGroup
 from repro.crypto.cme import CounterModeCipher
 from repro.crypto.hmac_engine import HmacEngine
@@ -30,11 +29,6 @@ from repro.metadata.layout import MemoryLayout
 from repro.metadata.metacache import IntegrityError
 
 
-# The engine holds no state that survives a crash (keys live in the TCB,
-# lines in the device); the declaration exists so the interprocedural
-# analyzer can resolve `self.engine.write_data_block(...)` calls and
-# follow the data path down to its WPQ stores.
-@persistence(aka=("engine",))
 class EncryptionEngine:
     """Encrypts, decrypts and authenticates data blocks at the controller."""
 

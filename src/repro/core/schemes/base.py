@@ -20,7 +20,7 @@ Subclasses specialize three seams:
   flush, Osiris's periodic counter write, cc-NVM's trigger-3 drain);
 
 plus the eviction hooks on the metadata store, :meth:`flush` (graceful
-shutdown) and :meth:`recover` (post-crash behaviour).
+shutdown) and :meth:`_recover` (post-crash behaviour).
 
 The timing contract: :meth:`writeback` returns the cycles the evicting
 agent is blocked before the data block is accepted into the write path;
@@ -36,7 +36,7 @@ from abc import ABC, abstractmethod
 from repro.common.address import block_in_page, page_align
 from repro.common.config import SystemConfig
 from repro.common.constants import MINOR_COUNTER_MAX
-from repro.common.persistence import persistence
+from repro.common.persistence import persistence, poison_volatile, restore_volatile
 from repro.common.stats import StatGroup
 from repro.core.tcb import TCB
 from repro.crypto.cme import CounterModeCipher
@@ -61,7 +61,6 @@ from repro.metadata.metacache import MetadataStore
         "_propagation_queue",
         "_propagating",
     ),
-    aka=("scheme",),
 )
 class SecureNVMScheme(ABC):
     """Base of the five designs: w/o CC, SC, Osiris Plus, cc-NVM (±DS)."""
@@ -131,6 +130,9 @@ class SecureNVMScheme(ABC):
             "read_latency_cycles", "demand-fill latency"
         )
         self._crashes = self.stats.counter("crashes")
+        #: What :meth:`crash` poisoned, for :meth:`recover` to put back;
+        #: ``None`` while the machine is up.
+        self._lost: list[tuple[object, str, object]] | None = None
 
     # ------------------------------------------------------------------
     # subclass seams
@@ -174,8 +176,12 @@ class SecureNVMScheme(ABC):
         """Graceful shutdown: leave NVM consistent with the TCB roots."""
 
     @abstractmethod
-    def recover(self):
-        """Post-crash recovery; returns a RecoveryReport."""
+    def _recover(self):
+        """The design's post-crash recovery; returns a RecoveryReport.
+
+        It may read only the NVM image and the persistent TCB registers:
+        every volatile attribute is poisoned while it runs.
+        """
 
     # ------------------------------------------------------------------
     # shared write-back path
@@ -397,14 +403,45 @@ class SecureNVMScheme(ABC):
     def crash(self) -> None:
         """Power failure: resolve the WPQ per ADR, lose all volatile state.
 
-        Persistent TCB registers (roots, Nwb) survive.  Subclasses extend
-        this to drop their own volatile structures (the dirty address
-        queue is SRAM and is lost too).
+        The NVM image and the persistent TCB registers (roots, Nwb)
+        survive.  Every attribute a ``volatile=`` declaration names, on
+        the scheme and on the components it holds (meta cache, dirty
+        address queue, WPQ batch), is cleared and then poisoned until a
+        recovery completes: reading one in between raises
+        :class:`~repro.common.persistence.VolatileStateLost`.  A crash
+        while already down (power lost during recovery) loses nothing
+        more.
         """
         self._crashes.inc()
+        if self._lost is not None:
+            return
         self.wpq.power_failure()
-        self.meta.crash()
+        self._clear_volatile()
         self.tcb.crash()
+        # The WPQ survives (ADR) but its open batch does not.
+        self._lost = poison_volatile(self, self.wpq)
+
+    def _clear_volatile(self) -> None:
+        """Reset the volatile state a completed recovery hands back.
+
+        Subclasses extend this for their own structures (the dirty
+        address queue is SRAM and is lost too).
+        """
+        self.meta.crash()
         self.busy_until = 0
         self._propagation_queue.clear()
         self._propagating = False
+
+    def recover(self):
+        """Post-crash recovery; returns a RecoveryReport.
+
+        Once the design's recovery completes, the volatile state
+        :meth:`crash` cleared is back and the machine runs again.  A
+        :class:`~repro.crashsim.trace.PowerFailure` raised during it
+        leaves the poison in place.
+        """
+        report = self._recover()
+        if self._lost is not None:
+            restore_volatile(self._lost)
+            self._lost = None
+        return report

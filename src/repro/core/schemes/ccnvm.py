@@ -338,15 +338,15 @@ class CcNVM(SecureNVMScheme):
         self._pending_trigger = None
         self._drain(self.busy_until, DrainTrigger.FLUSH)
 
-    def crash(self) -> None:
-        """Power failure: the SRAM dirty address queue is lost too."""
-        super().crash()
+    def _clear_volatile(self) -> None:
+        """The SRAM dirty address queue is lost too."""
+        super()._clear_volatile()
         self.queue.drop()
         self._draining = False
         self._in_writeback = False
         self._pending_trigger = None
 
-    def recover(self) -> RecoveryReport:
+    def _recover(self) -> RecoveryReport:
         """The four-step recovery of Section 4.4.
 
         Both variants use the ``Nwb`` freshness check: even w/o DS, a

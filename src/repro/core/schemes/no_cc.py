@@ -40,7 +40,7 @@ class WithoutCrashConsistency(SecureNVMScheme):
         """Graceful shutdown: push all dirty metadata out consistently."""
         self._flush_all_dirty_lazily()
 
-    def recover(self) -> RecoveryReport:
+    def _recover(self) -> RecoveryReport:
         """Best-effort recovery — expected to fail after a real crash.
 
         The stored tree matches no root (so step 1 cannot distinguish

@@ -82,7 +82,7 @@ class OsirisPlus(SecureNVMScheme):
             self.wpq.commit_atomic()
             self.meta.cache.clean(line.addr)
 
-    def recover(self) -> RecoveryReport:
+    def _recover(self) -> RecoveryReport:
         """Counter restoration + tree rebuild + root comparison.
 
         Step 1 is impossible — the stored internal tree is never

@@ -75,7 +75,7 @@ class StrictConsistency(SecureNVMScheme):
     def flush(self) -> None:
         """Nothing to do: NVM is consistent after every write-back."""
 
-    def recover(self) -> RecoveryReport:
+    def _recover(self) -> RecoveryReport:
         """Near-trivial recovery: verify the (always-consistent) image.
 
         The data block and its HMAC are accepted into the WPQ *before*

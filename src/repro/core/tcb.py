@@ -32,21 +32,6 @@ from repro.metadata.merkle import write_slot
         "counter_log",
         "recovery_pending",
     ),
-    aka=("tcb",),
-    mutators=(
-        "update_root_new",
-        "set_root_new",
-        "commit_root",
-        "set_roots",
-        "count_writeback",
-        "log_counter_update",
-        "begin_recovery",
-        "restore_registers",
-    ),
-    # Lint rule P7: the per-write-back register bumps must share a
-    # controller transaction (combined group) with the data write they
-    # describe.
-    grouped=("count_writeback", "log_counter_update"),
 )
 class TCB:
     """On-chip secure state: keys and persistent registers."""

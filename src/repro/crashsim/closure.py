@@ -24,9 +24,11 @@ The crash campaign runs it per shard (``CrashCampaignConfig.closure``,
 
 A violating member is reported but not expanded: its descendants would
 only restate the violation.  A correct recovery closes within a few
-thousand members per workload (DESIGN.md, "Crash during recovery");
-a broken one can lose one more block per nesting level, so the walk
-stops at :data:`MAX_MEMBERS` and reports the closure as not reached.
+thousand members and at nesting depth 2 at most (DESIGN.md, "Crash
+during recovery"); a broken one can lose one more block per nesting
+level, so the walk stops when it finds a member deeper than
+:data:`MAX_DEPTH`, or at :data:`MAX_MEMBERS` as a backstop, and reports
+the closure as not reached.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class ClosureReport:
     #: Image hash -> length of its shortest schedule, for every member
     #: judged (roots at 0).
     members: dict[str, int] = field(default_factory=dict)
-    #: False when the walk stopped at its member budget.
+    #: False when the walk stopped at its depth or member budget.
     closed: bool = True
     #: ``{"state", "schedule", "verdict"}`` per violating member.
     violations: list[dict] = field(default_factory=list)
@@ -62,6 +64,11 @@ class ClosureReport:
         """Longest schedule any member needed (0: no recovery persists)."""
         return max(self.members.values(), default=0)
 
+
+#: Longest schedule a closure member may have: one more than any
+#: correct design's closure needs (see module docs).  The walk gives up
+#: when a member of this depth has an unseen child.
+MAX_DEPTH = 3
 
 #: Members one closure may judge before it gives up (see module docs).
 #: The campaign closes each shard separately, so a cell of *n* shards
@@ -122,6 +129,10 @@ def recovery_closure(oracle: RecoveryOracle, roots, memo=None) -> ClosureReport:
             continue
         for persists, child in enumerate(children, 1):
             if child not in seen:
+                if len(schedule) == MAX_DEPTH:
+                    # Breadth first: no shallower member is left unjudged.
+                    report.closed = False
+                    return report
                 seen.add(child)
                 queue.append(
                     (root, expected, state, ops, persists, schedule + (persists,), child)

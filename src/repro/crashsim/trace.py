@@ -14,8 +14,8 @@ by op, the exact order in which state became durable under ADR:
   to the controller as one transaction (data + HMAC sub-line + the TCB
   ``Nwb`` bump) and therefore share a fate across a power failure;
 * persistent TCB register micro-ops, interleaved at their true position
-  in the stream and tagged with the mutator name from the class's
-  ``@persistence`` declaration.
+  in the stream and tagged with the name of the TCB method that made
+  them.
 
 The resulting :class:`PersistTrace` is the input to the crash-state
 enumerator: its units are the atoms ADR semantics permute and truncate.
@@ -58,7 +58,7 @@ class PersistOp:
     #: Post-op full line for WPQ writes; post-op ``root_new`` for the
     #: root-register mutators; ``None`` for delta-replayed TCB ops.
     data: bytes | None = None
-    #: Sanctioned ``@persistence`` mutator name (TCB ops only).
+    #: Name of the TCB method that made the op (TCB ops only).
     mutator: str | None = None
 
     def to_dict(self) -> dict:
@@ -227,8 +227,6 @@ class PersistTraceRecorder:
                 name: {
                     "persistent": list(decl.persistent),
                     "volatile": list(decl.volatile),
-                    "aka": list(decl.aka),
-                    "mutators": list(decl.mutators),
                 }
                 for name, decl in sorted(REGISTRY.items())
                 if name in ("WritePendingQueue", "TCB", "NVMDevice")

@@ -59,8 +59,6 @@ class PermanentMediaError(Exception):
 
 @persistence(
     persistent=("_lines", "_write_counts"),
-    aka=("nvm",),
-    mutators=("write_line", "write_partial", "poke", "restore"),
 )
 class NVMDevice:
     """The persistent, *untrusted* memory device.

@@ -32,18 +32,6 @@ class AtomicBatchError(RuntimeError):
 
 @persistence(
     volatile=("_batch",),
-    aka=("wpq",),
-    mutators=(
-        "write",
-        "write_partial",
-        "begin_atomic",
-        "write_atomic",
-        "commit_atomic",
-        "power_failure",
-    ),
-    # Trace domain (lint rule P7 and the cross-check): the normal store
-    # micro-ops; write_atomic is a store site too.
-    stores=("write", "write_partial"),
 )
 class WritePendingQueue:
     """The ADR-protected write queue in front of the NVM device."""

@@ -65,7 +65,6 @@ class AccessResult(NamedTuple):
 
 @persistence(
     volatile=("cache", "overlay", "walk_depth"),
-    aka=("meta",),
 )
 class MetadataStore:
     """Verified meta cache over the counter and Merkle regions."""

@@ -10,8 +10,7 @@ Entries are written crash-consistently — serialized to a temporary file
 in the same directory, then :func:`os.replace`'d into place — so a cache
 interrupted mid-``put`` never holds a torn JSON document.  This mirrors
 the write-ordering discipline the simulated system itself is built
-around, and the class declares its domains to the ``repro lint``
-analyzer like every other owner of crash-surviving state.
+around.
 
 Cumulative hit/miss/store counters persist in ``stats.json`` (merged at
 :meth:`ResultCache.flush_stats`, typically once per orchestrated sweep),
@@ -27,7 +26,6 @@ import tempfile
 from pathlib import Path
 
 from repro.common.jsondoc import dumps_sorted
-from repro.common.persistence import persistence
 from repro.runs.spec import RunSpec
 
 #: Default cache directory (relative to the working directory unless the
@@ -108,12 +106,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-@persistence(
-    persistent=("cumulative",),
-    volatile=("hits", "misses", "stores"),
-    aka=("result_cache",),
-    mutators=("get", "put", "flush_stats", "gc"),
-)
 class ResultCache:
     """Spec-hash-addressed result store, invalidated by code fingerprint.
 

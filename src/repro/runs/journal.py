@@ -21,19 +21,12 @@ import os
 import time
 from pathlib import Path
 
-from repro.common.persistence import persistence
 from repro.runs.spec import RunSpec
 
 #: Journal file format version.
 JOURNAL_FORMAT = 1
 
 
-@persistence(
-    persistent=("records",),
-    volatile=("_handle", "_good_bytes"),
-    aka=("journal",),
-    mutators=("record", "close"),
-)
 class RunJournal:
     """Append-only JSONL journal of completed run specs.
 

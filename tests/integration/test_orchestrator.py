@@ -6,6 +6,12 @@ byte-identical serialized results, or the cache would make figures
 depend on *how* they were computed.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.runs import (
@@ -17,6 +23,7 @@ from repro.runs import (
 )
 
 FP = "f" * 16
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 SPECS = [
     simulation_spec(scheme, "hmmer", 300, 2)
@@ -34,6 +41,25 @@ class TestDeterminism:
             assert canonical_json(serial.payload(spec)) == canonical_json(
                 pooled.payload(spec)
             ), f"pooled result diverged for {spec.describe()}"
+
+    def test_evaluate_document_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """Two processes under different ``PYTHONHASHSEED`` write the same
+        Figure 5 document, minus its run metadata: no set order leaks
+        into a spec hash, a result or the export."""
+        documents = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"fig5-{seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+            subprocess.run(
+                [sys.executable, "-m", "repro", "evaluate", "--length", "300",
+                 "--no-cache", "--quiet", "--json", str(out)],
+                cwd=tmp_path, env=env, check=True, capture_output=True,
+                timeout=120,
+            )
+            document = json.loads(out.read_text(encoding="utf-8"))
+            document.pop("run")
+            documents.append(document)
+        assert documents[0] == documents[1]
 
     def test_distinct_seeds_give_distinct_hashes_and_results(self):
         a = simulation_spec("ccnvm", "milc", 300, 1)

@@ -38,6 +38,7 @@ from repro.crashsim import (
     record_workload,
     run_campaign,
 )
+from repro.crashsim import closure as closure_mod
 from repro.crashsim import explore
 from repro.crashsim.closure import prefix_state, recovery_closure
 from repro.crashsim.workload import HOTSET, REKEY
@@ -101,23 +102,27 @@ def is_data_poke(op) -> bool:
 class TestRecordedPrefixes:
     def test_live_crash_leaves_the_recorded_prefix(self):
         """Crashing recovery after p persists leaves the image and
-        registers the first p recorded ops describe, for every p."""
-        state = rekey_state("ccnvm")
-        oracle = RecoveryOracle("ccnvm", CAPACITY, SEED)
-        _, ops = oracle.evaluate_traced(state)
-        assert ops[0].mutator == "begin_recovery"
-        assert ops[-1].mutator == "set_roots"
-        assert is_data_poke(ops[1])
-        scheme = create_scheme("ccnvm", data_capacity=CAPACITY, seed=SEED)
-        for persists in range(1, len(ops) + 1):
-            rewind(scheme, state)
-            with RecoveryRecorder(scheme, crash_after=persists):
-                with pytest.raises(PowerFailure):
-                    scheme.recover()
-            scheme.crash()
-            member = prefix_state(state, state, ops, persists)
-            assert scheme.nvm.snapshot() == member.lines, persists
-            assert scheme.tcb.registers_snapshot() == member.registers, persists
+        registers the first p recorded ops describe, for every p, on
+        every design's re-key recovery."""
+        for name in SCHEMES:
+            state = rekey_state(name)
+            oracle = RecoveryOracle(name, CAPACITY, SEED)
+            _, ops = oracle.evaluate_traced(state)
+            assert ops[0].mutator == "begin_recovery", name
+            assert ops[-1].mutator == "set_roots", name
+            assert is_data_poke(ops[1]), name
+            scheme = create_scheme(name, data_capacity=CAPACITY, seed=SEED)
+            for persists in range(1, len(ops) + 1):
+                rewind(scheme, state)
+                with RecoveryRecorder(scheme, crash_after=persists):
+                    with pytest.raises(PowerFailure):
+                        scheme.recover()
+                scheme.crash()
+                member = prefix_state(state, state, ops, persists)
+                assert scheme.nvm.snapshot() == member.lines, (name, persists)
+                assert scheme.tcb.registers_snapshot() == member.registers, (
+                    name, persists
+                )
 
 
 class TestClosureSlices:
@@ -154,6 +159,22 @@ class TestClosureSlices:
         for row in summary["grid"].values():
             for cell in row.values():
                 assert cell["closure"]["members"] > cell["closure"]["roots"]
+
+
+class TestBudgets:
+    def test_walk_stops_past_its_depth(self, monkeypatch):
+        """A member deeper than ``MAX_DEPTH`` ends the walk unclosed; the
+        re-key state's closure needs depth 2, so a cap of 1 stops it."""
+        state = rekey_state("ccnvm")
+        oracle = RecoveryOracle("ccnvm", CAPACITY, SEED)
+        memo: dict = {}
+        full = recovery_closure(oracle, [state], memo)
+        assert full.closed and full.depth == 2
+        monkeypatch.setattr(closure_mod, "MAX_DEPTH", 1)
+        capped = recovery_closure(oracle, [state], memo)
+        assert not capped.closed
+        assert capped.depth == 1
+        assert set(capped.members) < set(full.members)
 
 
 class TestCampaignPath:

@@ -1,17 +1,16 @@
-"""The mutation corpus behind DESIGN.md's lint audit table.
+"""The mutation corpus behind DESIGN.md's mutation audit table.
 
 Each :class:`Mutant` is one contiguous edit (``before`` -> ``after``,
 ``before`` occurring exactly once in ``path``) that plants a bug of the
-kind one ``repro lint`` charter exists to catch.  ``mutate.py`` applies
-them one at a time to a scratch copy of the repository; nothing here is
-collected by pytest (no ``test_`` prefix).
+kind one persist-order or determinism charter describes.  ``mutate.py``
+applies them one at a time to a scratch copy of the repository; nothing
+here is collected by pytest (no ``test_`` prefix).
 
 Per mutant the corpus records what the audit measured:
 
-* ``lint`` — the rules of the *current* analyzer that fire on it
-  (``XC`` = the static/dynamic cross-check fails);
-* ``catchers`` — non-lint tier-1 node ids that fail on it (the fastest
-  few of all the failures; DESIGN.md gives the full counts);
+* ``catchers`` — tier-1 node ids that fail on it (the fastest few of
+  all the failures; DESIGN.md gives the full counts).  Every mutant has
+  at least one;
 * ``hashseeds`` — the ``PYTHONHASHSEED`` values every catch must hold
   under (set-order mutants list two).
 """
@@ -24,14 +23,17 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Mutant:
     id: str
-    #: The lint charter the planted bug belongs to (``XC`` = cross-check).
+    #: The charter the planted bug belongs to, named by the rule of the
+    #: former static analyzer that covered it (``XC`` = its trace
+    #: cross-check): P1 persistent state assigned outside its owner, P3/P6
+    #: persist ordering, P4 volatile reads in recovery, P5 scheme seams,
+    #: P7/XC persists the trace misses, D0-D2 determinism.
     charter: str
     title: str
     #: File to edit, relative to the repository root.
     path: str
     before: str
     after: str
-    lint: tuple[str, ...] = ()
     catchers: tuple[str, ...] = ()
     hashseeds: tuple[int, ...] = (0,)
 
@@ -116,8 +118,8 @@ MUTANTS: tuple[Mutant, ...] = (
         "        self._count_writeback_extras(counter_addr)\n"
         "        self.wpq.end_combined()\n"
         "        self.tcb.count_writeback()\n",
-        lint=("P7",),
         catchers=(
+            "tests/unit/test_crashsim_enumerate.py::TestPrefixStates::test_full_prefix_equals_live_machine",
             "tests/integration/test_crash_campaign.py::TestCampaignSmoke::test_no_violations_no_mismatches",
         ),
     ),
@@ -127,7 +129,6 @@ MUTANTS: tuple[Mutant, ...] = (
         "        self.nwb += 1\n"
         '        self._trace("count_writeback")\n',
         "        self.nwb += 1\n",
-        lint=("P7", "XC"),
         catchers=(
             "tests/unit/test_crashsim_enumerate.py::TestPrefixStates::test_full_prefix_equals_live_machine",
         ),
@@ -137,8 +138,8 @@ MUTANTS: tuple[Mutant, ...] = (
         BASE,
         "        self.wpq.begin_combined()\n",
         "",
-        lint=("P7", "XC"),
         catchers=(
+            "tests/unit/test_crashsim_enumerate.py::TestPrefixStates::test_full_prefix_equals_live_machine",
             "tests/integration/test_crash_campaign.py::TestDifferentialContract::test_hotset_outcomes_per_design",
         ),
     ),
@@ -147,7 +148,6 @@ MUTANTS: tuple[Mutant, ...] = (
         RECOVERY,
         "        self.tcb.begin_recovery()\n",
         "        self.tcb.recovery_pending = True\n",
-        lint=("P1",),
         catchers=(
             "tests/integration/test_recovery_closure.py::TestClosureSlices::test_rekey_state_closes_clean[ccnvm]",
         ),
@@ -159,14 +159,15 @@ MUTANTS: tuple[Mutant, ...] = (
         '            freshness_check="nwb",\n',
         "            retry_limit=self.config.epoch.update_limit + len(self.meta.overlay),\n"
         '            freshness_check="nwb",\n',
-        lint=("P4",),
+        catchers=(
+            "tests/unit/test_volatile_poison.py::TestPoisonPerDesign::test_recovery_completes_and_hands_back_the_cleared_objects[ccnvm]",
+        ),
     ),
     Mutant(
         "M12", "P5", "Osiris Plus _on_dirty_meta_evict renamed away",
         OSIRIS,
         "    def _on_dirty_meta_evict(self, victim: CacheLine) -> None:\n",
         "    def _on_dirty_meta_evicted(self, victim: CacheLine) -> None:\n",
-        lint=("XC",),
         catchers=(
             "tests/integration/test_attack_detection.py::TestOsirisDetectsButCannotLocate::test_replay_detected_not_located",
         ),
@@ -189,7 +190,6 @@ MUTANTS: tuple[Mutant, ...] = (
         "        return tuple(sorted((k, canonical_value(v)) for k, v in value.items()))\n",
         "        return tuple((k, canonical_value(value[k])) for k in set(value))\n",
         hashseeds=(0, 1),
-        lint=("D1",),
         catchers=(
             "tests/integration/test_campaign_digests.py::test_every_campaign_shard_matches_its_golden_digest",
         ),
@@ -238,7 +238,6 @@ MUTANTS: tuple[Mutant, ...] = (
         "        self.tcb.set_roots(root)\n",
         "        self.tcb.root_new = self.tcb.root_old = root\n"
         "        self.tcb.nwb = 0\n",
-        lint=("P1",),
         catchers=(
             "tests/unit/test_faults_injector.py::TestDoubleCrash::test_crash_during_recovery_is_restartable",
         ),
@@ -248,8 +247,8 @@ MUTANTS: tuple[Mutant, ...] = (
         CCNVM,
         "            use_counter_log=self.locate_registers,\n",
         "            use_counter_log=self.locate_registers and len(self.queue) > 0,\n",
-        lint=("P4",),
         catchers=(
+            "tests/unit/test_volatile_poison.py::TestPoisonPerDesign::test_recovery_completes_and_hands_back_the_cleared_objects[ccnvm_locate]",
             "tests/unit/test_extension_locate.py::TestReplayLocation::test_in_epoch_replay_located_at_page",
         ),
     ),
@@ -258,7 +257,6 @@ MUTANTS: tuple[Mutant, ...] = (
         "src/repro/core/schemes/no_cc.py",
         "    def flush(self) -> None:\n",
         "    def flush_all(self) -> None:\n",
-        lint=("XC",),
         catchers=(
             "tests/integration/test_end_to_end.py::TestRoundTrips::test_flush_then_graceful_restart[no_cc]",
         ),
@@ -269,7 +267,6 @@ MUTANTS: tuple[Mutant, ...] = (
         "        self.wpq.begin_atomic()\n"
         "        flushed = 0\n",
         "        flushed = 0\n",
-        lint=("XC",),
         catchers=(
             "tests/integration/test_attack_detection.py::TestConfidentiality::test_observed_nvm_carries_no_plaintext",
         ),
@@ -291,25 +288,17 @@ MUTANTS: tuple[Mutant, ...] = (
         "    for pattern in growth_strings(k):\n",
         "    for pattern in set(growth_strings(k)):\n",
         hashseeds=(0, 1),
-        lint=("D1",),
         catchers=(
             "tests/integration/test_trafficgen.py::TestAceCampaign::test_summary_does_not_depend_on_the_hash_seed",
         ),
-    ),
-    Mutant(
-        "M24", "XC", "WPQ write_partial dropped from the stores= declaration",
-        WPQ,
-        '    stores=("write", "write_partial"),\n',
-        '    stores=("write",),\n',
-        lint=("XC",),
     ),
     Mutant(
         "M25", "XC", "WPQ write_partial traced under the write kind",
         WPQ,
         '        self._trace("write_partial", addr)\n',
         '        self._trace("write", addr)\n',
-        lint=("XC",),
         catchers=(
+            "tests/unit/test_crashsim_enumerate.py::TestPrefixStates::test_full_prefix_equals_live_machine",
             "tests/unit/test_crashsim_trace.py::TestTraceStructure::test_writeback_group_is_one_unit",
         ),
     ),

@@ -3,20 +3,21 @@
 Usage (from the repository root)::
 
     python tests/mutation/mutate.py check           # every hunk still applies
-    python tests/mutation/mutate.py verify          # recorded lint rules fire and
+    python tests/mutation/mutate.py verify          # every hunk applies and its
                                                     #   recorded catcher tests fail
     python tests/mutation/mutate.py audit --out audit.json
-                                                    # full measurement: lint plus the
-                                                    #   whole tier-1 minus lint tests
+                                                    # full measurement: the whole
+                                                    #   tier-1 per mutant
 
 Each mutant is applied to a copy of the tree (``--workdir``, a fresh
 temporary directory by default), measured, and reverted before the
 next one, so the source tree is never edited.  ``--source`` points the
-copy at another checkout (for example the parent commit, to audit rules
-a change deletes).  ``verify`` runs only the recorded catcher node ids
-and finishes in a few minutes; ``audit`` runs tier-1 once per mutant
-and hash seed (about two minutes each on a 2-vCPU VM).  Exit status 1
-means some mutant no longer matches its record.
+copy at another checkout (for example the parent commit, to compare a
+row before and after a change).  ``verify`` runs only the recorded
+catcher node ids and finishes in a few minutes; ``audit`` runs tier-1
+once per mutant and hash seed (about two minutes each on a 2-vCPU VM).
+Exit status 1 means some mutant no longer matches its record, or has no
+recorded catcher at all.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ IGNORED = shutil.ignore_patterns(
     ".hypothesis", ".benchmarks", ".repro-cache", ".perf-work",
 )
 
-LINT_TIMEOUT_S = 300
 TIER1_TIMEOUT_S = 1800
 
 
@@ -82,33 +82,6 @@ class Applied:
 
 class HunkError(RuntimeError):
     pass
-
-
-def lint_rules(tree: Path, scratch: Path) -> list[str]:
-    """Rules ``repro lint --strict --cross-check`` reports on *tree*.
-
-    ``XC`` stands for a failed (or crashed) cross-check and ``stale``
-    for a baseline entry the tree no longer produces.
-    """
-    xc_out = scratch / "cross-check.json"
-    xc_out.unlink(missing_ok=True)
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--strict", "--json",
-         "--cross-check", "--cross-check-out", str(xc_out)],
-        cwd=tree, env=_env(tree, 0), capture_output=True, text=True,
-        timeout=LINT_TIMEOUT_S,
-    )
-    rules: set[str] = set()
-    try:
-        report, _ = json.JSONDecoder().raw_decode(proc.stdout)
-    except ValueError:
-        return ["lint-crashed"]
-    rules.update(f["rule"] for f in report["findings"])
-    if report["stale_baseline"]:
-        rules.add("stale")
-    if not xc_out.exists() or not json.loads(xc_out.read_text())["ok"]:
-        rules.add("XC")
-    return sorted(rules)
 
 
 def _node_id(tree: Path, classname: str, name: str) -> str:
@@ -178,9 +151,10 @@ def cmd_verify(args) -> int:
     problems: list[str] = []
     for mutant in selected(args.only):
         started = time.perf_counter()
+        if not mutant.catchers:
+            problems.append(f"{mutant.id}: no recorded catcher")
         try:
             with Applied(tree, mutant):
-                rules = lint_rules(tree, scratch)
                 missed: list[str] = []
                 for seed in mutant.hashseeds if mutant.catchers else ():
                     failed, timed_out = run_pytest(
@@ -195,16 +169,11 @@ def cmd_verify(args) -> int:
             problems.append(str(err))
             print(f"{mutant.id}: HUNK DOES NOT APPLY")
             continue
-        if rules != sorted(mutant.lint):
-            problems.append(
-                f"{mutant.id}: lint fired {rules}, corpus records {sorted(mutant.lint)}"
-            )
         problems += [f"{mutant.id}: catcher did not fail: {m}" for m in missed]
-        verdict = "ok" if rules == sorted(mutant.lint) and not missed else "MISMATCH"
+        verdict = "ok" if mutant.catchers and not missed else "MISMATCH"
         print(
-            f"{mutant.id} [{mutant.charter}] lint={','.join(rules) or '-'} "
-            f"catchers={len(mutant.catchers)} {verdict} "
-            f"({time.perf_counter() - started:.1f}s)",
+            f"{mutant.id} [{mutant.charter}] catchers={len(mutant.catchers)} "
+            f"{verdict} ({time.perf_counter() - started:.1f}s)",
             flush=True,
         )
     for problem in problems:
@@ -220,11 +189,9 @@ def cmd_audit(args) -> int:
     for mutant in selected(args.only):
         started = time.perf_counter()
         with Applied(tree, mutant):
-            row = {"charter": mutant.charter, "lint": lint_rules(tree, scratch)}
+            row = {"charter": mutant.charter}
             for seed in mutant.hashseeds:
-                failed, timed_out = run_pytest(
-                    tree, scratch, ["-k", "not lint"], seed
-                )
+                failed, timed_out = run_pytest(tree, scratch, [], seed)
                 row[f"tier1_seed{seed}"] = {
                     "timed_out": timed_out,
                     "failed": dict(sorted(failed.items())),
@@ -233,8 +200,7 @@ def cmd_audit(args) -> int:
         results[mutant.id] = row
         out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
         counts = [len(row[f"tier1_seed{s}"]["failed"]) for s in mutant.hashseeds]
-        print(f"{mutant.id} lint={row['lint']} tier1_failures={counts} "
-              f"({row['seconds']}s)", flush=True)
+        print(f"{mutant.id} tier1_failures={counts} ({row['seconds']}s)", flush=True)
     return 0
 
 

@@ -1,19 +1,93 @@
 """Unit tests for ADR crash-state enumeration.
 
-What must hold: the full prefix reproduces the live machine exactly,
-drop-sets never cross a fence and never break per-address program
-order, torn batches appear only when explicitly requested, and a crash
-point too wide to expand exhaustively fails loudly instead of sampling.
+What must hold: every prefix of the recorded trace reproduces the live
+machine exactly, at the moment its last unit was recorded, on every
+design (so no persist escapes the trace); drop-sets never cross a fence
+and never break per-address program order, torn batches appear only
+when explicitly requested, and a crash point too wide to expand
+exhaustively fails loudly instead of sampling.
 """
 
 import pytest
 
 import repro.crashsim.enumerate as enumerate_mod
-from repro.core.schemes import create_scheme
-from repro.crashsim import CrashEnumerator, applied_ops, build_state, record_workload
-from repro.crashsim.enumerate import DEFAULT_WINDOW, MAX_ACTIVE_CANDIDATES
+from repro.core.schemes import SCHEMES, create_scheme
+from repro.crashsim import (
+    CrashEnumerator,
+    PersistTraceRecorder,
+    applied_ops,
+    build_state,
+    record_workload,
+)
+from repro.crashsim.enumerate import (
+    DEFAULT_WINDOW,
+    MAX_ACTIVE_CANDIDATES,
+    _copy_registers,
+    apply_op,
+)
 
 from tests.conftest import TINY_CAPACITY
+
+#: The hot set at 400 steps, seed 7: long enough that every design
+#: reaches each of its persist sites (drains, stop-loss writes, re-rooting).
+SMOKE_STEPS = 400
+SMOKE_SEED = 7
+
+#: Every ``(owner, micro-op)`` the six designs persist through at run time.
+PERSIST_SITES = {
+    ("TCB", "commit_root"),
+    ("TCB", "count_writeback"),
+    ("TCB", "log_counter_update"),
+    ("TCB", "update_root_new"),
+    ("WritePendingQueue", "write"),
+    ("WritePendingQueue", "write_atomic"),
+    ("WritePendingQueue", "write_partial"),
+}
+
+#: Register bumps that must share a unit with the data write they
+#: describe, or a crash could separate the two.
+GROUPED = ("count_writeback", "log_counter_update")
+
+
+def record_checking_every_unit(name: str, monkeypatch):
+    """Record the smoke workload on *name*, comparing the live NVM image
+    and TCB registers with the replayed prefix each time a unit is
+    recorded.  Returns ``(scheme, trace, first mismatch or None)``."""
+    scheme = create_scheme(name, data_capacity=TINY_CAPACITY, seed=SMOKE_SEED)
+    emit = PersistTraceRecorder._emit_unit
+    replayed: dict = {}
+    mismatch: list = []
+
+    def emit_and_compare(recorder, kind, ops):
+        emit(recorder, kind, ops)
+        if not replayed:
+            replayed["lines"] = dict(recorder._trace.initial_lines)
+            replayed["registers"] = _copy_registers(recorder._trace.initial_registers)
+        for op in ops:
+            apply_op(replayed["lines"], replayed["registers"], {}, op, {})
+        if mismatch:
+            return
+        live_lines = scheme.nvm.snapshot()
+        live_registers = scheme.tcb.registers_snapshot()
+        if replayed["lines"] != live_lines or replayed["registers"] != live_registers:
+            lines = sorted(
+                addr for addr in set(live_lines) | set(replayed["lines"])
+                if live_lines.get(addr) != replayed["lines"].get(addr)
+            )
+            registers = sorted(
+                key for key in live_registers
+                if live_registers[key] != replayed["registers"][key]
+            )
+            mismatch.append(
+                f"{name}: after unit {len(recorder._units) - 1} ({kind}), "
+                f"lines {[hex(a) for a in lines]} and registers {registers} "
+                "changed outside the trace"
+            )
+
+    monkeypatch.setattr(PersistTraceRecorder, "_emit_unit", emit_and_compare)
+    trace = record_workload(scheme, SMOKE_STEPS, SMOKE_SEED)
+    monkeypatch.setattr(PersistTraceRecorder, "_emit_unit", emit)
+    return scheme, trace, mismatch[0] if mismatch else None
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +116,33 @@ class TestParameters:
 
 
 class TestPrefixStates:
-    def test_full_prefix_equals_live_machine(self, recorded):
-        scheme, trace = recorded
-        full = next(
-            CrashEnumerator(trace).states(points=lambda k: k == len(trace.units))
-        )
-        assert full.lines == scheme.nvm.snapshot()
-        assert full.registers == scheme.tcb.registers_snapshot()
+    def test_full_prefix_equals_live_machine(self, monkeypatch):
+        """Trace completeness: after every recorded unit, on every design,
+        the live image and registers are the replayed prefix, so a
+        persist the trace does not see fails at the unit where it lands.
+        The smoke workload reaches every persist site, and the per-write-
+        back register bumps always share a unit with a data write."""
+        sites = set()
+        for name in sorted(SCHEMES):
+            scheme, trace, mismatch = record_checking_every_unit(name, monkeypatch)
+            assert mismatch is None, mismatch
+            full = next(
+                CrashEnumerator(trace).states(points=lambda k: k == len(trace.units))
+            )
+            assert full.lines == scheme.nvm.snapshot(), name
+            assert full.registers == scheme.tcb.registers_snapshot(), name
+            everything = build_state(trace, applied_ops(trace, full))
+            assert (everything.lines, everything.registers) == (
+                full.lines, full.registers
+            ), name
+            for unit in trace.units:
+                for op in unit.ops:
+                    sites.add((op.owner, op.mutator if op.kind == "tcb" else op.kind))
+                    if op.mutator in GROUPED:
+                        assert unit.kind == "group" and any(
+                            other.kind == "write" for other in unit.ops
+                        ), f"{name}: {op.mutator} outside its write's group (unit {unit.index})"
+        assert sites == PERSIST_SITES
 
     def test_empty_prefix_is_the_initial_image(self, recorded):
         _, trace = recorded

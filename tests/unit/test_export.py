@@ -248,29 +248,3 @@ class TestFig5BenchArtifact:
             for workload in document["workloads"]
         }
         assert fig5_bench_to_json(comparisons, document["run"]) == text
-
-
-class TestLintJson:
-    def test_lint_report_round_trips(self, tmp_path):
-        from repro.analysis.export import lint_to_json
-        from repro.lint import LintConfig, run_lint
-
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "evil.py").write_text(
-            '@persistence(persistent=("r",), aka=("t",))\n'
-            "class Owner:\n"
-            "    pass\n"
-            "\n"
-            "def smash(t):\n"
-            "    t.r = 1\n",
-            encoding="utf-8",
-        )
-        report = run_lint(LintConfig(root=pkg, base_dir=tmp_path))
-        doc = json.loads(lint_to_json(report))
-        assert doc["schema_version"] == 1
-        assert doc["counts"]["new"] == 1
-        [finding] = doc["findings"]
-        assert finding["rule"] == "P1"
-        assert finding["path"] == "pkg/evil.py"
-        assert finding["key"] == "P1|pkg/evil.py|smash|t.r"

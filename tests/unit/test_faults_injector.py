@@ -11,6 +11,7 @@ own persists (:class:`~repro.crashsim.trace.RecoveryRecorder`).
 import pytest
 
 from repro.common.constants import CACHE_LINE_SIZE
+from repro.common.persistence import VolatileStateLost
 from repro.core.schemes import create_scheme
 from repro.crashsim import PowerFailure, RecoveryRecorder
 from repro.mem.nvm import NVMDevice
@@ -84,11 +85,13 @@ class TestDirtyQueueCrashEdges:
         scheme.writeback(5000, 0x2100, payload(9))
         assert len(scheme.queue) > 0  # the path is reserved, uncommitted
         scheme.crash()
-        assert len(scheme.queue) == 0  # volatile queue lost with power
+        with pytest.raises(VolatileStateLost):
+            len(scheme.queue)  # volatile queue lost with power
         assert scheme.tcb.root_old == root_before  # epoch never committed
 
         report = scheme.recover()
         assert report.success
+        assert len(scheme.queue) == 0  # back, empty
         # The next epoch starts from scratch and can commit: push one
         # block past the update-times limit to force a drain.
         limit = scheme.config.epoch.update_limit
@@ -117,9 +120,11 @@ class TestDirtyQueueCrashEdges:
                 t += 1000
         scheme.wpq.trace_hook = None
         scheme.crash()
-        assert len(scheme.queue) == 0
+        with pytest.raises(VolatileStateLost):
+            len(scheme.queue)
         report = scheme.recover()
         assert report.success
+        assert len(scheme.queue) == 0
         got, _ = scheme.read(t + 10_000, 0x2000)
         assert got in (payload(limit - 1), payload(limit))  # last or in-flight
 

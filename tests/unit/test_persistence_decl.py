@@ -1,8 +1,9 @@
-"""Unit tests for the runtime persistence-declaration layer.
+"""Unit tests for the persistence-declaration layer.
 
-The static analyzer reads declarations off the AST; these tests pin the
-runtime half (decorator, registry, inheritance union) and cross-check
-the repo's real annotations against the crash model they describe.
+These tests pin the decorator, registry and inheritance union, and
+cross-check the repo's real annotations against the crash model they
+describe.  The poison that reads ``volatile=`` at run time is tested in
+``test_volatile_poison.py``.
 """
 
 import pytest
@@ -22,8 +23,7 @@ from tests.conftest import SMALL_CAPACITY, small_config
 
 class TestDecorator:
     def test_declaration_attached_and_registered(self):
-        @persistence(persistent=("a",), volatile=("b",), aka=("thing",),
-                     mutators=("poke",))
+        @persistence(persistent=("a",), volatile=("b",))
         class Thing:
             pass
 
@@ -122,5 +122,5 @@ class TestRepoAnnotations:
                 and hasattr(value, "__dict__")
             )
         assert {"TCB", "NVMDevice", "WritePendingQueue", "MetadataStore",
-                "EncryptionEngine", type(scheme).__name__} <= checked
+                type(scheme).__name__} <= checked
         assert ("DirtyAddressQueue" in checked) == name.startswith("ccnvm")

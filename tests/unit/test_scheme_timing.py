@@ -3,6 +3,7 @@ Figure 5(a)'s ordering, pinned at the unit level."""
 
 import pytest
 
+from repro.common.persistence import VolatileStateLost
 from repro.core.schemes import create_scheme
 from repro.metadata.merkle import read_slot
 from repro.sim.runner import run_simulation
@@ -104,6 +105,9 @@ class TestBusyUntil:
         scheme = fresh("ccnvm", config)
         scheme.writeback(0, 0x1000, payload(1))
         scheme.crash()
+        with pytest.raises(VolatileStateLost):
+            scheme.busy_until + 0
+        scheme.recover()
         assert scheme.busy_until == 0
 
 

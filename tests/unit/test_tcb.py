@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.constants import CACHE_LINE_SIZE, HMAC_SIZE
+from repro.common.persistence import VolatileStateLost
 from repro.core.tcb import TCB
 from repro.crypto.prf import SecretKey
 
@@ -129,10 +130,13 @@ class TestCrashSplit:
         nwb_before = scheme.tcb.nwb
         mem.crash()
         # volatile domain gone...
-        assert scheme.meta.dirty_addresses() == []
-        assert scheme.meta.overlay == {}
+        with pytest.raises(VolatileStateLost):
+            scheme.meta.dirty_addresses()
         # ...persistent registers intact
         assert (scheme.tcb.root_new, scheme.tcb.root_old) == roots_before
         assert scheme.tcb.nwb == nwb_before
         assert mem.recover().success
+        # ...and recovery hands the meta cache back empty.
+        assert scheme.meta.dirty_addresses() == []
+        assert scheme.meta.overlay == {}
         assert mem.load(0x1000, 8) == b"survivor"

@@ -1,6 +1,9 @@
 """Edge cases at the persistence boundary: WPQ batch statistics, batch
 reuse, and scheme crash() interactions with in-flight state."""
 
+import pytest
+
+from repro.common.persistence import VolatileStateLost
 from repro.core.schemes import create_scheme
 from repro.mem.nvm import NVMDevice
 from repro.mem.wpq import WritePendingQueue
@@ -37,8 +40,10 @@ class TestCrashDuringScheme:
         scheme.writeback(0, 0x1000, payload(1))
         assert len(scheme.queue) > 0
         scheme.crash()
-        assert len(scheme.queue) == 0
+        with pytest.raises(VolatileStateLost):
+            len(scheme.queue)
         assert scheme.recover().success
+        assert len(scheme.queue) == 0
         # The machine is immediately usable for a fresh epoch.
         scheme.writeback(10_000, 0x2000, payload(2))
         scheme.flush()
