@@ -18,14 +18,15 @@ The full cc-NVM recovery runs four steps:
 3. **Detect potential replay** — the persistent ``Nwb`` register counts
    write-backs since the last commit; if the total retries ``Nretry``
    disagree, a fresh block was replayed to an in-epoch version
-   (detectable but not locatable — the Section 4.3 window).  Designs that
-   keep ``root_new`` fresh per write-back (SC, Osiris Plus, cc-NVM w/o
-   DS) instead compare the rebuilt root against ``root_new``.
+   (detectable but not locatable — the Section 4.3 window).  SC and
+   Osiris Plus, which keep ``root_new`` fresh per write-back, instead
+   compare the rebuilt root against ``root_new``.
 4. **Rebuild** — recovered counters are written back, the tree is
    reconstructed bottom-up and both TCB roots adopt the rebuilt root.
 
-The same manager serves every scheme through a :class:`RecoveryPolicy`:
-the conventional designs simply run with the steps they can support
+The same manager serves every scheme through the :class:`RecoveryPolicy`
+its class declares (``SecureNVMScheme.recovery_policy``): the
+conventional designs simply run with the steps they can support
 (Osiris Plus cannot use step 1 — its NVM tree is never consistent — and
 w/o CC has no retry bound at all, so blocks can be genuinely
 unrecoverable, the paper's motivating failure).
@@ -103,9 +104,10 @@ class RecoveryPolicy:
     #: TCB roots the stored tree may legitimately match in step 1
     #: (names among 'old'/'new'); empty skips step 1 entirely.
     check_tree_against: tuple[str, ...] = ()
-    #: Maximum data-HMAC retries per block (the design's counter bound).
-    retry_limit: int = 0
-    #: Step-3 style: 'nwb' (cc-NVM with DS), 'root_new' (designs whose
+    #: Maximum data-HMAC retries per block (the design's counter bound);
+    #: a scheme declares ``None`` for the epoch's update limit N.
+    retry_limit: int | None = 0
+    #: Step-3 style: 'nwb' (the cc-NVM variants), 'root_new' (designs whose
     #: root_new is fresh per write-back), or None (no step 3 possible).
     freshness_check: str | None = None
     #: Section 4.4's extension: consult the TCB's per-counter-line update

@@ -19,8 +19,11 @@ Subclasses specialize three seams:
 * :meth:`_post_writeback` — per-design persistence actions (SC's atomic
   flush, Osiris's periodic counter write, cc-NVM's trigger-3 drain);
 
-plus the eviction hooks on the metadata store, :meth:`flush` (graceful
-shutdown) and :meth:`_recover` (post-crash behaviour).
+plus the eviction hooks on the metadata store and :meth:`flush` (graceful
+shutdown).  Post-crash behaviour is declared, not coded: each design
+states its recovery contract once, as the class attributes
+:attr:`~SecureNVMScheme.recovery_policy` and
+:attr:`~SecureNVMScheme.crash_outcomes`, and :meth:`_recover` runs it.
 
 The timing contract: :meth:`writeback` returns the cycles the evicting
 agent is blocked before the data block is accepted into the write path;
@@ -32,12 +35,14 @@ prescribes.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import replace
 
 from repro.common.address import block_in_page, page_align
 from repro.common.config import SystemConfig
 from repro.common.constants import MINOR_COUNTER_MAX
 from repro.common.persistence import persistence, poison_volatile, restore_volatile
 from repro.common.stats import StatGroup
+from repro.core.recovery import RecoveryManager, RecoveryPolicy, RecoveryReport
 from repro.core.tcb import TCB
 from repro.crypto.cme import CounterModeCipher
 from repro.crypto.hmac_engine import HmacEngine
@@ -67,6 +72,13 @@ class SecureNVMScheme(ABC):
 
     #: Short identifier used in reports and figures.
     name = "base"
+
+    #: What the design's recovery checks (Section 4.4); ``retry_limit=None``
+    #: is the epoch's update limit N, resolved by :meth:`resolved_policy`.
+    recovery_policy: RecoveryPolicy
+    #: Outcomes (:func:`repro.crashsim.oracle.classify`) recovery may
+    #: report after a pure crash, with no attacker present.
+    crash_outcomes: frozenset[str] = frozenset({"RECOVERED"})
 
     def __init__(
         self,
@@ -175,13 +187,8 @@ class SecureNVMScheme(ABC):
     def flush(self) -> None:
         """Graceful shutdown: leave NVM consistent with the TCB roots."""
 
-    @abstractmethod
-    def _recover(self):
-        """The design's post-crash recovery; returns a RecoveryReport.
-
-        It may read only the NVM image and the persistent TCB registers:
-        every volatile attribute is poisoned while it runs.
-        """
+    def _annotate_recovery(self, report: RecoveryReport) -> None:
+        """Append the design's own notes to a completed recovery report."""
 
     # ------------------------------------------------------------------
     # shared write-back path
@@ -432,7 +439,29 @@ class SecureNVMScheme(ABC):
         self._propagation_queue.clear()
         self._propagating = False
 
-    def recover(self):
+    def resolved_policy(self) -> RecoveryPolicy:
+        """:attr:`recovery_policy` with its retry bound taken from the config.
+
+        Resolved on every recovery, never cached at construction: the
+        recovery path may read only persistent state, and the poison
+        checks what this reads too.
+        """
+        policy = self.recovery_policy
+        if policy.retry_limit is None:
+            policy = replace(policy, retry_limit=self.config.epoch.update_limit)
+        return policy
+
+    def _recover(self) -> RecoveryReport:
+        """Run the design's recovery contract on the NVM image and the
+        persistent TCB registers; every volatile attribute is poisoned
+        while it runs."""
+        report = RecoveryManager(
+            self.nvm, self.tcb, self.merkle, self.resolved_policy(), self.name
+        ).run()
+        self._annotate_recovery(report)
+        return report
+
+    def recover(self) -> RecoveryReport:
         """Post-crash recovery; returns a RecoveryReport.
 
         Once the design's recovery completes, the volatile state

@@ -8,17 +8,20 @@ end signal → ``root_old`` catch-up).  The in-NVM Merkle tree therefore
 only ever transitions between consistent states, so replay attacks remain
 locatable even across a crash.
 
-Two variants share this class:
+Three designs share :class:`CcNVM`'s machinery:
 
-* **cc-NVM w/o DS** (``deferred_spreading=False``) recomputes the HMAC
-  chain up to the TCB ``root_new`` on every write-back — consistent at
-  all times, but paying the serial chain like SC and Osiris Plus.
-* **cc-NVM** (``deferred_spreading=True``) stops at the meta cache: the
+* **cc-NVM w/o DS** (:class:`CcNVMWithoutDeferredSpreading`) recomputes
+  the HMAC chain up to the TCB ``root_new`` on every write-back —
+  consistent at all times, but paying the serial chain like SC and
+  Osiris Plus.
+* **cc-NVM** (:class:`CcNVM`, deferred spreading) stops at the meta cache: the
   write-back only reserves the path's addresses in the dirty address
   queue (32-cycle lookup) and is forwarded immediately; every recorded
   node is recomputed exactly once at drain time, and ``root_new`` is
   updated only then.  The replay window this opens between drains is
   covered by the persistent ``Nwb`` register (Section 4.3).
+* **cc-NVM + locate registers** (:class:`CcNVMWithLocateRegisters`)
+  adds Section 4.4's extension registers to cc-NVM.
 
 Drain triggers (Section 4.2): queue full / can't fit the next write-back's
 path; a dirty metadata line about to be evicted; a line updated more than
@@ -29,11 +32,13 @@ major generation.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.common.config import SystemConfig
 from repro.common.persistence import persistence
 from repro.common.stats import StatGroup
 from repro.core.drainer import DirtyAddressQueue, DrainTrigger
-from repro.core.recovery import RecoveryManager, RecoveryPolicy, RecoveryReport
+from repro.core.recovery import RecoveryPolicy
 from repro.core.schemes.base import SecureNVMScheme
 from repro.mem.cache import CacheLine
 from repro.metadata.merkle import write_slot
@@ -50,10 +55,24 @@ from repro.metadata.merkle import write_slot
     ),
 )
 class CcNVM(SecureNVMScheme):
-    """The paper's ``cc-NVM`` (and, with ``deferred_spreading=False``,
-    its ``cc-NVM w/o DS`` ablation)."""
+    """The paper's ``cc-NVM``."""
 
     name = "ccnvm"
+    #: Deferred spreading (Section 4.3); off in the ``cc-NVM w/o DS`` ablation.
+    deferred_spreading = True
+
+    # The four-step recovery of Section 4.4.  Every variant, w/o DS
+    # included, checks freshness with Nwb: even w/o DS a crash can land
+    # between the (durable) data write and the chain recompute, so
+    # comparing the rebuilt root against root_new would false-alarm on
+    # the one in-flight write-back.  Nwb is bumped atomically with the
+    # data write, so retry totals stay commensurable with it at every
+    # crash point, while an in-epoch replay still shows as Nretry != Nwb.
+    recovery_policy = RecoveryPolicy(
+        check_tree_against=("old", "new"),
+        retry_limit=None,
+        freshness_check="nwb",
+    )
 
     def __init__(
         self,
@@ -61,20 +80,8 @@ class CcNVM(SecureNVMScheme):
         data_capacity: int | None = None,
         seed: int | str = 0,
         stats: StatGroup | None = None,
-        deferred_spreading: bool = True,
-        locate_registers: bool = False,
     ) -> None:
-        if locate_registers:
-            self.name = "ccnvm_locate"
-        elif not deferred_spreading:
-            self.name = "ccnvm_no_ds"
         super().__init__(config, data_capacity, seed, stats)
-        self.deferred_spreading = deferred_spreading
-        #: Section 4.4's extension: persistent registers recording each
-        #: dirty counter line's update count, enabling page-granular
-        #: *location* of in-epoch replays at the cost of M extra TCB
-        #: registers.
-        self.locate_registers = locate_registers
         self.queue = DirtyAddressQueue(
             config.epoch.dirty_queue_entries, self.stats.group("drainer")
         )
@@ -176,14 +183,6 @@ class CcNVM(SecureNVMScheme):
         cycles += self._hmac_cycles
         self.tcb.update_root_new(slot, child_hmac)
         return cycles
-
-    def _count_writeback_extras(self, counter_addr: int) -> None:
-        # The extension-register bump must land atomically with the data
-        # write it describes: recovery replays counter_log against the
-        # stored counters, so a crash separating the two would make the
-        # register file over- or under-count and false-alarm the check.
-        if self.locate_registers:
-            self.tcb.log_counter_update(counter_addr)
 
     def _post_writeback(
         self, now: int, counter_addr: int, line: CacheLine, overflowed: bool
@@ -346,53 +345,26 @@ class CcNVM(SecureNVMScheme):
         self._in_writeback = False
         self._pending_trigger = None
 
-    def _recover(self) -> RecoveryReport:
-        """The four-step recovery of Section 4.4.
-
-        Both variants use the ``Nwb`` freshness check: even w/o DS, a
-        crash can land between the (durable) data write and the chain
-        recompute, so comparing the rebuilt root against ``root_new``
-        would false-alarm on the one in-flight write-back.  ``Nwb`` is
-        bumped atomically with the data write, so retry totals stay
-        commensurable with it at every crash point, while an in-epoch
-        replay still shows up as ``Nretry != Nwb``.
-        """
-        policy = RecoveryPolicy(
-            check_tree_against=("old", "new"),
-            retry_limit=self.config.epoch.update_limit,
-            freshness_check="nwb",
-            use_counter_log=self.locate_registers,
-        )
-        return RecoveryManager(
-            self.nvm, self.tcb, self.merkle, policy, self.name
-        ).run()
-
 
 class CcNVMWithLocateRegisters(CcNVM):
-    """Convenience alias for the extension design (``ccnvm_locate``)."""
+    """cc-NVM plus Section 4.4's extension: persistent registers counting
+    each dirty counter line's updates, which *locate* in-epoch replays at
+    page granularity at the cost of M extra TCB registers."""
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        data_capacity: int | None = None,
-        seed: int | str = 0,
-        stats: StatGroup | None = None,
-    ) -> None:
-        super().__init__(
-            config, data_capacity, seed, stats, locate_registers=True
-        )
+    name = "ccnvm_locate"
+    recovery_policy = replace(CcNVM.recovery_policy, use_counter_log=True)
+
+    def _count_writeback_extras(self, counter_addr: int) -> None:
+        # The extension-register bump must land atomically with the data
+        # write it describes: recovery replays counter_log against the
+        # stored counters, so a crash separating the two would make the
+        # register file over- or under-count and false-alarm the check.
+        self.tcb.log_counter_update(counter_addr)
 
 
 class CcNVMWithoutDeferredSpreading(CcNVM):
-    """Convenience alias for the ``cc-NVM w/o DS`` ablation."""
+    """The ``cc-NVM w/o DS`` ablation: the HMAC chain is recomputed up to
+    ``root_new`` on every write-back."""
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        data_capacity: int | None = None,
-        seed: int | str = 0,
-        stats: StatGroup | None = None,
-    ) -> None:
-        super().__init__(
-            config, data_capacity, seed, stats, deferred_spreading=False
-        )
+    name = "ccnvm_no_ds"
+    deferred_spreading = False

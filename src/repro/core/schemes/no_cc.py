@@ -18,7 +18,7 @@ blocks — the paper's motivation for crash-consistent designs.
 
 from __future__ import annotations
 
-from repro.core.recovery import RecoveryManager, RecoveryPolicy, RecoveryReport
+from repro.core.recovery import RecoveryPolicy, RecoveryReport
 from repro.core.schemes.base import SecureNVMScheme
 from repro.mem.cache import CacheLine
 
@@ -27,6 +27,18 @@ class WithoutCrashConsistency(SecureNVMScheme):
     """The paper's ``w/o CC`` baseline."""
 
     name = "no_cc"
+
+    # Best-effort recovery, expected to fail after a real crash.  The
+    # stored tree matches no root (step 1 cannot tell crash damage from
+    # attacks and is skipped), counters may be arbitrarily stale (the
+    # retry bound borrowed from the epoch config is a courtesy, not a
+    # guarantee), and no freshness check is possible.
+    recovery_policy = RecoveryPolicy(
+        check_tree_against=(),
+        retry_limit=None,
+        freshness_check=None,
+    )
+    crash_outcomes = frozenset({"RECOVERED", "DEGRADED"})
 
     def _update_tree(self, now: int, counter_addr: int) -> int:
         # Lazy maintenance: nothing happens at write-back time; the HMAC
@@ -40,24 +52,8 @@ class WithoutCrashConsistency(SecureNVMScheme):
         """Graceful shutdown: push all dirty metadata out consistently."""
         self._flush_all_dirty_lazily()
 
-    def _recover(self) -> RecoveryReport:
-        """Best-effort recovery — expected to fail after a real crash.
-
-        The stored tree matches no root (so step 1 cannot distinguish
-        crash damage from attacks and is skipped) and counters may be
-        arbitrarily stale; the retry bound borrowed from the epoch config
-        is a courtesy, not a guarantee.
-        """
-        policy = RecoveryPolicy(
-            check_tree_against=(),
-            retry_limit=self.config.epoch.update_limit,
-            freshness_check=None,
-        )
-        report = RecoveryManager(
-            self.nvm, self.tcb, self.merkle, policy, self.name
-        ).run()
+    def _annotate_recovery(self, report: RecoveryReport) -> None:
         report.notes.append(
             "w/o CC provides no crash consistency: recovery is best-effort "
             "and unrecoverable blocks are expected after a crash"
         )
-        return report

@@ -25,7 +25,7 @@ Consequences the evaluation leans on (Sections 3 and 5):
 
 from __future__ import annotations
 
-from repro.core.recovery import RecoveryManager, RecoveryPolicy, RecoveryReport
+from repro.core.recovery import RecoveryPolicy, RecoveryReport
 from repro.core.schemes.base import SecureNVMScheme
 from repro.mem.cache import CacheLine
 
@@ -34,6 +34,18 @@ class OsirisPlus(SecureNVMScheme):
     """The paper's ``Osiris Plus`` design."""
 
     name = "osiris_plus"
+
+    # Counter restoration, tree rebuild, root comparison.  No step 1: the
+    # stored internal tree is never consistent, so tree tampering and
+    # replay collapse into one signal, the rebuilt root disagreeing with
+    # the per-write-back root register (detection without location).
+    # That check cannot tell a crash window from a replay either.
+    recovery_policy = RecoveryPolicy(
+        check_tree_against=(),
+        retry_limit=None,
+        freshness_check="root_new",
+    )
+    crash_outcomes = frozenset({"RECOVERED", "FALSE_ALARM"})
 
     def _update_tree(self, now: int, counter_addr: int) -> int:
         # Data may only be considered recoverable once the root register
@@ -82,25 +94,9 @@ class OsirisPlus(SecureNVMScheme):
             self.wpq.commit_atomic()
             self.meta.cache.clean(line.addr)
 
-    def _recover(self) -> RecoveryReport:
-        """Counter restoration + tree rebuild + root comparison.
-
-        Step 1 is impossible — the stored internal tree is never
-        consistent — so tree tampering and replay collapse into a single
-        signal: the rebuilt root disagreeing with the per-write-back root
-        register.  Detection without location.
-        """
-        policy = RecoveryPolicy(
-            check_tree_against=(),
-            retry_limit=self.config.epoch.update_limit,
-            freshness_check="root_new",
-        )
-        report = RecoveryManager(
-            self.nvm, self.tcb, self.merkle, policy, self.name
-        ).run()
+    def _annotate_recovery(self, report: RecoveryReport) -> None:
         if report.potential_replay_detected:
             report.notes.append(
                 "Osiris Plus cannot locate the tampered block: the whole "
                 "NVM contents must be dropped"
             )
-        return report

@@ -55,7 +55,7 @@ class TCB:
         #: Optional extension registers (Section 4.4's closing remark):
         #: per dirty counter line, the update count since the last commit.
         #: Bounded by the dirty-address-queue depth; persistent.  Filled
-        #: only by designs built with ``locate_registers=True``.
+        #: only by the locate design (``ccnvm_locate``).
         self.counter_log: dict[int, int] = {}
         #: Persistent one-bit register set while a recovery run is
         #: mutating the NVM image and cleared by :meth:`set_roots`.  A

@@ -47,18 +47,14 @@ from repro.crashsim.minimize import (
     replay,
 )
 from repro.crashsim.oracle import (
-    ALLOWED_OUTCOMES,
     ClassOracle,
     CrashClass,
     RecoveryOracle,
     Verdict,
 )
 from repro.crashsim.reduce import (
-    RECOVERY_VIEWS,
     CrashStateReducer,
-    RecoveryView,
     ReducedEnumerator,
-    recovery_view,
 )
 from repro.crashsim.trace import (
     PersistOp,
@@ -71,7 +67,6 @@ from repro.crashsim.trace import (
 from repro.crashsim.workload import record_workload
 
 __all__ = [
-    "ALLOWED_OUTCOMES",
     "CrashCampaignConfig",
     "ClassOracle",
     "CrashClass",
@@ -82,10 +77,8 @@ __all__ = [
     "PersistTrace",
     "PersistTraceRecorder",
     "PowerFailure",
-    "RECOVERY_VIEWS",
     "RecoveryOracle",
     "RecoveryRecorder",
-    "RecoveryView",
     "ReducedEnumerator",
     "Reproducer",
     "TraceUnit",
@@ -97,7 +90,6 @@ __all__ = [
     "minimize",
     "rebuild_trace",
     "record_workload",
-    "recovery_view",
     "replay",
     "run_campaign",
 ]

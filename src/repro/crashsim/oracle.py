@@ -5,7 +5,8 @@ For each crash state the oracle rewinds one long-lived scheme instance
 own :class:`~repro.core.recovery.RecoveryManager`, classifies the
 outcome (:func:`classify`), and checks the scheme-aware invariants:
 
-* the outcome lies in the design's *allowed* set — cc-NVM variants must
+* the outcome lies in the design's *allowed* set (its class's
+  ``crash_outcomes``) — cc-NVM variants must
   come back ``RECOVERED`` from every reachable state (the paper's
   claim); SC / Osiris Plus may honestly ``FALSE_ALARM`` (their
   freshness check cannot tell a crash window from a replay); w/o CC may
@@ -38,16 +39,6 @@ from repro.crashsim.enumerate import CrashState, lines_digest
 from repro.crashsim.trace import PersistOp, PowerFailure, RecoveryRecorder
 from repro.crashsim.workload import PROBE_ADDR, payload
 from repro.metadata.metacache import IntegrityError
-
-#: What each design's documented contract permits on a pure crash.
-ALLOWED_OUTCOMES: dict[str, frozenset[str]] = {
-    "ccnvm": frozenset({"RECOVERED"}),
-    "ccnvm_no_ds": frozenset({"RECOVERED"}),
-    "ccnvm_locate": frozenset({"RECOVERED"}),
-    "sc": frozenset({"RECOVERED", "FALSE_ALARM"}),
-    "osiris_plus": frozenset({"RECOVERED", "FALSE_ALARM"}),
-    "no_cc": frozenset({"RECOVERED", "DEGRADED"}),
-}
 
 
 def classify(report) -> str:
@@ -257,8 +248,6 @@ class RecoveryOracle:
     """
 
     def __init__(self, scheme_name: str, data_capacity: int, seed: int) -> None:
-        if scheme_name not in ALLOWED_OUTCOMES:
-            raise ValueError(f"no recovery contract known for {scheme_name!r}")
         self.scheme_name = scheme_name
         self.seed = seed
         self.scheme = create_scheme(scheme_name, data_capacity=data_capacity, seed=seed)
@@ -287,7 +276,7 @@ class RecoveryOracle:
         scheme.crash()
         scheme.nvm.restore(state.lines)
         scheme.tcb.restore_registers(state.registers)
-        allowed = ALLOWED_OUTCOMES[self.scheme_name]
+        allowed = scheme.crash_outcomes
         for persists in schedule or ():
             with RecoveryRecorder(scheme, crash_after=persists) as recorder:
                 try:

@@ -53,10 +53,10 @@ tests guard it exhaustively on brute-forceable traces.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from repro.common.address import block_in_page, page_index
 from repro.common.constants import BLOCKS_PER_PAGE, MINOR_COUNTER_MAX
+from repro.core.recovery import RecoveryPolicy
 from repro.crashsim.enumerate import (
     CrashEnumerator,
     CrashState,
@@ -68,62 +68,23 @@ from repro.crashsim.enumerate import (
 from repro.crashsim.trace import PersistTrace, registers_to_dict
 from repro.metadata.counters import CounterLine
 
-@dataclass(frozen=True)
-class RecoveryView:
-    """What one design's recovery (and the oracle) can observe.
-
-    Mirrors the scheme's :class:`~repro.core.recovery.RecoveryPolicy`
-    plus the oracle's checks; the metamorphic reducer tests guard the
-    mirror against drift.
-    """
-
-    #: TCB roots step 1 tries, in the policy's order; empty = no step 1.
-    check_roots: tuple[str, ...] = ()
-    #: Step-3 style: 'nwb', 'root_new', or None.
-    freshness: str | None = None
-    #: Section 4.4 extension registers consulted (locate design).
-    counter_log: bool = False
-    #: ``retry_limit`` override; None = the config's update limit.
-    retry_limit: int | None = None
-
-    @property
-    def merkle_observable(self) -> bool:
-        """Stored interior tree nodes are read by some recovery step."""
-        return bool(self.check_roots)
-
-    @property
-    def observed_registers(self) -> frozenset[str]:
-        regs = {"recovery_pending"}
-        if "old" in self.check_roots:
-            regs.add("root_old")
-        if "new" in self.check_roots or self.freshness == "root_new":
-            regs.add("root_new")
-        if self.freshness == "nwb":
-            regs.add("nwb")
-        if self.counter_log:
-            regs.add("counter_log")
-        return frozenset(regs)
+def _merkle_observable(policy: RecoveryPolicy) -> bool:
+    """Stored interior tree nodes are read by some recovery step (step 1)."""
+    return bool(policy.check_tree_against)
 
 
-#: One view per supported scheme (see the schemes' ``recover()`` docs).
-RECOVERY_VIEWS: dict[str, RecoveryView] = {
-    "ccnvm": RecoveryView(check_roots=("old", "new"), freshness="nwb"),
-    "ccnvm_no_ds": RecoveryView(check_roots=("old", "new"), freshness="nwb"),
-    "ccnvm_locate": RecoveryView(
-        check_roots=("old", "new"), freshness="nwb", counter_log=True
-    ),
-    "sc": RecoveryView(
-        check_roots=("new", "old"), freshness="root_new", retry_limit=1
-    ),
-    "osiris_plus": RecoveryView(freshness="root_new"),
-    "no_cc": RecoveryView(),
-}
-
-
-def recovery_view(scheme_name: str) -> RecoveryView:
-    if scheme_name not in RECOVERY_VIEWS:
-        raise ValueError(f"no recovery view known for {scheme_name!r}")
-    return RECOVERY_VIEWS[scheme_name]
+def _observed_registers(policy: RecoveryPolicy) -> frozenset[str]:
+    """The TCB registers recovery under *policy* (and the oracle) reads."""
+    regs = {"recovery_pending"}
+    if "old" in policy.check_tree_against:
+        regs.add("root_old")
+    if "new" in policy.check_tree_against or policy.freshness_check == "root_new":
+        regs.add("root_new")
+    if policy.freshness_check == "nwb":
+        regs.add("nwb")
+    if policy.use_counter_log:
+        regs.add("counter_log")
+    return frozenset(regs)
 
 
 class TreeOracle:
@@ -194,13 +155,13 @@ class CrashStateReducer:
     ) -> None:
         self.trace = trace
         self.scheme_name = scheme_name
-        self.view = recovery_view(scheme_name)
         self.tree = TreeOracle(scheme_name, data_capacity, seed)
         self.layout = self.tree.layout
-        limit = self.view.retry_limit
-        if limit is None:
-            limit = self.tree.scheme.config.epoch.update_limit
-        self.retry_limit = limit
+        #: The design's recovery contract, resolved as its recovery does.
+        self.policy = self.tree.scheme.resolved_policy()
+        self.retry_limit = self.policy.retry_limit
+        self._merkle_observable = _merkle_observable(self.policy)
+        self._observed_registers = _observed_registers(self.policy)
         #: data addr -> [(unit index, op seq)] of every write to it —
         #: including unannotated ones (page re-encryptions), whose
         #: counter pairs are unknown: a state whose survivor is such a
@@ -240,8 +201,7 @@ class CrashStateReducer:
 
     def _concrete(self, state: CrashState) -> str:
         """Hash of the observable image + observable canonical registers."""
-        view = self.view
-        skip_merkle = not view.merkle_observable
+        skip_merkle = not self._merkle_observable
         merkle_base = self.layout.merkle_base
         h = hashlib.sha256()
         for addr in sorted(state.lines):
@@ -253,7 +213,7 @@ class CrashStateReducer:
         observed = {
             name: value
             for name, value in regs.items()
-            if name in view.observed_registers
+            if name in self._observed_registers
         }
         h.update(repr(canonical_value(observed)).encode())
         for addr in sorted(state.expected):
@@ -273,7 +233,7 @@ class CrashStateReducer:
 
     def _mechanism(self, state: CrashState) -> str | None:
         """The recovery-relevant canonical tuple, hashed; None = fall back."""
-        view = self.view
+        policy = self.policy
         layout = self.layout
         registers = state.registers
 
@@ -299,7 +259,7 @@ class CrashStateReducer:
         # Only the rebuilt-root freshness check (``root_new`` designs)
         # reads the recovery-adjusted counter image.
         adjusted: dict[int, bytes] | None = None
-        if view.freshness == "root_new":
+        if policy.freshness_check == "root_new":
             adjusted = {
                 addr: data
                 for addr, data in state.lines.items()
@@ -367,9 +327,9 @@ class CrashStateReducer:
                 leaf_feats.append((unrec_here, rolled))
 
         matched = None
-        if view.check_roots:
+        if policy.check_tree_against:
             tree_lines = self.tree.tree_lines(state.lines)
-            for name in view.check_roots:
+            for name in policy.check_tree_against:
                 root = registers["root_old" if name == "old" else "root_new"]
                 if self.tree.matches(tree_lines, root):
                     matched = name
@@ -377,7 +337,7 @@ class CrashStateReducer:
 
         log_feats = None
         located = False
-        if view.counter_log:
+        if policy.use_counter_log:
             if matched == "new":
                 log_feats = "skip_new"
             else:
@@ -395,7 +355,7 @@ class CrashStateReducer:
                 log_feats = tuple(feats)
 
         fresh_feat = None
-        if view.freshness == "nwb":
+        if policy.freshness_check == "nwb":
             if located:
                 fresh_feat = "located"
             elif matched == "new":
@@ -404,7 +364,7 @@ class CrashStateReducer:
                 fresh_feat = "skip_roll"
             else:
                 fresh_feat = ("cmp", registers["nwb"] == total_retries)
-        elif view.freshness == "root_new":
+        elif policy.freshness_check == "root_new":
             fresh_feat = (
                 "cmp",
                 self.tree.rebuilt_root(adjusted) == registers["root_new"],
@@ -447,13 +407,13 @@ class CrashStateReducer:
         """Drop-candidates whose loss no recovery path can observe.
 
         A unit qualifies when it writes only unobservable regions (for
-        this view), carries no TCB register op, and is line-disjoint
-        from every other candidate (so pinning it applied neither
-        forces nor forbids any other drop).  Dropping such a unit
+        this design's recovery), carries no TCB register op, and is
+        line-disjoint from every other candidate (so pinning it applied
+        neither forces nor forbids any other drop).  Dropping such a unit
         changes only stored interior tree nodes that recovery's rebuild
         recomputes from the counters before anything reads them.
         """
-        if self.view.merkle_observable:
+        if self._merkle_observable:
             return ()
         units = self.trace.units
         pinned = []

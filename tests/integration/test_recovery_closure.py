@@ -26,9 +26,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.schemes import create_scheme
+from repro.core.schemes import SCHEMES as SCHEME_CLASSES, create_scheme
 from repro.crashsim import (
-    ALLOWED_OUTCOMES,
     CrashCampaignConfig,
     CrashEnumerator,
     PowerFailure,
@@ -47,7 +46,7 @@ from repro.trafficgen.ace import ace_campaign_config, ace_profiles
 
 SEED = 1
 CAPACITY = 1 << 16
-SCHEMES = tuple(sorted(ALLOWED_OUTCOMES))
+SCHEMES = tuple(sorted(SCHEME_CLASSES))
 
 #: Per design, the first run-time crash point of the ``rekey`` trace
 #: (window 0) whose recovery re-encrypts the page: the crash landed

@@ -153,12 +153,13 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "M11", "P4", "CcNVM.recover reads len(self.meta.overlay)",
-        CCNVM,
-        "            retry_limit=self.config.epoch.update_limit,\n"
-        '            freshness_check="nwb",\n',
-        "            retry_limit=self.config.epoch.update_limit + len(self.meta.overlay),\n"
-        '            freshness_check="nwb",\n',
+        "M11", "P4", "recovery's policy resolution reads len(self.meta.overlay)",
+        BASE,
+        "            policy = replace(policy, retry_limit=self.config.epoch.update_limit)\n",
+        "            policy = replace(\n"
+        "                policy,\n"
+        "                retry_limit=self.config.epoch.update_limit + len(self.meta.overlay),\n"
+        "            )\n",
         catchers=(
             "tests/unit/test_volatile_poison.py::TestPoisonPerDesign::test_recovery_completes_and_hands_back_the_cleared_objects[ccnvm]",
         ),
@@ -243,10 +244,12 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "M19", "P4", "CcNVM.recover consults the volatile dirty queue",
-        CCNVM,
-        "            use_counter_log=self.locate_registers,\n",
-        "            use_counter_log=self.locate_registers and len(self.queue) > 0,\n",
+        "M19", "P4", "recovery's policy resolution consults the volatile dirty queue",
+        BASE,
+        "        policy = self.recovery_policy\n",
+        "        policy = self.recovery_policy\n"
+        "        if policy.use_counter_log and not len(self.queue):\n"
+        "            policy = replace(policy, use_counter_log=False)\n",
         catchers=(
             "tests/unit/test_volatile_poison.py::TestPoisonPerDesign::test_recovery_completes_and_hands_back_the_cleared_objects[ccnvm_locate]",
             "tests/unit/test_extension_locate.py::TestReplayLocation::test_in_epoch_replay_located_at_page",

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.schemes import create_scheme
 from repro.crashsim import (
-    ALLOWED_OUTCOMES,
     CrashEnumerator,
     RecoveryOracle,
     record_workload,
@@ -33,14 +32,17 @@ def state_at(trace, k):
 
 class TestContractTable:
     def test_every_scheme_has_a_contract(self):
-        from repro.core.schemes import SCHEME_LABELS
+        from repro.core.schemes import SCHEME_LABELS, SCHEMES
 
-        assert set(ALLOWED_OUTCOMES) == set(SCHEME_LABELS)
+        assert set(SCHEMES) == set(SCHEME_LABELS)
+        for cls in SCHEMES.values():
+            assert "RECOVERED" in cls.crash_outcomes
+            assert cls.recovery_policy.freshness_check in ("nwb", "root_new", None)
         for scheme in ("ccnvm", "ccnvm_no_ds", "ccnvm_locate"):
-            assert ALLOWED_OUTCOMES[scheme] == {"RECOVERED"}
+            assert SCHEMES[scheme].crash_outcomes == {"RECOVERED"}
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="no recovery contract"):
+        with pytest.raises(ValueError, match="unknown scheme"):
             RecoveryOracle("magic", data_capacity=TINY_CAPACITY, seed=0)
 
 
