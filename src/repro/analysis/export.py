@@ -1,7 +1,7 @@
 """Export figure data for external plotting.
 
 The in-repo rendering is ASCII (no plotting dependency); real papers get
-re-plotted, so every table/series exports to CSV and JSON with stable
+re-plotted, so every figure table exports to CSV and JSON with stable
 column names.  ``ascii_bars`` additionally renders a Figure-5-style
 grouped bar chart directly in the terminal.
 """
@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import asdict, fields
 
-from repro.analysis.report import FigureTable, SensitivitySeries
+from repro.analysis.report import FigureTable
 from repro.common.jsondoc import dumps_sorted
 from repro.core.schemes import SCHEME_LABELS
 from repro.sim.runner import SimulationResult
@@ -170,33 +170,6 @@ def table_to_json(table: FigureTable) -> str:
             "labels": {s: SCHEME_LABELS.get(s, s) for s in table.schemes},
             "rows": table.rows,
             "averages": table.averages(),
-        },
-        2,
-    )
-
-
-def series_to_csv(series: SensitivitySeries) -> str:
-    """CSV with parameter value, design, and both metrics per row."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow([series.parameter, "scheme", "normalized_ipc",
-                     "normalized_writes"])
-    for value in sorted(series.points):
-        for scheme, metrics in sorted(series.points[value].items()):
-            writer.writerow(
-                [value, scheme, f"{metrics['ipc']:.6f}",
-                 f"{metrics['writes']:.6f}"]
-            )
-    return buffer.getvalue()
-
-
-def series_to_json(series: SensitivitySeries) -> str:
-    """JSON document with the swept points per design."""
-    return dumps_sorted(
-        {
-            "title": series.title,
-            "parameter": series.parameter,
-            "points": {str(v): m for v, m in sorted(series.points.items())},
         },
         2,
     )

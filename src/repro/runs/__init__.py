@@ -29,7 +29,6 @@ from repro.runs.orchestrate import (
 from repro.runs.pool import RunOutcome, execute_spec, run_pool
 from repro.runs.spec import (
     RunSpec,
-    Sweep,
     canonical_json,
     config_from_dict,
     config_to_dict,
@@ -42,7 +41,6 @@ __all__ = [
     "RunOutcome",
     "RunReport",
     "RunSpec",
-    "Sweep",
     "canonical_json",
     "code_fingerprint",
     "config_from_dict",

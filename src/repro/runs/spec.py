@@ -11,10 +11,6 @@ The spec deliberately stores the workload *recipe* (name, length, seed),
 never the generated trace: traces are megabytes, regenerating them is
 deterministic and cheap, and keeping specs tiny lets a worker process
 rebuild its entire job from one small dict.
-
-:class:`Sweep` is the cartesian product companion: the Figure 5 matrix
-is ``Sweep(schemes=..., workloads=...)`` and the Figure 6 sensitivity
-sweeps expand the same way.
 """
 
 from __future__ import annotations
@@ -194,54 +190,3 @@ def simulation_spec(
     )
 
 
-# ---------------------------------------------------------------------------
-# Sweep
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Sweep:
-    """A cartesian (scheme x workload x config x seed) grid of simulations.
-
-    ``configs`` maps a *label* to a config (``None`` = paper defaults);
-    the label is not hashed — only the config content is — but it lets
-    callers reassemble expanded results by swept point.
-    """
-
-    schemes: tuple[str, ...]
-    workloads: tuple[str, ...]
-    length: int
-    seeds: tuple[int, ...] = (1,)
-    configs: Mapping[str, SystemConfig | Mapping | None] = field(
-        default_factory=lambda: {"default": None}
-    )
-    warmup: float = 0.0
-    scheme_seed: int = 0
-
-    def expand(self) -> list[tuple[tuple[str, str, str, int], RunSpec]]:
-        """All cells, as ``((config_label, scheme, workload, seed), spec)``.
-
-        Expansion order is deterministic: configs in mapping order, then
-        schemes, workloads and seeds in their given order.
-        """
-        cells = []
-        for label, config in self.configs.items():
-            normalized = _normalize_config(config)
-            for scheme in self.schemes:
-                for workload in self.workloads:
-                    for seed in self.seeds:
-                        spec = simulation_spec(
-                            scheme,
-                            workload,
-                            self.length,
-                            seed,
-                            config=normalized,
-                            scheme_seed=self.scheme_seed,
-                            warmup=self.warmup,
-                        )
-                        cells.append(((label, scheme, workload, seed), spec))
-        return cells
-
-    def specs(self) -> list[RunSpec]:
-        """Just the specs, in expansion order."""
-        return [spec for _, spec in self.expand()]

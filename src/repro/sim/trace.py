@@ -82,46 +82,6 @@ class Trace:
                 f.write(f"{r.op} {r.addr:#x} {r.icount}\n")
 
     @classmethod
-    def from_lackey(cls, path: str, name: str | None = None) -> "Trace":
-        """Import a Valgrind Lackey trace (``valgrind --tool=lackey --trace-mem=yes``).
-
-        Lackey emits one line per event::
-
-            I  04000000,4      instruction fetch (counts toward icount)
-             L 04016b80,8      data load
-             S 04016b88,8      data store
-             M 04016b90,4      modify (load + store)
-
-        Instruction fetches between memory references become the next
-        record's ``icount``; ``M`` expands to a load followed by a store.
-        Unparseable lines are skipped (Lackey mixes in diagnostics).
-        """
-        records = []
-        pending_icount = 0
-        with open(path) as f:
-            for line in f:
-                stripped = line.strip()
-                if not stripped or "," not in stripped:
-                    continue
-                kind = stripped.split()[0]
-                if kind not in ("I", "L", "S", "M"):
-                    continue
-                try:
-                    addr = int(stripped.split()[1].split(",")[0], 16)
-                except (IndexError, ValueError):
-                    continue
-                if kind == "I":
-                    pending_icount += 1
-                    continue
-                if kind in ("L", "M"):
-                    records.append(TraceRecord(READ, addr, pending_icount))
-                    pending_icount = 0
-                if kind in ("S", "M"):
-                    records.append(TraceRecord(WRITE, addr, pending_icount))
-                    pending_icount = 0
-        return cls(name or path, records)
-
-    @classmethod
     def load(cls, path: str, name: str | None = None) -> "Trace":
         """Parse a trace written by :meth:`dump`."""
         records = []

@@ -34,7 +34,6 @@ class TestAceCampaign:
         assert totals["cells"] == 40 * 6  # Bell(3)*2^3 profiles x schemes
         assert totals["violations"] == 0
         assert totals["class_mismatches"] == 0
-        assert totals["sampling_fallbacks"] == 0
         assert dedup_ratio(3) >= 5
 
 

@@ -222,8 +222,7 @@ class TestCommands:
         from repro.cli import _campaign_gate
 
         totals = {"cells": 1, "violations": 0, "class_mismatches": 0,
-                  "sampling_fallbacks": 0, "closure_violations": 2,
-                  "closure_unclosed": 1}
+                  "closure_violations": 2, "closure_unclosed": 1}
         assert _campaign_gate({"totals": totals, "failures": []}) == [
             "2 closure violation(s)", "1 closure(s) stopped at the depth or member budget",
         ]

@@ -7,12 +7,10 @@ from pathlib import Path
 
 from repro.analysis.export import (
     ascii_bars,
-    series_to_csv,
-    series_to_json,
     table_to_csv,
     table_to_json,
 )
-from repro.analysis.report import FigureTable, SensitivitySeries
+from repro.analysis.report import FigureTable
 
 #: The committed Figure 5 artifact at the repository root.
 BENCH_FIG5 = Path(__file__).resolve().parents[2] / "BENCH_fig5.json"
@@ -24,13 +22,6 @@ def sample_table():
     return table
 
 
-def sample_series():
-    series = SensitivitySeries("Figure Y", "N")
-    series.add_point(4, "ccnvm", ipc=0.7, writes=1.5)
-    series.add_point(16, "ccnvm", ipc=0.8, writes=1.3)
-    return series
-
-
 class TestCsv:
     def test_table_csv_round_trips(self):
         rows = list(csv.reader(io.StringIO(table_to_csv(sample_table()))))
@@ -38,12 +29,6 @@ class TestCsv:
         assert rows[1][0] == "alpha"
         assert float(rows[1][1]) == 0.6
         assert rows[-1][0] == "average"
-
-    def test_series_csv_round_trips(self):
-        rows = list(csv.reader(io.StringIO(series_to_csv(sample_series()))))
-        assert rows[0] == ["N", "scheme", "normalized_ipc", "normalized_writes"]
-        assert rows[1] == ["4", "ccnvm", "0.700000", "1.500000"]
-        assert len(rows) == 3
 
 
 class TestJson:
@@ -53,11 +38,6 @@ class TestJson:
         assert doc["rows"]["beta"]["ccnvm"] == 0.9
         assert doc["labels"]["ccnvm"] == "cc-NVM"
         assert "averages" in doc
-
-    def test_series_json_structure(self):
-        doc = json.loads(series_to_json(sample_series()))
-        assert doc["parameter"] == "N"
-        assert doc["points"]["16"]["ccnvm"]["writes"] == 1.3
 
 
 class TestAsciiBars:

@@ -1,11 +1,10 @@
-"""Unit tests for run specs: canonical hashing and sweep expansion."""
+"""Unit tests for run specs: canonical hashing and config round trips."""
 
 import pytest
 
 from repro.common.config import SystemConfig
 from repro.runs.spec import (
     RunSpec,
-    Sweep,
     canonical_json,
     config_from_dict,
     config_to_dict,
@@ -130,34 +129,3 @@ class TestConfigRoundTrip:
         config = SystemConfig().with_epoch(update_limit=4, dirty_queue_entries=40)
         config = config.with_nvm(read_latency_ns=80.0)
         assert config_from_dict(config_to_dict(config)) == config
-
-
-class TestSweep:
-    def test_cartesian_expansion(self):
-        sweep = Sweep(
-            schemes=("no_cc", "ccnvm"),
-            workloads=("lbm", "gcc"),
-            length=1000,
-            seeds=(1, 2),
-        )
-        cells = sweep.expand()
-        assert len(cells) == 8
-        keys = [key for key, _ in cells]
-        assert keys[0] == ("default", "no_cc", "lbm", 1)
-        assert len(set(keys)) == 8
-        assert len({spec.spec_hash() for _, spec in cells}) == 8
-
-    def test_config_variants_expand_by_label(self):
-        sweep = Sweep(
-            schemes=("ccnvm",),
-            workloads=("lbm",),
-            length=500,
-            configs={
-                "n4": SystemConfig().with_epoch(update_limit=4),
-                "n16": None,
-            },
-        )
-        cells = dict(sweep.expand())
-        assert set(k[0] for k in cells) == {"n4", "n16"}
-        assert cells[("n4", "ccnvm", "lbm", 1)].config is not None
-        assert cells[("n16", "ccnvm", "lbm", 1)].config is None

@@ -81,52 +81,3 @@ class TestSerialization:
         loaded = Trace.load(path)
         assert len(loaded) == 2
         assert loaded[0].addr == 0x40
-
-
-class TestLackeyImport:
-    LACKEY = """==123== Lackey, an example tool
-I  04000000,4
-I  04000004,4
- L 04016b80,8
-I  04000008,4
- S 04016b88,8
- M 04016b90,4
-garbage line
-I  0400000c,3
-"""
-
-    def test_import(self, tmp_path):
-        path = str(tmp_path / "lackey.txt")
-        with open(path, "w") as f:
-            f.write(self.LACKEY)
-        trace = Trace.from_lackey(path, name="prog")
-        assert trace.name == "prog"
-        ops = [(r.op, r.addr, r.icount) for r in trace]
-        assert ops == [
-            (READ, 0x04016B80, 2),   # two I lines before the load
-            (WRITE, 0x04016B88, 1),  # one I line before the store
-            (READ, 0x04016B90, 0),   # modify: load...
-            (WRITE, 0x04016B90, 0),  # ...then store, zero gap
-        ]
-
-    def test_import_skips_junk(self, tmp_path):
-        path = str(tmp_path / "junk.txt")
-        with open(path, "w") as f:
-            f.write("==1== banner\nnot,a,line\n L zzzz,8\n L 40,8\n")
-        trace = Trace.from_lackey(path)
-        assert len(trace) == 1
-        assert trace[0].addr == 0x40
-
-    def test_imported_trace_simulates(self, tmp_path):
-        from repro.sim.runner import run_simulation
-        from tests.conftest import SMALL_CAPACITY, small_config
-
-        path = str(tmp_path / "lackey.txt")
-        with open(path, "w") as f:
-            for i in range(50):
-                f.write("I  04000000,4\n")
-                f.write(f" S {i * 64:07x},8\n")
-        trace = Trace.from_lackey(path, name="imported")
-        result = run_simulation("ccnvm", trace, small_config(), SMALL_CAPACITY)
-        assert result.llc_writebacks >= 0
-        assert result.instructions == trace.instructions
