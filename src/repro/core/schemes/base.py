@@ -102,7 +102,9 @@ class SecureNVMScheme(ABC):
         )
         self.wpq = self.controller.wpq
         self.tcb = TCB(encryption_key, hmac_key, self.genesis.root_register())
-        self.hmac = HmacEngine(hmac_key, self.stats.group("hmac"))
+        self.hmac = HmacEngine(
+            hmac_key, self.stats.group("hmac"), pristine=self.genesis
+        )
         self.cipher = CounterModeCipher(encryption_key, pristine=self.genesis.line)
         self.engine = EncryptionEngine(
             self.cipher,
@@ -357,16 +359,15 @@ class SecureNVMScheme(ABC):
 
     def _propagate_one(self, addr: int, encoded: bytes) -> None:
         """Persist one evicted line and fold its HMAC into its parent."""
-        parent_addr, slot = self.layout.tree_path(addr)[0]
+        parent_addr, slot = self.layout.tree_parent(addr)
         self.wpq.write(addr, encoded)
         child_hmac = self.hmac.counter_hmac(encoded)
         if parent_addr is None:
             self.tcb.update_root_new(slot, child_hmac)
         else:
             while True:
-                self.meta.load_verified(parent_addr)
-                parent_line = self.meta.probe(parent_addr)
-                if parent_line is not None:
+                parent_line, _, hit = self.meta.load_line(parent_addr)
+                if hit or self.meta.probe(parent_addr) is not None:
                     break
                 # The install's eviction handling queued the parent out
                 # again; its value is safe in the overlay — retry.

@@ -310,20 +310,25 @@ class CcNVM(SecureNVMScheme):
         top internal level).  Nodes that were reserved but never brought
         on-chip are fetched (with verification) on the way.
         """
+        meta = self.meta
         cycles = 0
         for addr in sorted(addrs, key=self.layout.level_of_addr):
-            if self.meta.probe(addr) is None:
-                cycles += self.meta.load_verified(addr).cycles
-            line = self.meta.probe(addr)
-            parent_addr, slot = self.layout.tree_path(addr)[0]
-            child_hmac = self.hmac.counter_hmac(self.meta.encoded(line))
+            # A resident line is probed (uncounted, LRU-neutral); only a
+            # miss takes the counted, verifying load.
+            line = meta.probe(addr)
+            if line is None:
+                line, load_cycles, _ = meta.load_line(addr)
+                cycles += load_cycles
+            parent_addr, slot = self.layout.tree_parent(addr)
+            child_hmac = self.hmac.counter_hmac(meta.encoded(line))
             cycles += self._hmac_cycles
             if parent_addr is None:
                 self.tcb.update_root_new(slot, child_hmac)
                 continue
-            if self.meta.probe(parent_addr) is None:
-                cycles += self.meta.load_verified(parent_addr).cycles
-            parent_line = self.meta.probe(parent_addr)
+            parent_line = meta.probe(parent_addr)
+            if parent_line is None:
+                parent_line, load_cycles, _ = meta.load_line(parent_addr)
+                cycles += load_cycles
             parent_line.data = write_slot(bytes(parent_line.data), slot, child_hmac)
             parent_line.dirty = True
         return cycles

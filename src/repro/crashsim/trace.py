@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.persistence import REGISTRY
 
 #: TCB mutators whose effect on ``root_new`` is absolute (the op records
 #: the post-op register value); every other mutator replays as a delta.
@@ -153,8 +152,6 @@ class PersistTrace:
     #: needs the pair to predict recovery's data-HMAC roll-forward
     #: without trying counters against the ciphertext.
     counters: dict[int, tuple[int, int]] = field(default_factory=dict)
-    #: owner class -> its ``@persistence`` declaration, as data.
-    domains: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.units)
@@ -223,14 +220,6 @@ class PersistTraceRecorder:
             seed=self.seed,
             initial_lines=scheme.nvm.snapshot(),
             initial_registers=scheme.tcb.registers_snapshot(),
-            domains={
-                name: {
-                    "persistent": list(decl.persistent),
-                    "volatile": list(decl.volatile),
-                }
-                for name, decl in sorted(REGISTRY.items())
-                if name in ("WritePendingQueue", "TCB", "NVMDevice")
-            },
         )
         scheme.wpq.trace_hook = self._on_wpq
         scheme.tcb.trace_hook = self._on_tcb

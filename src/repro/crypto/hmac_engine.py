@@ -26,6 +26,13 @@ and the whole-image Merkle operations rehash the same stored nodes.  The
 repeat costs a dictionary lookup.  A hit still counts as a computation —
 the statistics describe the modeled hardware, which keeps no such memo.
 The runtime read/write path never consults it (see DESIGN.md).
+
+A runtime engine may also take a *pristine* source, the device's genesis
+image: a data HMAC of the memoized genesis data line under counter
+(0, 0) is sliced from the memoized genesis HMAC line, and a pristine
+tree node's code is read from one entry per level.  Both equal the
+computed code, count as a computation, and are still compared against
+the stored code by the caller.
 """
 
 from __future__ import annotations
@@ -49,7 +56,9 @@ _LEN_2 = (2).to_bytes(4, "little")
 class HmacEngine:
     """Computes data HMACs and counter HMACs with one TCB key."""
 
-    def __init__(self, key: SecretKey, stats: StatGroup | None = None) -> None:
+    def __init__(
+        self, key: SecretKey, stats: StatGroup | None = None, pristine=None
+    ) -> None:
         self._stats = stats if stats is not None else StatGroup("hmac")
         self._data_hmacs = self._stats.counter(
             "data_hmacs", "data HMAC computations"
@@ -62,6 +71,12 @@ class HmacEngine:
         #: Recovery-side codes: ``(ciphertext, address, major, minor)`` for
         #: data HMACs, the node bytes for counter HMACs.
         self.recovery_memo: dict[object, bytes] = {}
+        #: The optional genesis image's code sources (see module docstring).
+        self._pristine_data = None
+        self._pristine_nodes: dict[bytes, bytes] = {}
+        if pristine is not None:
+            self._pristine_data = pristine.memoized_data_hmac
+            self._pristine_nodes = pristine.node_hmacs()
 
     @property
     def stats(self) -> StatGroup:
@@ -99,6 +114,10 @@ class HmacEngine:
         if len(encrypted_data) != CACHE_LINE_SIZE:
             raise ValueError("data HMAC covers exactly one cache line")
         self._data_hmacs.inc()
+        if major == minor == 0 and self._pristine_data is not None:
+            code = self._pristine_data(encrypted_data, address)
+            if code is not None:
+                return code
         return self._mac(
             _LEN_LINE
             + encrypted_data
@@ -125,6 +144,10 @@ class HmacEngine:
         if len(child_node) != CACHE_LINE_SIZE:
             raise ValueError("counter HMAC covers exactly one tree node")
         self._counter_hmacs.inc()
+        if self._pristine_nodes:
+            code = self._pristine_nodes.get(child_node)
+            if code is not None:
+                return code
         return self._mac(_LEN_LINE + child_node)
 
     # -- recovery-side memoized variants ---------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 import weakref
 
 from repro.common.constants import (
+    CACHE_LINE_BITS,
     CACHE_LINE_SIZE,
     HMAC_SIZE,
     MERKLE_ARITY,
@@ -163,6 +164,34 @@ class GenesisImage:
     def root_register(self) -> bytes:
         """Pristine value of the TCB root registers (the genesis root node)."""
         return self.node(self.layout.root_level)
+
+    # -- pristine codes for a runtime engine ----------------------------------------
+
+    def memoized_data_hmac(self, ciphertext: bytes, addr: int) -> bytes | None:
+        """Block *addr*'s pristine data HMAC, if the line memo holds it and
+        *ciphertext* is the memoized pristine data line; else ``None``.
+
+        Both lines are in the memo right after a first-touch fill read
+        them, so the code under counter (0, 0) is a slice, not a hash.
+        Computes nothing: a miss leaves the caller to hash as usual.
+        """
+        lines = self._lines
+        if lines.get(addr) != ciphertext:
+            return None
+        layout = self.layout
+        code_addr = layout.hmac_base + (addr >> CACHE_LINE_BITS) * HMAC_SIZE
+        codes = lines.get(code_addr & ~(CACHE_LINE_SIZE - 1))
+        if codes is None:
+            return None
+        offset = code_addr & (CACHE_LINE_SIZE - 1)
+        return codes[offset:offset + HMAC_SIZE]
+
+    def node_hmacs(self) -> dict[bytes, bytes]:
+        """Pristine node value -> its HMAC, one entry per NVM-resident level."""
+        return {
+            self.node(level): self.node_hmac(level)
+            for level in range(self.layout.root_level)
+        }
 
     # -- the NVM initializer hook -------------------------------------------------
 

@@ -162,6 +162,24 @@ class MemoryLayout:
         path.append((None, index & _SLOT_MASK))
         return path
 
+    def tree_parent(self, addr: int) -> tuple[int | None, int]:
+        """``tree_path(addr)[0]`` without the rest of the path.
+
+        Tree node *addr*'s parent address (``None`` when the parent is
+        the root, in the TCB) and its slot there: for the walks that
+        fold one node into its parent, cc-NVM's drain-time spread and
+        w/o CC's lazy propagation.
+        """
+        starts = self._level_starts
+        level = bisect_right(starts, addr) - 1
+        index = (addr - starts[level]) >> CACHE_LINE_BITS
+        if level < 0 or index >= self.level_counts[level]:
+            raise ValueError(f"address {addr:#x} is not a tree-node address")
+        slot = index & _SLOT_MASK
+        if level + 1 == len(starts):
+            return None, slot
+        return starts[level + 1] + (index >> _ARITY_BITS << CACHE_LINE_BITS), slot
+
     # -- address mappings ----------------------------------------------------
 
     def check_data_address(self, addr: int) -> None:

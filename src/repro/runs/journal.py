@@ -9,6 +9,11 @@ orchestrator every spec that already finished and only the remainder is
 executed.  A half-written trailing line (the crash case) is detected and
 ignored on load, then truncated away by the next append.
 
+The file is opened (directory made, records loaded, torn tail cut) on
+first use, not on construction: a sweep whose every spec the result
+cache serves never asks the journal anything, so it reads and writes no
+journal at all.
+
 If the journal on disk was written by a *different* code fingerprint its
 records are not resumable — results from old code must not leak into new
 figures — so the file is restarted from scratch.
@@ -32,6 +37,8 @@ class RunJournal:
 
     ``records`` mirrors the on-disk file (it is rebuilt from disk on
     open, so it survives a crash); the open file ``_handle`` does not.
+    Construction only names the file: the first touch of ``records``,
+    ``resumed`` or the handle opens it (see :meth:`__getattr__`).
     ``_good_bytes`` tracks the byte offset of the last fully-fsynced
     record boundary: a failed append (torn write, failed fsync)
     truncates the file back to it before re-raising, so an in-process
@@ -40,23 +47,30 @@ class RunJournal:
     to the host's own durable state.
     """
 
+    #: State that exists only once the file is open.
+    _OPEN_STATE = frozenset({"records", "resumed", "_handle", "_good_bytes"})
+
     def __init__(self, path: Path | str, fingerprint: str) -> None:
         self.path = Path(path)
         self.fingerprint = fingerprint
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not set yet: the first touch of the
+        # open-file state opens the journal, which sets all of it.
+        if name not in self._OPEN_STATE:
+            raise AttributeError(name)
+        self._open()
+        return self.__dict__[name]
+
+    def _open(self) -> None:
         #: spec_hash -> record dict, as recovered from / written to disk.
         self.records: dict[str, dict] = {}
         #: Records loaded from a previous interrupted session.
         self.resumed = 0
-        self._handle = None
-        self._good_bytes = 0
-        self._open()
-
-    def _open(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         good_bytes = self._load()
         if good_bytes is None:
             # New file, wrong fingerprint or unreadable header: restart.
-            self.records = {}
             self._handle = open(self.path, "wb")
             self._good_bytes = 0
             header = {
@@ -139,7 +153,6 @@ class RunJournal:
         spec: RunSpec,
         status: str,
         payload=None,
-        cached: bool = False,
         duration: float = 0.0,
         error: str = "",
     ) -> dict:
@@ -151,7 +164,6 @@ class RunJournal:
             "scheme": spec.scheme,
             "workload": spec.workload,
             "status": status,
-            "cached": cached,
             "duration": round(duration, 6),
             "payload": payload,
         }
@@ -164,8 +176,10 @@ class RunJournal:
         return entry
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
+        # A journal never opened has nothing to close (and must not open).
+        handle = self.__dict__.get("_handle")
+        if handle is not None:
+            handle.close()
             self._handle = None
 
     def __enter__(self) -> "RunJournal":

@@ -11,9 +11,13 @@ For each requested spec it consults, in order:
 3. the **worker pool**, which actually executes the remainder.
 
 Fresh results are journaled and cached as they arrive, so an interrupt
-at any point loses at most the in-flight specs.  Deduplication happens
-up front: submitting the same spec twice (e.g. the shared ``no_cc``
-baseline of two figures) costs one execution.
+at any point loses at most the in-flight specs.  The journal holds only
+what the sweep executed: a cache hit is already durable and is not
+copied into it, while a journal hit is copied into the cache.  The
+journal is first consulted, and so opened, at the first spec the cache
+does not serve.  Deduplication happens up front: submitting the same
+spec twice (e.g. the shared ``no_cc`` baseline of two figures) costs
+one execution.
 """
 
 from __future__ import annotations
@@ -156,12 +160,6 @@ def run_specs(
                         * rng.random()
                     )
 
-    def record_tolerant(spec: RunSpec, *args, **kwargs) -> None:
-        try:
-            journal.record(spec, *args, **kwargs)
-        except OSError:
-            report.journal_errors += 1
-
     pending: list[RunSpec] = []
     for spec in ordered:
         spec_hash = spec.spec_hash()
@@ -169,8 +167,6 @@ def run_specs(
             payload = cache.get(spec)
             if payload is not None:
                 report.cache_hits += 1
-                if journal is not None and journal.completed(spec_hash) is None:
-                    record_tolerant(spec, "done", payload, cached=True)
                 emit(RunOutcome(spec, "done", payload=payload, source="cache"))
                 continue
         if journal is not None:
@@ -194,13 +190,16 @@ def run_specs(
     def finalize(outcome: RunOutcome) -> None:
         report.executed += 1
         if journal is not None:
-            record_tolerant(
-                outcome.spec,
-                outcome.status,
-                outcome.payload,
-                duration=outcome.duration,
-                error=outcome.error,
-            )
+            try:
+                journal.record(
+                    outcome.spec,
+                    outcome.status,
+                    outcome.payload,
+                    duration=outcome.duration,
+                    error=outcome.error,
+                )
+            except OSError:
+                report.journal_errors += 1
         if cache is not None and outcome.ok:
             put_tolerant(outcome.spec, outcome.payload)
         emit(outcome)
@@ -224,7 +223,8 @@ def orchestrate(
     """The common CLI/driver wrapper around :func:`run_specs`.
 
     Builds the default cache (unless disabled) and a named, resumable
-    journal under it, runs the batch, and closes the journal.  With the
+    journal under it, runs the batch, and closes the journal.  The
+    journal file is opened only if some spec misses the cache.  With the
     cache disabled there is nowhere durable to journal, so interrupted
     ``--no-cache`` sweeps restart from scratch — by design: ``--no-cache``
     promises pristine re-execution.

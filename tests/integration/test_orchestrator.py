@@ -18,8 +18,10 @@ from repro.runs import (
     ResultCache,
     RunJournal,
     canonical_json,
+    orchestrate,
     run_specs,
     simulation_spec,
+    sweep_journal_path,
 )
 
 FP = "f" * 16
@@ -109,6 +111,38 @@ class TestJournalResume:
             report = run_specs(SPECS[:1], cache=cache, journal=journal)
         assert report.journal_hits == 1
         assert cache.get(SPECS[0]) is not None
+
+
+class TestJournalScope:
+    """The sweep journal holds only what the sweep executed, and a sweep
+    the cache serves whole never opens it."""
+
+    def test_all_hit_sweep_touches_no_journal(self, tmp_path):
+        specs = SPECS[:2]
+        cache = ResultCache(tmp_path)
+        run_specs(specs, cache=cache)
+        report = orchestrate("scope", specs, cache_root=tmp_path)
+        assert (report.executed, report.cache_hits) == (0, len(specs))
+        assert list(tmp_path.glob("journal/*")) == []
+        # Bytes an opened journal would restart (no header) stay as they are.
+        path = sweep_journal_path(cache, "scope", specs)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"not a journal\n")
+        orchestrate("scope", specs, cache_root=tmp_path)
+        assert path.read_bytes() == b"not a journal\n"
+
+    def test_one_miss_journals_only_the_executed_spec(self, tmp_path):
+        cached, missed = SPECS[:2]
+        run_specs([cached], cache=ResultCache(tmp_path))
+        report = orchestrate("scope", [cached, missed], cache_root=tmp_path)
+        assert (report.executed, report.cache_hits) == (1, 1)
+        path = sweep_journal_path(ResultCache(tmp_path), "scope", [cached, missed])
+        header, *records = [
+            json.loads(line) for line in path.read_bytes().splitlines()
+        ]
+        assert "fingerprint" in header
+        assert [r["spec_hash"] for r in records] == [missed.spec_hash()]
+        assert "cached" not in records[0]
 
 
 class TestFailureIsolation:

@@ -163,6 +163,14 @@ def test_tree_path_equals_node_id_walk_for_every_node(pages):
 
 
 @given(small_page_counts)
+def test_tree_parent_is_the_first_step_of_the_path(pages):
+    layout = MemoryLayout(pages * PAGE_SIZE)
+    for node in tree_nodes(layout):
+        addr = layout.merkle_node_addr(node)
+        assert layout.tree_parent(addr) == layout.tree_path(addr)[0]
+
+
+@given(small_page_counts)
 def test_writeback_set_unchanged_on_small_layouts(pages):
     layout = MemoryLayout(pages * PAGE_SIZE)
     for page in range(pages):
@@ -187,6 +195,7 @@ def test_tree_path_equals_node_id_walk_on_sampled_nodes(capacity, data):
     path = layout.tree_path(addr)
     assert path == node_id_path(layout, addr)
     assert len(path) == layout.root_level - level
+    assert layout.tree_parent(addr) == path[0]
 
 
 @given(layout_and_addr())
@@ -224,3 +233,5 @@ def test_tree_path_rejects_what_node_of_addr_rejects(capacity, data):
         layout.node_of_addr(addr)
     with pytest.raises(ValueError):
         layout.tree_path(addr)
+    with pytest.raises(ValueError):
+        layout.tree_parent(addr)

@@ -119,8 +119,9 @@ class TestSweepTolerance:
         specs = [spec_for(1)]
         journal_path = sweep_journal_path(cache, "io-failure-test", specs)
         with RunJournal(journal_path, FINGERPRINT) as journal:
-            # The header append of the fresh journal already landed; the
-            # sweep's only record append then fails its fsync.
+            # Open the fresh journal first, so its header append lands;
+            # the sweep's only record append then fails its fsync.
+            assert journal.resumed == 0
             with monkeypatch.context() as patched:
                 patched.setattr(
                     journal_mod.os, "fsync", fail_first(os.fsync, errno.EIO)

@@ -115,11 +115,6 @@ class TestTraceStructure:
             assert by_seq[seq].kind == "write"
             assert plaintext in known
 
-    def test_domains_carry_persistence_declarations(self, scheme):
-        trace = recorded(scheme)
-        assert set(trace.domains) == {"WritePendingQueue", "TCB", "NVMDevice"}
-        assert "root_old" in trace.domains["TCB"]["persistent"]
-
 
 class TestSerialization:
     def test_op_and_unit_round_trip(self, scheme):

@@ -232,3 +232,79 @@ class TestPristinePads:
                 plain.decrypt(ciphertext, 0xC0, major, minor)
             )
         assert calls == [0xC0]
+
+
+class TestPristineCodes:
+    """Pristine inputs take their HMAC from the genesis image."""
+
+    @staticmethod
+    def make():
+        layout = MemoryLayout(1 << 20)
+        genesis = GenesisImage(layout, ENC, MAC)
+        nvm = NVMDevice(layout, initializer=genesis.line)
+        wpq = WritePendingQueue(nvm, entries=64)
+        cipher = CounterModeCipher(ENC, pristine=genesis.line)
+        hooked = HmacEngine(MAC, pristine=genesis)
+        return EncryptionEngine(cipher, hooked, nvm, wpq), genesis
+
+    @staticmethod
+    def no_hashing(*_):
+        raise AssertionError("a pristine input was hashed")
+
+    def test_hooked_codes_equal_fresh_codes(self):
+        engine, genesis = self.make()
+        hooked, fresh = engine.hmac, HmacEngine(MAC)
+        addrs = (0, CACHE_LINE_SIZE, engine.layout.data_capacity - CACHE_LINE_SIZE)
+        for addr in addrs:
+            # A fill's two NVM reads memoize the data and the HMAC line.
+            genesis.line(addr)
+            genesis.line(engine.layout.data_hmac_location(addr)[0])
+        nodes = [genesis.node(level) for level in range(engine.layout.root_level)]
+        hooked._mac = self.no_hashing
+        for addr in addrs:
+            ciphertext = genesis.line(addr)
+            assert hooked.data_hmac(ciphertext, addr, 0, 0) == (
+                fresh.data_hmac(ciphertext, addr, 0, 0)
+            )
+        for node in nodes:
+            assert hooked.counter_hmac(node) == fresh.counter_hmac(node)
+        assert hooked.data_hmac_count == fresh.data_hmac_count == len(addrs)
+        assert hooked.counter_hmac_count == fresh.counter_hmac_count == len(nodes)
+
+    def test_other_inputs_are_hashed(self):
+        engine, genesis = self.make()
+        hooked, fresh = engine.hmac, HmacEngine(MAC)
+        ciphertext = genesis.line(0x40)
+        genesis.line(engine.layout.data_hmac_location(0x40)[0])
+        for args in (
+            (ciphertext, 0x40, 0, 1),  # not counter (0, 0)
+            (ciphertext, 0x80, 0, 0),  # another block's pristine line
+            (bytes(CACHE_LINE_SIZE), 0x40, 0, 0),  # not the pristine line
+        ):
+            assert hooked.data_hmac(*args) == fresh.data_hmac(*args)
+        touched = genesis.node(1)[:-1] + b"\x01"
+        assert hooked.counter_hmac(touched) == fresh.counter_hmac(touched)
+
+    def test_pristine_fill_counts_one_code_and_decrypts(self):
+        engine, _ = self.make()
+        engine.hmac._mac = self.no_hashing
+        assert engine.read_data_block(0x100, CounterLine()) == bytes(CACHE_LINE_SIZE)
+        assert engine.hmac.data_hmac_count == 1
+
+    @pytest.mark.parametrize("target", ["data", "hmac"])
+    def test_poked_lines_still_fail_the_check(self, target):
+        engine, _ = self.make()
+        addr = 0x140
+        engine.read_data_block(addr, CounterLine())  # memoizes both lines
+        hmac_line, offset = engine.layout.data_hmac_location(addr)
+        line, at = (addr, 0) if target == "data" else (hmac_line, offset)
+        raw = engine.nvm.peek(line)
+        engine.nvm.poke(line, raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:])
+        with pytest.raises(IntegrityError):
+            engine.read_data_block(addr, CounterLine())
+        assert engine.hmac.data_hmac_count == 2
+
+    def test_the_image_engine_has_no_hook(self):
+        _, genesis = self.make()
+        assert genesis._engine._pristine_data is None
+        assert genesis._engine._pristine_nodes == {}
