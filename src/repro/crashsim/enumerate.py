@@ -37,7 +37,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 
-from repro.crashsim.trace import PersistTrace, PersistOp, TraceUnit, registers_to_dict
+from repro.crashsim.trace import PersistTrace, PersistOp, TraceUnit
 
 DEFAULT_WINDOW = 4
 #: Hard cap on drop candidates expanded per crash point: 2**16 subsets
@@ -59,13 +59,32 @@ def canonical_value(value):
     return value
 
 
+def _lines_bytes(lines: dict[int, bytes]) -> list[bytes]:
+    """``address (8 bytes, little endian), line`` per entry, in address order."""
+    parts = []
+    append = parts.append
+    for addr in sorted(lines):
+        append(addr.to_bytes(8, "little"))
+        append(lines[addr])
+    return parts
+
+
 def lines_digest(lines: dict[int, bytes]) -> str:
     """Content hash of an ``{address: bytes}`` map, in address order."""
-    h = hashlib.sha256()
-    for addr in sorted(lines):
-        h.update(addr.to_bytes(8, "little"))
-        h.update(lines[addr])
-    return h.hexdigest()
+    return hashlib.sha256(b"".join(_lines_bytes(lines))).hexdigest()
+
+
+def canonical_registers(registers: dict) -> bytes:
+    """``repr(canonical_value(registers_to_dict(registers))).encode()``,
+    built directly: the register names in their sorted (fixed) order and
+    ``counter_log`` sorted by its string keys, as that nesting sorts it."""
+    log = tuple(sorted([(str(a), c) for a, c in registers["counter_log"].items()]))
+    return (
+        f"(('counter_log', {log!r}), ('nwb', {registers['nwb']!r}), "
+        f"('recovery_pending', {registers['recovery_pending']!r}), "
+        f"('root_new', {registers['root_new'].hex()!r}), "
+        f"('root_old', {registers['root_old'].hex()!r}))"
+    ).encode()
 
 
 @dataclass
@@ -95,13 +114,9 @@ class CrashState:
 
     def image_hash(self) -> str:
         """Content hash of (NVM image, register file) — state identity."""
-        h = hashlib.sha256()
-        for addr in sorted(self.lines):
-            h.update(addr.to_bytes(8, "little"))
-            h.update(self.lines[addr])
-        regs = registers_to_dict(self.registers)
-        h.update(repr(canonical_value(regs)).encode())
-        return h.hexdigest()
+        parts = _lines_bytes(self.lines)
+        parts.append(canonical_registers(self.registers))
+        return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 def apply_op(

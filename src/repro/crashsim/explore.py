@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 from repro.crashsim.workload import HOTSET, REKEY, workload_profiles
 
 if TYPE_CHECKING:
-    from repro.crashsim.oracle import Verdict
+    from repro.crashsim.oracle import RecoveryOracle, Verdict
     from repro.crashsim.reduce import CrashStateReducer
     from repro.crashsim.trace import PersistTrace
 
@@ -52,16 +52,21 @@ MAX_MINIMIZE = 3
 class CellContext:
     """What every shard of one grid cell shares inside a worker.
 
-    Everything here is read-only or content-keyed: the trace is never
-    mutated after recording, the reducer's caches key on line contents,
-    and ``verdicts`` and ``closure`` key on a crash state's full content
-    (see :class:`~repro.crashsim.oracle.ClassOracle`).  So a shard's payload
-    does not depend on which shards of its cell ran before it in the
-    same worker.
+    Everything here is read-only, content-keyed or rewound per use: the
+    trace is never mutated after recording, the reducer's caches
+    (fingerprints included) key on line contents, ``verdicts`` and
+    ``closure`` key on a crash state's full content (see
+    :class:`~repro.crashsim.oracle.ClassOracle`), and the oracle rewinds
+    its scheme to each state it judges, its recovery HMAC memo keyed on
+    every input.  So a shard's payload does not depend on which shards
+    of its cell ran before it in the same worker.
     """
 
     trace: "PersistTrace"
     reducer: "CrashStateReducer"
+    #: Judges every state of the cell: its shards, their minimizer runs
+    #: and their recovery closures.
+    oracle: "RecoveryOracle"
     #: Content key -> verdict; see :meth:`ClassOracle.evaluate_raw`.
     verdicts: "dict[tuple[str, str], Verdict]"
     #: The same key -> verdict, recovery ops and prefix image hashes;
@@ -72,21 +77,26 @@ class CellContext:
 
 # Keeps the last cell: ``campaign_specs`` emits a cell's shards
 # consecutively, so a worker records each cell's trace, builds its
-# reducer and fills its verdict memo once.
+# reducer and oracle and fills their memos once.  A miss drops the
+# previous cell before building the next, so two cells' contexts never
+# live at once.
 @functools.lru_cache(maxsize=1)
 def _cell_context(
     scheme_name: str, steps: int, seed: int, data_capacity: int, profile: str = HOTSET
 ) -> CellContext:
     """Deterministically rebuild the persist trace of one grid cell,
-    plus the reducer and verdict memo its shards share."""
+    plus the reducer, oracle and memos its shards share."""
     from repro.core.schemes import create_scheme
+    from repro.crashsim.oracle import RecoveryOracle
     from repro.crashsim.reduce import CrashStateReducer
     from repro.crashsim.workload import record_workload
 
+    _cell_context.cache_clear()
     scheme = create_scheme(scheme_name, data_capacity=data_capacity, seed=seed)
     trace = record_workload(scheme, steps, seed, profile=profile)
     reducer = CrashStateReducer(trace, scheme_name, data_capacity, seed)
-    return CellContext(trace, reducer, {}, {})
+    oracle = RecoveryOracle(scheme_name, data_capacity=data_capacity, seed=seed)
+    return CellContext(trace, reducer, oracle, {}, {})
 
 
 def _violation_entry(state, verdict, reproducer=None) -> dict:
@@ -141,7 +151,7 @@ def run_enumerate_cell(spec) -> dict:
     brute-force run's, verdict for verdict.  A ``closure`` shard then
     closes its points' states (:func:`~repro.crashsim.closure.recovery_closure`).
     """
-    from repro.crashsim.oracle import ClassOracle, RecoveryOracle
+    from repro.crashsim.oracle import ClassOracle, content_key
     from repro.crashsim.reduce import ReducedEnumerator, materialize, pin_variants
 
     p = spec.params
@@ -150,7 +160,7 @@ def run_enumerate_cell(spec) -> dict:
     profile = p.get("profile", HOTSET)
     cell = _cell_context(*cell_key(spec))
     trace = cell.trace
-    oracle = RecoveryOracle(spec.scheme, data_capacity=data_capacity, seed=spec.seed)
+    oracle = cell.oracle
     enumerator = ReducedEnumerator(
         trace,
         cell.reducer,
@@ -193,7 +203,9 @@ def run_enumerate_cell(spec) -> dict:
                 vstate = materialize(trace, state.k, vdrop)
                 vdigest = vstate.image_hash()
                 hashes.add(vdigest)
-                vverdict = class_oracle.evaluate_raw(vstate, image_hash=vdigest)
+                vverdict = class_oracle.evaluate_raw(
+                    vstate, content_key(vstate, vdigest)
+                )
                 outcomes[vverdict.outcome] += 1
                 if not vverdict.ok:
                     violations.append(_violation_entry(vstate, vverdict))

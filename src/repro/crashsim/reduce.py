@@ -167,6 +167,8 @@ class CrashStateReducer:
         #: counter pairs are unknown: a state whose survivor is such a
         #: write falls back to the concrete fingerprint.
         self._writes: dict[int, list[tuple[int, int]]] = {}
+        written: dict[int, set[bytes]] = {}
+        repeats = 0
         for unit in trace.units:
             for op in unit.ops:
                 if (
@@ -177,6 +179,17 @@ class CrashStateReducer:
                     self._writes.setdefault(op.addr, []).append(
                         (unit.index, op.seq)
                     )
+                    seen = written.setdefault(op.addr, set())
+                    repeats += op.data in seen
+                    seen.add(op.data)
+        #: Fingerprints by state content (see :meth:`fingerprint`), kept
+        #: only when no data address is written twice with the same
+        #: bytes: then the bytes at each address name the write that
+        #: survived, so the image fixes every survivor counter pair and,
+        #: with it, the fingerprint.
+        self._fingerprints: dict[tuple[str, str], str] | None = (
+            {} if repeats == 0 else None
+        )
         #: Initial data lines have no recorded write events, so their
         #: survivor pairs are unknowable; such traces (none of ours)
         #: degrade to the concrete fingerprint throughout.
@@ -190,8 +203,26 @@ class CrashStateReducer:
 
     # -- fingerprints ------------------------------------------------------------
 
-    def fingerprint(self, state: CrashState) -> str:
-        """The class identity of one crash state, as ``kind:hexdigest``."""
+    def fingerprint(
+        self, state: CrashState, key: tuple[str, str] | None = None
+    ) -> str:
+        """The class identity of one crash state, as ``kind:hexdigest``.
+
+        *key*, the state's content key (``(image_hash(),
+        lines_digest(expected))``, as :meth:`ClassOracle.evaluate_raw`
+        keys verdicts), serves a state whose content was fingerprinted
+        before from the memo.  Torn states are always fingerprinted
+        afresh: their concrete fingerprint names their crash point.
+        """
+        memo = self._fingerprints
+        if key is None or memo is None or state.torn is not None:
+            return self._fingerprint(state)
+        fingerprint = memo.get(key)
+        if fingerprint is None:
+            fingerprint = memo[key] = self._fingerprint(state)
+        return fingerprint
+
+    def _fingerprint(self, state: CrashState) -> str:
         if state.torn is not None or not self._mechanism_ok:
             return "concrete:" + self._concrete(state)
         mech = self._mechanism(state)

@@ -80,23 +80,30 @@ def code_fingerprint(root: Path | None = None) -> str:
     return _FINGERPRINTS[key]
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write_text(path: Path, text: str, durable: bool = True) -> None:
     """Write *text* to *path* via a same-directory rename (no torn files).
 
     Safe under concurrent writers of the *same* path: every writer gets
     its own ``mkstemp`` name (two processes can never interleave into
-    one temp file), the bytes are fsynced before the rename, and
-    ``os.replace`` is atomic — a reader observes either some writer's
-    complete document or the previous one, never a mixture.  On a true
-    race the last rename wins, which is correct for a content-addressed
-    store: both writers were storing the same content-equivalent entry.
+    one temp file), the bytes are fsynced before the rename (unless not
+    *durable*), and ``os.replace`` is atomic — a reader observes either
+    some writer's complete document or the previous one, never a
+    mixture.  On a true race the last rename wins, which is correct for
+    a content-addressed store: both writers were storing the same
+    content-equivalent entry.
+
+    Without *durable* a power failure may lose the update, or (on a
+    file system that orders the rename before the data) leave an empty
+    or partial file in its place; only ``stats.json`` is written so,
+    and :meth:`ResultCache._read_stats` reads any such file as zeros.
     """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -227,7 +234,9 @@ class ResultCache:
 
         Re-reads the file first so concurrent sessions accumulate rather
         than overwrite each other (last-merge-wins on a true race, which
-        is acceptable for monitoring counters).
+        is acceptable for monitoring counters).  For the same reason the
+        file is replaced atomically but not fsynced: a sweep that only
+        read the cache makes no durable write.
         """
         if not (self.hits or self.misses or self.stores):
             return self.cumulative
@@ -237,7 +246,7 @@ class ResultCache:
         current["stores"] += self.stores
         current["flushes"] += 1
         self.root.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(self.stats_path, dumps_sorted(current, 1))
+        _atomic_write_text(self.stats_path, dumps_sorted(current, 1), durable=False)
         self.cumulative = current
         self.hits = self.misses = self.stores = 0
         return current
@@ -337,6 +346,6 @@ class ResultCache:
             stats["gc_removed"] += removed
             stats["gc_reclaimed_bytes"] += reclaimed
             self.root.mkdir(parents=True, exist_ok=True)
-            _atomic_write_text(self.stats_path, dumps_sorted(stats, 1))
+            _atomic_write_text(self.stats_path, dumps_sorted(stats, 1), durable=False)
             self.cumulative = stats
         return {"removed": removed, "kept": kept, "reclaimed_bytes": reclaimed}

@@ -209,7 +209,7 @@ class TestTraceSharing:
         class Recording(oracle_mod.ClassOracle):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                shared.append((self.reducer, self.verdicts))
+                shared.append((self.reducer, self.verdicts, self.oracle))
 
         monkeypatch.setattr(oracle_mod, "ClassOracle", Recording)
         specs = campaign_specs(self.CFG)
@@ -231,7 +231,10 @@ class TestTraceSharing:
         assert explore_mod._cell_context(*key) is cell
         assert self.snapshot(cell.trace) == before
         assert len(shared) == len(specs)
-        assert all(r is cell.reducer and v is cell.verdicts for r, v in shared)
+        assert all(
+            r is cell.reducer and v is cell.verdicts and o is cell.oracle
+            for r, v, o in shared
+        )
         # Every shard judged states of its own into the one memo.
         assert 0 < sizes[0] < sizes[1]
 
@@ -246,6 +249,7 @@ class TestTraceSharing:
         assert other.trace is not cell.trace
         assert other.reducer is not cell.reducer
         assert other.verdicts is not cell.verdicts
+        assert other.oracle is not cell.oracle
         assert explore_mod._cell_context(*key) is other
 
 
@@ -257,8 +261,10 @@ class _NeverHits(dict):
 
 
 class TestVerdictMemo:
-    """The cell's verdict memo changes no payload byte, and each verdict
-    it serves is what a fresh oracle returns for that state."""
+    """The cell's verdict and fingerprint memos change no payload byte,
+    and each verdict the memo serves, or the cell's shared recovery
+    oracle judges after an earlier shard of the cell used it, is what a
+    fresh oracle returns for that state."""
 
     CFG = CrashCampaignConfig(profiles=("hotset",), steps=24, shards=2)
 
@@ -269,19 +275,30 @@ class TestVerdictMemo:
 
         specs = campaign_specs(self.CFG)
         served = []
+        #: Verdicts a recovery oracle judged after serving an earlier shard.
+        shared = []
+        used = []
 
         class Recording(oracle_mod.ClassOracle):
-            def evaluate_raw(self, state, image_hash=None):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.reused = any(self.oracle is o for o in used)
+                used.append(self.oracle)
+
+            def evaluate_raw(self, state, key=None):
                 judged = len(self.verdicts)
-                verdict = super().evaluate_raw(state, image_hash)
+                verdict = super().evaluate_raw(state, key)
                 if len(self.verdicts) == judged:
                     served.append((self.oracle.scheme_name, state, verdict))
+                elif self.reused:
+                    shared.append((self.oracle.scheme_name, state, verdict))
                 return verdict
 
         class Unmemoized(oracle_mod.ClassOracle):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 self.verdicts = _NeverHits()
+                self.reducer._fingerprints = None
 
         payloads = {}
         with pytest.MonkeyPatch.context() as mp:
@@ -293,10 +310,10 @@ class TestVerdictMemo:
                     for spec in specs
                 ]
         explore_mod._cell_context.cache_clear()
-        return payloads, served
+        return payloads, served, shared
 
     def test_payloads_match_a_run_without_the_memo(self, runs):
-        payloads, served = runs
+        payloads, served, _ = runs
         assert len(payloads["memo"]) == 12
         assert payloads["memo"] == payloads["none"]
         # Not vacuous: every design's cell has repeated states.
@@ -307,9 +324,12 @@ class TestVerdictMemo:
     def test_served_verdicts_equal_a_fresh_oracle(self, runs):
         from repro.crashsim import RecoveryOracle
 
-        _, served = runs
+        _, served, shared = runs
         cfg = self.CFG
-        for scheme, state, verdict in served:
+        # Not vacuous: every design's second shard judged new states on
+        # the oracle its first shard used.
+        assert {scheme for scheme, _, _ in shared} == set(cfg.resolved_schemes())
+        for scheme, state, verdict in served + shared:
             fresh = RecoveryOracle(scheme, cfg.data_capacity, cfg.seed)
             assert fresh.evaluate(state).to_dict() == verdict.to_dict(), (
                 scheme,

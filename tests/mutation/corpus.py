@@ -186,13 +186,14 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "M14", "D1", "canonical_value iterates register names as a set",
+        "M14", "D1", "canonical_registers iterates counter_log as a set",
         "src/repro/crashsim/enumerate.py",
-        "        return tuple(sorted((k, canonical_value(v)) for k, v in value.items()))\n",
-        "        return tuple((k, canonical_value(value[k])) for k in set(value))\n",
+        '    log = tuple(sorted([(str(a), c) for a, c in registers["counter_log"].items()]))\n',
+        '    log = tuple((str(a), registers["counter_log"][a]) for a in set(registers["counter_log"]))\n',
         hashseeds=(0, 1),
         catchers=(
             "tests/integration/test_campaign_digests.py::test_every_campaign_shard_matches_its_golden_digest",
+            "tests/unit/test_crashsim_reduce.py::TestImageHashCanonicalization::test_counter_log_order_does_not_change_identity",
         ),
     ),
     Mutant(
@@ -223,12 +224,12 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "M17", "D2", "image_hash serializes registers with json.dumps",
         "src/repro/crashsim/enumerate.py",
-        "        regs = registers_to_dict(self.registers)\n"
-        "        h.update(repr(canonical_value(regs)).encode())\n",
+        "        parts.append(canonical_registers(self.registers))\n",
         "        import json\n"
         "\n"
-        "        regs = registers_to_dict(self.registers)\n"
-        "        h.update(json.dumps(regs).encode())\n",
+        "        from repro.crashsim.trace import registers_to_dict\n"
+        "\n"
+        "        parts.append(json.dumps(registers_to_dict(self.registers)).encode())\n",
         catchers=(
             "tests/unit/test_crashsim_reduce.py::TestImageHashCanonicalization::test_counter_log_order_does_not_change_identity",
         ),
@@ -303,6 +304,15 @@ MUTANTS: tuple[Mutant, ...] = (
         catchers=(
             "tests/unit/test_crashsim_enumerate.py::TestPrefixStates::test_full_prefix_equals_live_machine",
             "tests/unit/test_crashsim_trace.py::TestTraceStructure::test_writeback_group_is_one_unit",
+        ),
+    ),
+    Mutant(
+        "M26", "D2", "fingerprint memo kept on a trace that repeats a data line's bytes",
+        "src/repro/crashsim/reduce.py",
+        "            {} if repeats == 0 else None\n",
+        "            {}\n",
+        catchers=(
+            "tests/unit/test_crashsim_reduce.py::TestFingerprintMemo::test_repeated_data_bytes_turn_the_memo_off",
         ),
     ),
 )

@@ -6,25 +6,39 @@ force's states with the same outcome histogram and byte-identical
 violation findings at a >=5x oracle saving; evaluating *every* witness
 (metamorphic spot=everything) never contradicts a representative; the
 pinning analysis is exercised on a synthetic merkle-only drop candidate
-(real traces never produce one — see DESIGN.md); and the nested-register
-image-hash canonicalization fix stays fixed.
+(real traces never produce one — see DESIGN.md); the nested-register
+image-hash canonicalization fix stays fixed; and the content-keyed
+fingerprint memo serves exactly what a fresh fingerprint computes.
 """
 
+import dataclasses
+import hashlib
 from collections import Counter
 
 import pytest
 
 from repro.core.schemes import SCHEMES, create_scheme
 from repro.crashsim import CrashEnumerator, record_workload
-from repro.crashsim.enumerate import CrashState, canonical_value
-from repro.crashsim.oracle import ClassOracle, RecoveryOracle
+from repro.crashsim.enumerate import (
+    CrashState,
+    canonical_registers,
+    canonical_value,
+    lines_digest,
+)
+from repro.crashsim.oracle import ClassOracle, RecoveryOracle, content_key
 from repro.crashsim.reduce import (
     CrashStateReducer,
     ReducedEnumerator,
     materialize,
     pin_variants,
 )
-from repro.crashsim.trace import PersistOp, PersistTrace, TraceUnit
+from repro.crashsim.trace import (
+    PersistOp,
+    PersistTrace,
+    TraceUnit,
+    registers_to_dict,
+)
+from repro.crashsim.workload import HOTSET, REKEY
 
 from tests.conftest import TINY_CAPACITY
 
@@ -147,6 +161,28 @@ class TestImageHashCanonicalization:
         flipped = self._state({})
         flipped.lines = {0x40: b"\x03" + b"\x02" * 63}
         assert state.image_hash() != flipped.image_hash()
+
+    def test_registers_canonicalize_as_the_nested_repr(self):
+        """The direct form keeps every digest byte-identical, including
+        ``counter_log``'s string-key order (``"10" < "9"``)."""
+        state = self._state({10: 1, 9: 3, 0x2000: 2})
+        state.registers["recovery_pending"] = True
+        for registers in (state.registers, self._state({}).registers):
+            assert canonical_registers(registers) == repr(
+                canonical_value(registers_to_dict(registers))
+            ).encode()
+
+    def test_hashes_equal_the_per_line_digests(self):
+        """One buffer hashed at once gives the per-line updates' digest."""
+        state = self._state({0x1000: 1})
+        state.lines = {0x80: b"\x05" * 64, 0x40: b"\x02" * 64}
+        h = hashlib.sha256()
+        for addr in (0x40, 0x80):
+            h.update(addr.to_bytes(8, "little"))
+            h.update(state.lines[addr])
+        assert lines_digest(state.lines) == h.hexdigest()
+        h.update(repr(canonical_value(registers_to_dict(state.registers))).encode())
+        assert state.image_hash() == h.hexdigest()
 
 
 class TestSchemeContract:
@@ -302,3 +338,67 @@ class TestPinning:
             reducer.fingerprint(with_merkle)
             == reducer.fingerprint(without_merkle)
         )
+
+
+def _doctored(trace: PersistTrace, layout) -> PersistTrace:
+    """*trace* with its second write to some data line given the first's bytes."""
+    first: dict[int, bytes] = {}
+    units = list(trace.units)
+    for unit in units:
+        for i, op in enumerate(unit.ops):
+            if op.kind == "tcb" or layout.region_of(op.addr) != "data":
+                continue
+            if op.addr not in first:
+                first[op.addr] = op.data
+                continue
+            ops = list(unit.ops)
+            ops[i] = dataclasses.replace(op, data=first[op.addr])
+            units[unit.index] = dataclasses.replace(unit, ops=tuple(ops))
+            return dataclasses.replace(trace, units=units)
+    raise AssertionError("no data line is written twice")
+
+
+class TestFingerprintMemo:
+    """The reducer memoizes fingerprints by state content only when the
+    image names every survivor: no data line written twice with the
+    same bytes."""
+
+    @pytest.mark.parametrize("profile", [HOTSET, REKEY])
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_memoized_fingerprints_equal_fresh_ones(self, name, profile):
+        scheme = create_scheme(name, data_capacity=TINY_CAPACITY, seed=SEED)
+        trace = record_workload(scheme, 24, seed=SEED, profile=profile)
+        memoized = CrashStateReducer(trace, name, TINY_CAPACITY, SEED)
+        fresh = CrashStateReducer(trace, name, TINY_CAPACITY, SEED)
+        assert memoized._fingerprints == {}
+        states = list(_brute(trace).states())
+        for state in states:
+            assert memoized.fingerprint(state, content_key(state)) == (
+                fresh.fingerprint(state)
+            ), state.describe()
+        # Not vacuous: states of repeated content were served.
+        assert len(memoized._fingerprints) < len(states)
+
+    def test_repeated_data_bytes_turn_the_memo_off(self):
+        trace = _record("ccnvm", steps=24)
+        plain = CrashStateReducer(trace, "ccnvm", TINY_CAPACITY, SEED)
+        assert plain._fingerprints == {}
+        doctored = _doctored(trace, plain.layout)
+        reducer = CrashStateReducer(doctored, "ccnvm", TINY_CAPACITY, SEED)
+        assert reducer._fingerprints is None
+        fresh = CrashStateReducer(doctored, "ccnvm", TINY_CAPACITY, SEED)
+        for state in _brute(doctored).states():
+            assert reducer.fingerprint(state, content_key(state)) == (
+                fresh.fingerprint(state)
+            )
+
+    def test_torn_states_skip_the_memo(self):
+        trace = _record("ccnvm", steps=24)
+        reducer = CrashStateReducer(trace, "ccnvm", TINY_CAPACITY, SEED)
+        torn = [s for s in _brute(trace, torn=True).states() if s.torn is not None]
+        assert torn
+        for state in torn:
+            assert reducer.fingerprint(state, content_key(state)).startswith(
+                "concrete:"
+            )
+        assert reducer._fingerprints == {}

@@ -95,6 +95,21 @@ class TestStats:
         # flushing resets the session counters
         assert (second.hits, second.misses, second.stores) == (0, 0, 0)
 
+    def test_flush_makes_no_durable_write_but_put_does(self, tmp_path, monkeypatch):
+        """Counters are replaced atomically without fsync; entries keep it."""
+        import repro.runs.cache as cache_mod
+
+        def no_fsync(fd):
+            raise AssertionError("fsync called")
+
+        cache = make_cache(tmp_path)
+        cache.get(SPEC)  # miss
+        monkeypatch.setattr(cache_mod.os, "fsync", no_fsync)
+        assert cache.flush_stats()["misses"] == 1
+        assert make_cache(tmp_path).cumulative["misses"] == 1
+        with pytest.raises(AssertionError, match="fsync called"):
+            cache.put(SPEC, {"x": 1})
+
     def test_status_reports_generations_and_stats(self, tmp_path):
         cache = make_cache(tmp_path, fingerprint="a" * 16)
         cache.put(SPEC, {"x": 1})
