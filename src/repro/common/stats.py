@@ -10,8 +10,11 @@ reads like gem5's ``stats.txt``::
     system.nvm.writes.merkle         1201
 
 The registry is intentionally dependency-free and cheap: counters are plain
-ints bumped through :meth:`Counter.inc`, and nothing is computed until a
-report is requested.
+ints, and nothing is computed until a report is requested.  Code on the
+per-access path (caches, the NVM device, the controller and WPQ, the HMAC
+and encryption engines, the CPU and replay loops) bumps a counter it bound
+at construction in place, ``counter.value += 1``, which saves a method
+call per modeled event; everything else calls :meth:`Counter.inc`.
 """
 
 from __future__ import annotations

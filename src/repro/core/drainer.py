@@ -102,7 +102,7 @@ class DirtyAddressQueue:
                 if len(self._queue) >= self.entries:
                     raise OverflowError("dirty address queue overflow")
                 self._queue[addr] = None
-                self._reservations.inc()
+                self._reservations.value += 1
 
     def addresses(self) -> list[int]:
         """Queued addresses in reservation order."""

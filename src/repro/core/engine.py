@@ -17,8 +17,8 @@ to avoid one-time-pad reuse).
 
 from __future__ import annotations
 
-from repro.common.address import block_in_page, page_align
-from repro.common.constants import BLOCKS_PER_PAGE, CACHE_LINE_SIZE, HMAC_SIZE
+from repro.common.address import page_align
+from repro.common.constants import BLOCKS_PER_PAGE, CACHE_LINE_BITS, CACHE_LINE_SIZE, HMAC_SIZE
 from repro.common.stats import StatGroup
 from repro.crypto.cme import CounterModeCipher
 from repro.crypto.hmac_engine import HmacEngine
@@ -27,6 +27,9 @@ from repro.mem.wpq import WritePendingQueue
 from repro.metadata.counters import CounterLine
 from repro.metadata.layout import MemoryLayout
 from repro.metadata.metacache import IntegrityError
+
+#: ``block_in_page(addr)`` is ``(addr >> CACHE_LINE_BITS) & _BLOCK_MASK``.
+_BLOCK_MASK = BLOCKS_PER_PAGE - 1
 
 
 class EncryptionEngine:
@@ -77,14 +80,15 @@ class EncryptionEngine:
             raise ValueError("write-backs are whole cache lines")
         # The one data-region check of *addr*; the WPQ checks alignment.
         hmac_line, offset = self.layout.data_hmac_location(addr)
-        major, minor = counters.counter_pair(block_in_page(addr))
+        major = counters.major
+        minor = counters.minors[(addr >> CACHE_LINE_BITS) & _BLOCK_MASK]
         ciphertext = self.cipher.encrypt(plaintext, addr, major, minor)
         code = self.hmac.data_hmac(ciphertext, addr, major, minor)
         self.wpq.begin_combined()
         self.wpq.write(addr, ciphertext)
         self.wpq.write_partial(hmac_line, offset, code)
         self.wpq.end_combined()
-        self._writebacks.inc()
+        self._writebacks.value += 1
 
     # -- fill path ----------------------------------------------------------------------
 
@@ -99,7 +103,8 @@ class EncryptionEngine:
         """
         # The one data-region check of *addr*; the device checks alignment.
         hmac_line, offset = self.layout.data_hmac_location(addr)
-        major, minor = counters.counter_pair(block_in_page(addr))
+        major = counters.major
+        minor = counters.minors[(addr >> CACHE_LINE_BITS) & _BLOCK_MASK]
         ciphertext = self._read_line(addr)
         if verify:
             stored = self._read_line(hmac_line)[offset:offset + HMAC_SIZE]
@@ -109,7 +114,7 @@ class EncryptionEngine:
                     f"data HMAC mismatch for block {addr:#x} "
                     f"(counter {major}.{minor})"
                 )
-        self._fills.inc()
+        self._fills.value += 1
         return self.cipher.decrypt(ciphertext, addr, major, minor)
 
     # -- split-counter overflow ------------------------------------------------------------

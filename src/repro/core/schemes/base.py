@@ -37,9 +37,15 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import replace
 
-from repro.common.address import block_in_page, page_align
+from repro.common.address import page_align
 from repro.common.config import SystemConfig
-from repro.common.constants import MINOR_COUNTER_MAX
+from repro.common.constants import (
+    BLOCKS_PER_PAGE,
+    CACHE_LINE_BITS,
+    CACHE_LINE_SIZE,
+    HMAC_SIZE,
+    MINOR_COUNTER_MAX,
+)
 from repro.common.persistence import persistence, poison_volatile, restore_volatile
 from repro.common.stats import StatGroup
 from repro.core.recovery import RecoveryManager, RecoveryPolicy, RecoveryReport
@@ -216,7 +222,8 @@ class SecureNVMScheme(ABC):
         cycles += load_cycles
         counters: CounterLine = line.data
 
-        block = block_in_page(addr)  # addr checked by counter_line_addr
+        # block_in_page(addr), inline; addr checked by counter_line_addr.
+        block = (addr >> CACHE_LINE_BITS) & (BLOCKS_PER_PAGE - 1)
         will_overflow = counters.minors[block] == MINOR_COUNTER_MAX
         old_counters = counters.copy() if will_overflow else None
 
@@ -313,7 +320,13 @@ class SecureNVMScheme(ABC):
                 break
             line, load_cycles, _ = load_line(parent_addr)
             cycles += load_cycles
-            child = write_slot(bytes(line.data), slot, child_hmac)
+            # write_slot, inline.  tree_path masks *slot* into range; a
+            # bad length calls write_slot to raise its error.
+            node = bytes(line.data)
+            if len(node) != CACHE_LINE_SIZE or len(child_hmac) != HMAC_SIZE:
+                write_slot(node, slot, child_hmac)
+            at = slot * HMAC_SIZE
+            child = node[:at] + child_hmac + node[at + HMAC_SIZE:]
             line.data = child
             line.dirty = True
             line.update_count += 1

@@ -19,6 +19,8 @@ from __future__ import annotations
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.crypto.prf import SecretKey, prf
 
+_ZERO_LINE = bytes(CACHE_LINE_SIZE)
+
 
 def make_seed(address: int, major: int, minor: int) -> bytes:
     """Serialize the CME seed for one block.
@@ -102,10 +104,13 @@ class CounterModeCipher:
 
         The pristine data line encrypts zero plaintext under counter
         (0, 0), so it *is* that pair's pad: with a *pristine* source
-        that pair reads its pad there instead of deriving it.
+        that pair reads its pad there instead of deriving it.  A never
+        written block's ciphertext is that pad, and XOR with it gives
+        the zero line, returned without the XOR.
         """
         if len(ciphertext) != CACHE_LINE_SIZE:
             raise ValueError("CME operates on whole cache lines")
         if major == minor == 0 and self._pristine is not None:
-            return xor_bytes(ciphertext, self._pristine(address))
+            pad = self._pristine(address)
+            return _ZERO_LINE if ciphertext == pad else xor_bytes(ciphertext, pad)
         return xor_bytes(ciphertext, generate_otp(self._key, address, major, minor))

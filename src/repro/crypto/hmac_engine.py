@@ -66,7 +66,8 @@ class HmacEngine:
         self._counter_hmacs = self._stats.counter(
             "counter_hmacs", "counter HMAC (Merkle node) computations"
         )
-        #: The key's RFC 2104 states; :meth:`_mac` copies them per code.
+        #: The key's RFC 2104 states; every computed code continues from
+        #: copies of them (``keyed_hash`` over the length-prefixed message).
         self._inner, self._outer = key.hmac_states("sha1")
         #: Recovery-side codes: ``(ciphertext, address, major, minor)`` for
         #: data HMACs, the node bytes for counter HMACs.
@@ -93,14 +94,6 @@ class HmacEngine:
         """Total counter-HMAC (tree-node) computations performed so far."""
         return self._counter_hmacs.value
 
-    def _mac(self, message: bytes) -> bytes:
-        """``keyed_hash`` over an already length-prefixed *message*."""
-        inner = self._inner.copy()
-        inner.update(message)
-        outer = self._outer.copy()
-        outer.update(inner.digest())
-        return outer.digest()[:HMAC_SIZE]
-
     def data_hmac(
         self, encrypted_data: bytes, address: int, major: int, minor: int
     ) -> bytes:
@@ -113,12 +106,13 @@ class HmacEngine:
         """
         if len(encrypted_data) != CACHE_LINE_SIZE:
             raise ValueError("data HMAC covers exactly one cache line")
-        self._data_hmacs.inc()
+        self._data_hmacs.value += 1
         if major == minor == 0 and self._pristine_data is not None:
             code = self._pristine_data(encrypted_data, address)
             if code is not None:
                 return code
-        return self._mac(
+        inner = self._inner.copy()
+        inner.update(
             _LEN_LINE
             + encrypted_data
             + _LEN_8
@@ -128,6 +122,9 @@ class HmacEngine:
             + _LEN_2
             + minor.to_bytes(2, "little")
         )
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()[:HMAC_SIZE]
 
     def counter_hmac(self, child_node: bytes) -> bytes:
         """128-bit HMAC of one child tree node (counter line or inner node).
@@ -143,12 +140,16 @@ class HmacEngine:
         """
         if len(child_node) != CACHE_LINE_SIZE:
             raise ValueError("counter HMAC covers exactly one tree node")
-        self._counter_hmacs.inc()
+        self._counter_hmacs.value += 1
         if self._pristine_nodes:
             code = self._pristine_nodes.get(child_node)
             if code is not None:
                 return code
-        return self._mac(_LEN_LINE + child_node)
+        inner = self._inner.copy()
+        inner.update(_LEN_LINE + child_node)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()[:HMAC_SIZE]
 
     # -- recovery-side memoized variants ---------------------------------------
 
@@ -167,7 +168,7 @@ class HmacEngine:
         code = self.recovery_memo.get(key)
         if code is None:
             return self._remember(key, self.data_hmac(*key))
-        self._data_hmacs.inc()
+        self._data_hmacs.value += 1
         return code
 
     def recovery_counter_hmac(self, child_node: bytes) -> bytes:
@@ -176,7 +177,7 @@ class HmacEngine:
         code = self.recovery_memo.get(key)
         if code is None:
             return self._remember(key, self.counter_hmac(key))
-        self._counter_hmacs.inc()
+        self._counter_hmacs.value += 1
         return code
 
     def verify(self, expected: bytes, actual: bytes) -> bool:

@@ -106,11 +106,17 @@ def prf(key: SecretKey, *parts: bytes, out_len: int = CACHE_LINE_SIZE) -> bytes:
     equivalent of AES's block structure preventing seed collisions.
     """
     message = b"".join([len(p).to_bytes(4, "little") + p for p in parts])
+    # _hmac_digest per block, with the key's states looked up once.
+    keyed_inner, keyed_outer = key.hmac_states("sha256")
     blocks = []
     produced = 0
     counter = 0
     while produced < out_len:
-        block = _hmac_digest(key, "sha256", counter.to_bytes(4, "little") + message)
+        inner = keyed_inner.copy()
+        inner.update(counter.to_bytes(4, "little") + message)
+        outer = keyed_outer.copy()
+        outer.update(inner.digest())
+        block = outer.digest()
         blocks.append(block)
         produced += len(block)
         counter += 1
@@ -126,6 +132,6 @@ def keyed_hash(key: SecretKey, *parts: bytes) -> bytes:
     return _hmac_digest(key, "sha1", message)[:HMAC_SIZE]
 
 
-def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Timing-safe comparison (as the hardware comparator would be)."""
-    return _hmac.compare_digest(a, b)
+#: Timing-safe comparison (as the hardware comparator would be): the
+#: stdlib's own ``hmac.compare_digest``, called with no wrapper frame.
+constant_time_equal = _hmac.compare_digest

@@ -102,10 +102,10 @@ class Cache:
         cache_set = self._sets[index & self._set_mask]
         line = cache_set.get(addr)
         if line is None:
-            self._misses.inc()
+            self._misses.value += 1
             return None
         cache_set.move_to_end(addr)
-        self._hits.inc()
+        self._hits.value += 1
         return line
 
     # -- content management ------------------------------------------------------
@@ -132,9 +132,9 @@ class Cache:
         victim = None
         if len(cache_set) >= self._ways:
             _, victim = cache_set.popitem(last=False)
-            self._evictions.inc()
+            self._evictions.value += 1
             if victim.dirty:
-                self._dirty_evictions.inc()
+                self._dirty_evictions.value += 1
         cache_set[addr] = CacheLine(addr, data, dirty)
         return victim
 

@@ -101,15 +101,15 @@ class MemoryController:
         located address and region — graceful degradation is the caller's
         job, but the failure is never silent.
         """
-        limit = self._retry_limit
-        backoff = self._retry_backoff
-        cap = self._retry_backoff_cap
-        attempt = 0
-        while True:
-            try:
-                data = self.nvm.read_line(addr)
-            except TransientReadFault:
-                attempt += 1
+        try:
+            return self.nvm.read_line(addr)
+        except TransientReadFault:
+            # Retry with backoff, only once a read has faulted.
+            limit = self._retry_limit
+            backoff = self._retry_backoff
+            cap = self._retry_backoff_cap
+            attempt = 1
+            while True:
                 self._media_retries.inc()
                 if attempt > limit:
                     self._media_failures.inc()
@@ -122,10 +122,13 @@ class MemoryController:
                 self._media_backoff.inc(backoff)
                 self._read_free_at += backoff
                 backoff = min(backoff * 2, cap)
-                continue
-            if attempt:
+                try:
+                    data = self.nvm.read_line(addr)
+                except TransientReadFault:
+                    attempt += 1
+                    continue
                 self._media_absorbed.inc()
-            return data
+                return data
 
     # -- timing interface ---------------------------------------------------------
 
@@ -139,7 +142,7 @@ class MemoryController:
         start = max(now, self._read_free_at)
         done = start + self._read_cycles
         self._read_free_at = start + self._read_interval
-        self._reads_issued.inc()
+        self._reads_issued.value += 1
         self._read_latency.sample(done - now)
         return done
 
@@ -174,8 +177,8 @@ class MemoryController:
                 total += stall
             last = pending[-1] if pending else at
             pending.append(max(at, last) + interval)
-        self._write_stalls.inc(total)
-        self._writes_issued.inc(count)
+        self._write_stalls.value += total
+        self._writes_issued.value += count
         return total
 
     def drain_time(self, now: int) -> int:

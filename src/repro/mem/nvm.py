@@ -97,6 +97,7 @@ class NVMDevice:
         # use so the stats tree keeps listing regions in first-use order.
         self._region_reads: list[Counter | None] = [None] * len(REGIONS)
         self._region_writes: list[Counter | None] = [None] * len(REGIONS)
+        self._region_bounds = layout.region_bounds
         self._read_total = self._stats.counter("read_total", "total line reads")
         self._write_total = self._stats.counter("write_total", "total line writes")
 
@@ -106,6 +107,8 @@ class NVMDevice:
         return self._stats
 
     def _check(self, addr: int) -> None:
+        # The line accessors on the controller's path test both
+        # conditions inline and call this only to raise.
         if addr & _LINE_OFFSET_MASK:
             raise ValueError(f"NVM access not line-aligned: {addr:#x}")
         if not 0 <= addr < self._capacity:
@@ -127,11 +130,10 @@ class NVMDevice:
         """
         self._media = media
 
-    def _region_counter(self, bound: list, group: StatGroup, addr: int) -> Counter:
-        region = bisect_right(self.layout.region_bounds, addr)
-        counter = bound[region]
-        if counter is None:
-            counter = bound[region] = group.counter(REGIONS[region])
+    @staticmethod
+    def _bind_region(bound: list, group: StatGroup, region: int) -> Counter:
+        """Bind region *region*'s counter in *bound* on its first use."""
+        counter = bound[region] = group.counter(REGIONS[region])
         return counter
 
     def read_line(self, addr: int) -> bytes:
@@ -142,12 +144,18 @@ class NVMDevice:
         lines (faults ECC misses) are returned as-is and left for the
         integrity layer to catch.
         """
-        self._check(addr)
-        self._read_total.inc()
-        self._region_counter(self._region_reads, self._reads, addr).inc()
+        if addr & _LINE_OFFSET_MASK or not 0 <= addr < self._capacity:
+            self._check(addr)
+        self._read_total.value += 1
+        region = bisect_right(self._region_bounds, addr)
+        counter = self._region_reads[region] or self._bind_region(
+            self._region_reads, self._reads, region
+        )
+        counter.value += 1
         line = self._lines.get(addr)
         if line is None:
-            line = self._virgin(addr)
+            initializer = self._initializer
+            line = initializer(addr) if initializer is not None else _ZERO_LINE
         if self._media is not None:
             action = self._media.on_read(addr)
             if action == "detectable":
@@ -158,11 +166,16 @@ class NVMDevice:
 
     def write_line(self, addr: int, data: bytes) -> None:
         """Write one 64 B line."""
-        self._check(addr)
+        if addr & _LINE_OFFSET_MASK or not 0 <= addr < self._capacity:
+            self._check(addr)
         if len(data) != CACHE_LINE_SIZE:
             raise ValueError("NVM writes are whole lines")
-        self._write_total.inc()
-        self._region_counter(self._region_writes, self._writes, addr).inc()
+        self._write_total.value += 1
+        region = bisect_right(self._region_bounds, addr)
+        counter = self._region_writes[region] or self._bind_region(
+            self._region_writes, self._writes, region
+        )
+        counter.value += 1
         self._lines[addr] = bytes(data)
         self._write_counts[addr] = self._write_counts.get(addr, 0) + 1
 
@@ -172,10 +185,13 @@ class NVMDevice:
         Models the controller's write-combining of sub-line metadata such
         as 128-bit data HMACs; it costs one device write like any other.
         """
-        self._check(addr)
+        if addr & _LINE_OFFSET_MASK or not 0 <= addr < self._capacity:
+            self._check(addr)
         if offset < 0 or offset + len(data) > CACHE_LINE_SIZE:
             raise ValueError("partial write exceeds the line")
-        old = self.peek(addr)
+        old = self._lines.get(addr)
+        if old is None:
+            old = self._virgin(addr)
         merged = old[:offset] + bytes(data) + old[offset + len(data):]
         self.write_line(addr, merged)
 

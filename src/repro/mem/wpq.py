@@ -25,6 +25,8 @@ from repro.common.persistence import persistence
 from repro.common.stats import StatGroup
 from repro.mem.nvm import NVMDevice
 
+_LINE_OFFSET_MASK = CACHE_LINE_SIZE - 1
+
 
 class AtomicBatchError(RuntimeError):
     """Raised on WPQ protocol violations (nesting, overflow, stray signals)."""
@@ -41,11 +43,13 @@ class WritePendingQueue:
             raise ValueError("WPQ needs at least one entry")
         self.nvm = nvm
         self.entries = entries
+        self._capacity = nvm.layout.total_capacity
         self._batch: list[tuple[int, bytes]] | None = None
         #: Optional persist-trace callback (see :mod:`repro.crashsim`):
         #: called with ``(kind, addr, data)`` after every persist
         #: micro-op so a recorder can rebuild the exact order in which
-        #: lines became durable under ADR.
+        #: lines became durable under ADR.  Every persist micro-op tests
+        #: it inline: the write path runs once per modeled line write.
         self.trace_hook = None
         self._stats = stats if stats is not None else StatGroup("wpq")
         self._normal_writes = self._stats.counter("normal_writes")
@@ -59,10 +63,6 @@ class WritePendingQueue:
         """WPQ statistics (batch sizes, commit/drop counts)."""
         return self._stats
 
-    def _trace(self, kind: str, addr: int | None = None, data: bytes | None = None) -> None:
-        if self.trace_hook is not None:
-            self.trace_hook(kind, addr, data)
-
     # -- combined-group markers ---------------------------------------------------
 
     def begin_combined(self) -> None:
@@ -74,11 +74,13 @@ class WritePendingQueue:
         WPQ before a power failure or none do.  The markers are no-ops
         for the device; they only scope the persist trace.
         """
-        self._trace("begin_combined")
+        if self.trace_hook is not None:
+            self.trace_hook("begin_combined", None, None)
 
     def end_combined(self) -> None:
         """Mark the end of the current combined write transaction."""
-        self._trace("end_combined")
+        if self.trace_hook is not None:
+            self.trace_hook("end_combined", None, None)
 
     @property
     def in_atomic_batch(self) -> bool:
@@ -98,15 +100,16 @@ class WritePendingQueue:
         Validation happens *in the WPQ*, not only in the device: a bad
         address must fail before statistics are bumped (or, for atomic
         writes, before the line joins a batch that would then explode
-        half-flushed at commit time).
+        half-flushed at commit time).  The write methods test both
+        conditions inline and call this only to raise.
         """
         if not is_line_aligned(addr):
             raise ValueError(f"WPQ write not line-aligned: {addr:#x}")
-        if not 0 <= addr < self.nvm.layout.total_capacity:
+        if not 0 <= addr < self._capacity:
             raise ValueError(f"WPQ write out of range: {addr:#x}")
 
     def _check_batch_conflict(self, addr: int) -> None:
-        if self._batch is not None and any(a == addr for a, _ in self._batch):
+        if any(a == addr for a, _ in self._batch):
             raise AtomicBatchError(
                 f"normal write to {addr:#x} while the line is blocked in the "
                 "atomic batch: the store would be ordered before the batch, "
@@ -115,26 +118,32 @@ class WritePendingQueue:
 
     def write(self, addr: int, data: bytes) -> None:
         """Accept a normal (immediately durable) line write."""
-        self._validate_addr(addr)
+        if addr & _LINE_OFFSET_MASK or not 0 <= addr < self._capacity:
+            self._validate_addr(addr)
         if len(data) != CACHE_LINE_SIZE:
             raise ValueError("WPQ line writes are whole 64 B lines")
-        self._check_batch_conflict(addr)
-        self._normal_writes.inc()
+        if self._batch is not None:
+            self._check_batch_conflict(addr)
+        self._normal_writes.value += 1
         self.nvm.write_line(addr, data)
-        self._trace("write", addr)
+        if self.trace_hook is not None:
+            self.trace_hook("write", addr, None)
 
     def write_partial(self, addr: int, offset: int, data: bytes) -> None:
         """Accept a normal sub-line write (e.g. a 128-bit data HMAC)."""
-        self._validate_addr(addr)
+        if addr & _LINE_OFFSET_MASK or not 0 <= addr < self._capacity:
+            self._validate_addr(addr)
         if offset < 0 or offset + len(data) > CACHE_LINE_SIZE:
             raise ValueError(
                 f"partial write [{offset}, {offset + len(data)}) exceeds the "
                 f"{CACHE_LINE_SIZE} B line"
             )
-        self._check_batch_conflict(addr)
-        self._normal_writes.inc()
+        if self._batch is not None:
+            self._check_batch_conflict(addr)
+        self._normal_writes.value += 1
         self.nvm.write_partial(addr, offset, data)
-        self._trace("write_partial", addr)
+        if self.trace_hook is not None:
+            self.trace_hook("write_partial", addr, None)
 
     # -- atomic draining protocol -------------------------------------------------
 
@@ -143,21 +152,25 @@ class WritePendingQueue:
         if self._batch is not None:
             raise AtomicBatchError("atomic batches cannot nest")
         self._batch = []
-        self._trace("begin_atomic")
+        if self.trace_hook is not None:
+            self.trace_hook("begin_atomic", None, None)
 
     def write_atomic(self, addr: int, data: bytes) -> None:
         """Block one metadata line inside the WPQ until the ``end`` signal."""
         if self._batch is None:
             raise AtomicBatchError("no atomic batch in progress")
-        self._validate_addr(addr)
+        if addr & _LINE_OFFSET_MASK or not 0 <= addr < self._capacity:
+            self._validate_addr(addr)
         if len(data) != CACHE_LINE_SIZE:
             raise ValueError("WPQ line writes are whole 64 B lines")
         if len(self._batch) >= self.entries:
             raise AtomicBatchError(
                 f"atomic batch exceeds the {self.entries}-entry WPQ"
             )
-        self._batch.append((addr, bytes(data)))
-        self._trace("write_atomic", addr, bytes(data))
+        line = bytes(data)
+        self._batch.append((addr, line))
+        if self.trace_hook is not None:
+            self.trace_hook("write_atomic", addr, line)
 
     def commit_atomic(self) -> int:
         """The drainer's ``end`` signal: release the batch to NVM.
@@ -170,9 +183,10 @@ class WritePendingQueue:
         batch, self._batch = self._batch, None
         for addr, data in batch:
             self.nvm.write_line(addr, data)
-        self._trace("commit_atomic")
-        self._batched_writes.inc(len(batch))
-        self._batches_committed.inc()
+        if self.trace_hook is not None:
+            self.trace_hook("commit_atomic", None, None)
+        self._batched_writes.value += len(batch)
+        self._batches_committed.value += 1
         self._batch_size_dist.sample(len(batch))
         return len(batch)
 
@@ -183,10 +197,9 @@ class WritePendingQueue:
         never saw its ``end`` signal is discarded, exactly as the protocol
         prescribes.  Returns the number of dropped entries.
         """
-        if self._batch is None:
-            self._trace("power_failure")
-            return 0
         dropped, self._batch = self._batch, None
-        self._batches_dropped.inc()
-        self._trace("power_failure")
-        return len(dropped)
+        if dropped is not None:
+            self._batches_dropped.inc()
+        if self.trace_hook is not None:
+            self.trace_hook("power_failure", None, None)
+        return 0 if dropped is None else len(dropped)

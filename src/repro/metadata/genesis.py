@@ -120,8 +120,15 @@ class GenesisImage:
         return self._cipher.encrypt(bytes(CACHE_LINE_SIZE), addr, 0, 0)
 
     def data_hmac(self, addr: int) -> bytes:
-        """Pristine data HMAC matching :meth:`data_line`."""
-        return self._engine.data_hmac(self.data_line(addr), addr, 0, 0)
+        """Pristine data HMAC matching :meth:`data_line`.
+
+        Hashes the line memo's copy of the data line when it holds one,
+        and otherwise encrypts the line without storing it.
+        """
+        data = self._lines.get(addr)
+        if data is None:
+            data = self.data_line(addr)
+        return self._engine.data_hmac(data, addr, 0, 0)
 
     def hmac_line(self, line_addr: int) -> bytes:
         """Pristine 64 B line of the data-HMAC region (4 packed codes)."""

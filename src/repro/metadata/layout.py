@@ -32,12 +32,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.common.address import block_in_page, line_align, page_index
+from repro.common.address import block_in_page, page_index
 from repro.common.constants import (
     CACHE_LINE_BITS,
     CACHE_LINE_SIZE,
     HMAC_SIZE,
     MERKLE_ARITY,
+    PAGE_BITS,
     PAGE_SIZE,
 )
 
@@ -45,6 +46,7 @@ from repro.common.constants import (
 #: ``index & _SLOT_MASK``.
 _ARITY_BITS = MERKLE_ARITY.bit_length() - 1
 _SLOT_MASK = MERKLE_ARITY - 1
+_LINE_OFFSET_MASK = CACHE_LINE_SIZE - 1
 #: Region names in address order (see :meth:`MemoryLayout.region_of`).
 REGIONS = ("data", "counter", "data_hmac", "merkle")
 
@@ -183,14 +185,20 @@ class MemoryLayout:
     # -- address mappings ----------------------------------------------------
 
     def check_data_address(self, addr: int) -> None:
-        """Raise if *addr* is not a valid data-region address."""
+        """Raise if *addr* is not a valid data-region address.
+
+        :meth:`counter_line_addr` and :meth:`data_hmac_location`, which run
+        on every write-back, test the range inline and call this only to
+        raise.
+        """
         if not 0 <= addr < self.data_capacity:
             raise ValueError(f"address {addr:#x} outside the data region")
 
     def counter_line_addr(self, data_addr: int) -> int:
         """NVM address of the counter line covering *data_addr*'s page."""
-        self.check_data_address(data_addr)
-        return self.counter_base + page_index(data_addr) * CACHE_LINE_SIZE
+        if not 0 <= data_addr < self.data_capacity:
+            self.check_data_address(data_addr)
+        return self.counter_base + ((data_addr >> PAGE_BITS) << CACHE_LINE_BITS)
 
     def counter_leaf_index(self, data_addr: int) -> int:
         """Merkle leaf index (= page index) covering *data_addr*."""
@@ -213,10 +221,10 @@ class MemoryLayout:
 
         Four 128-bit data HMACs share one 64 B metadata line.
         """
-        self.check_data_address(data_addr)
-        block = line_align(data_addr) // CACHE_LINE_SIZE
-        byte_pos = self.hmac_base + block * HMAC_SIZE
-        return line_align(byte_pos), byte_pos & (CACHE_LINE_SIZE - 1)
+        if not 0 <= data_addr < self.data_capacity:
+            self.check_data_address(data_addr)
+        byte_pos = self.hmac_base + (data_addr >> CACHE_LINE_BITS) * HMAC_SIZE
+        return byte_pos & ~_LINE_OFFSET_MASK, byte_pos & _LINE_OFFSET_MASK
 
     def merkle_node_addr(self, node: MerkleNodeId) -> int:
         """NVM address of a tree node.
@@ -295,4 +303,4 @@ class MemoryLayout:
         """:meth:`metadata_addresses_for_writeback` of a block whose counter
         line is *counter_addr*, given ``tree_path(counter_addr)`` as *path*
         (the write-back walks that follow reuse the same path)."""
-        return [counter_addr, *(a for a, _ in path[:-1])]
+        return [counter_addr] + [a for a, _ in path[:-1]]

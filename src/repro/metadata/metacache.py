@@ -258,7 +258,9 @@ class MetadataStore:
 
     def load_counter(self, data_addr: int) -> AccessResult:
         """Verified load of the counter line covering *data_addr*'s page."""
-        return self.load_verified(self.layout.counter_line_addr(data_addr))
+        # load_verified, inline: this runs on every demand fill.
+        line, cycles, hit = self.load_line(self.layout.counter_line_addr(data_addr))
+        return AccessResult(line.data, cycles, hit)
 
     def load_node(self, node: MerkleNodeId) -> AccessResult:
         """Verified load of one tree node (leaf or internal)."""

@@ -72,6 +72,9 @@ class TraceCPU:
         instructions = 0
         reads = writes = 0
         read_stalls = write_stalls = 0
+        level_hits = self._level_hits
+        # Each level's counter, created on first use by level_hits.counter.
+        level_counters = level_hits.counters
 
         for record in trace:
             instructions += record.icount + 1
@@ -90,7 +93,8 @@ class TraceCPU:
                 writes += 1
                 stall, level = self.memory.write(now, record.addr)
                 write_stalls += stall
-            self._level_hits.counter(level).inc()
+            counter = level_counters.get(level) or level_hits.counter(level)
+            counter.value += 1
             self.clock += stall
 
         cycles = max(1, int(self.clock - start_clock))

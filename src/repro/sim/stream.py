@@ -160,7 +160,7 @@ class ReplayHierarchy:
                 if read_sets_time:
                     t = done
             else:
-                self._writebacks.inc()
+                self._writebacks.value += 1
                 blocking = scheme.writeback(t, addr, data)
                 hard = min(blocking, scheme.writeback_hard_cycles)
                 t += hard + int((blocking - hard) * self._exposed)
@@ -174,7 +174,7 @@ class ReplayHierarchy:
             return data, t - now, level
         t += self._l2_latency
         if level == "mem":
-            self._demand_misses.inc()
+            self._demand_misses.value += 1
         return data, self._replay(t, events, True) - now, level
 
     def write(self, now: int, addr: int) -> tuple[int, str]:
@@ -182,7 +182,7 @@ class ReplayHierarchy:
         _, _, level, _, events = self._step(WRITE, addr)
         t = now + self._l1_latency
         if level == "mem":
-            self._demand_misses.inc()
+            self._demand_misses.value += 1
         return self._replay(t, events, False) - now, level
 
     def flush(self) -> None:
@@ -191,6 +191,6 @@ class ReplayHierarchy:
             raise ValueError("flush before the recorded run reached its end")
         now = self.scheme.busy_until
         for addr, data in self._stream.flush:
-            self._writebacks.inc()
+            self._writebacks.value += 1
             self.scheme.writeback(now, addr, data)
         self.scheme.flush()

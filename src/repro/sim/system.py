@@ -64,7 +64,7 @@ class MemoryHierarchy:
     # -- eviction plumbing -------------------------------------------------------------
 
     def _writeback_victim(self, now: int, addr: int, data: bytes) -> int:
-        self._writebacks.inc()
+        self._writebacks.value += 1
         blocking = self.scheme.writeback(now, addr, data)
         # The write-back buffer hides part of the eviction's blocking work
         # from the demand access that triggered it — except the portion
@@ -104,7 +104,7 @@ class MemoryHierarchy:
             t += self._fill_l1(t, addr, data, dirty=False)
             return data, t - now, "l2"
 
-        self._demand_misses.inc()
+        self._demand_misses.value += 1
         data, done = self.scheme.read(t, addr)
         t = done
         t += self._fill_l2(t, addr, data, dirty=False)
@@ -136,7 +136,7 @@ class MemoryHierarchy:
             blocking += self._fill_l1(now + blocking, addr, data, dirty=True)
             return blocking, "l2"
 
-        self._demand_misses.inc()
+        self._demand_misses.value += 1
         # Fetch-on-write-miss: consumes memory bandwidth but the store
         # buffer hides its latency from the core.
         self.scheme.read(now + blocking, addr)

@@ -299,8 +299,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "M25", "XC", "WPQ write_partial traced under the write kind",
         WPQ,
-        '        self._trace("write_partial", addr)\n',
-        '        self._trace("write", addr)\n',
+        '            self.trace_hook("write_partial", addr, None)\n',
+        '            self.trace_hook("write", addr, None)\n',
         catchers=(
             "tests/unit/test_crashsim_enumerate.py::TestPrefixStates::test_full_prefix_equals_live_machine",
             "tests/unit/test_crashsim_trace.py::TestTraceStructure::test_writeback_group_is_one_unit",

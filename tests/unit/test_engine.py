@@ -8,7 +8,7 @@ from repro.common.constants import (
     HMAC_SIZE,
 )
 from repro.core.engine import EncryptionEngine
-from repro.crypto.cme import CounterModeCipher, generate_otp
+from repro.crypto.cme import CounterModeCipher, generate_otp, xor_bytes
 from repro.crypto.hmac_engine import HmacEngine
 from repro.crypto.prf import SecretKey
 from repro.mem.nvm import NVMDevice
@@ -233,6 +233,17 @@ class TestPristinePads:
             )
         assert calls == [0xC0]
 
+    @pytest.mark.parametrize("tampered", [False, True])
+    def test_pristine_decrypt_is_the_xor_with_the_pad(self, tampered):
+        calls = []
+        engine = self.make(calls)
+        pad = generate_otp(ENC, 0x100, 0, 0)
+        ciphertext = bytes([pad[0] ^ 1]) + pad[1:] if tampered else pad
+        plaintext = engine.cipher.decrypt(ciphertext, 0x100, 0, 0)
+        assert plaintext == xor_bytes(ciphertext, pad)
+        assert (plaintext == bytes(CACHE_LINE_SIZE)) is not tampered
+        assert calls == [0x100]
+
 
 class TestPristineCodes:
     """Pristine inputs take their HMAC from the genesis image."""
@@ -247,9 +258,12 @@ class TestPristineCodes:
         hooked = HmacEngine(MAC, pristine=genesis)
         return EncryptionEngine(cipher, hooked, nvm, wpq), genesis
 
-    @staticmethod
-    def no_hashing(*_):
-        raise AssertionError("a pristine input was hashed")
+    class NoHashing:
+        """Stands in for an engine's keyed hash state: every code the
+        engine computes starts from a copy of it."""
+
+        def copy(self):
+            raise AssertionError("a pristine input was hashed")
 
     def test_hooked_codes_equal_fresh_codes(self):
         engine, genesis = self.make()
@@ -260,7 +274,7 @@ class TestPristineCodes:
             genesis.line(addr)
             genesis.line(engine.layout.data_hmac_location(addr)[0])
         nodes = [genesis.node(level) for level in range(engine.layout.root_level)]
-        hooked._mac = self.no_hashing
+        hooked._inner = self.NoHashing()
         for addr in addrs:
             ciphertext = genesis.line(addr)
             assert hooked.data_hmac(ciphertext, addr, 0, 0) == (
@@ -287,7 +301,7 @@ class TestPristineCodes:
 
     def test_pristine_fill_counts_one_code_and_decrypts(self):
         engine, _ = self.make()
-        engine.hmac._mac = self.no_hashing
+        engine.hmac._inner = self.NoHashing()
         assert engine.read_data_block(0x100, CounterLine()) == bytes(CACHE_LINE_SIZE)
         assert engine.hmac.data_hmac_count == 1
 
